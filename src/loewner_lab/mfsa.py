@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .descriptor_ops import (
     TransferMap,
     closed_loop_delay,
@@ -222,9 +221,8 @@ def delay_margin_sweep(
     The loop transfer H*K/(1 + H*K*e^{-tau*s}) is sampled on the given
     grid, densified ``densify`` times for tau > 0 because the delay wraps
     phase roughly tau*omega_max/(2*pi) extra turns that the interpolation
-    must resolve.  Rows run concurrently and never abort the sweep; a row
-    whose evaluation fails is recorded as "inconclusive" with the error
-    text attached.
+    must resolve.  Rows never abort the sweep; a row whose evaluation
+    fails is recorded as "inconclusive" with the error text attached.
 
     With ``refine_bisect`` > 0 and a stable row directly preceding the
     first unstable one, that bracket is bisected the requested number of
@@ -262,7 +260,7 @@ def delay_margin_sweep(
             detail=report.detail,
         )
 
-    rows = list(parallel_map(run_tau, taus))
+    rows = [run_tau(tau) for tau in taus]
 
     destabilizing = None
     first_unstable = next(

@@ -6,7 +6,9 @@ worst-case Euclidean norm of the weighted channel pair
     z(i*omega) = ( We * S,  Wu * K * S ),    S = 1 / (1 + H*K),
 
 over a frequency grid; the score is the grid estimate of the H-infinity
-norm of the stacked performance channel.  The tuner minimizes that score
+norm of the stacked performance channel.  H, We and Wu are fixed, so the
+tuner samples them once per grid and every score reuses those samples;
+only K changes from one score to the next.  The tuner minimizes that score
 over (kp, ki) with Nelder-Mead restarted from a logarithmic grid of seeds,
 and every returned candidate is screened for closed-loop stability through
 the descriptor poles of the actual feedback realization, since a pure grid
@@ -23,7 +25,6 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from ._parallel import parallel_map
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
@@ -131,8 +132,18 @@ def fit_pi_gains(
     return PIController(kp=kp, ki=ki)
 
 
-def _channel_norms(plant: TransferMap, k: PIController, w: WeightingFilters, omega):
-    omega = np.asarray(omega, dtype=float).ravel()
+@dataclass(frozen=True)
+class _GridSamples:
+    """Plant and weights sampled once at i*omega on a validated grid."""
+
+    omega: np.ndarray
+    h: np.ndarray
+    we: np.ndarray
+    wu: np.ndarray
+
+
+def _sample(plant: TransferMap, w: WeightingFilters, grid) -> _GridSamples:
+    omega = np.asarray(grid, dtype=float).ravel()
     if omega.size == 0:
         raise ValueError("frequency grid is empty")
     if np.any(omega <= 0.0):
@@ -141,20 +152,28 @@ def _channel_norms(plant: TransferMap, k: PIController, w: WeightingFilters, ome
             "tracking weight has a pole at omega = 0)"
         )
     s = 1j * omega
-    hvals = np.asarray(plant(s), dtype=complex)
-    kvals = k.frequency_response(omega)
-    loop = hvals * kvals
+    return _GridSamples(
+        omega=omega,
+        h=np.asarray(plant(s), dtype=complex),
+        we=np.asarray(w.we(s), dtype=complex),
+        wu=np.asarray(w.wu(s), dtype=complex),
+    )
+
+
+def _score(samples: _GridSamples, k: PIController) -> float:
+    kvals = k.frequency_response(samples.omega)
+    loop = samples.h * kvals
     den = 1.0 + loop
     bad = np.abs(den) < 1e-12 * np.maximum(1.0, np.abs(loop))
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise LoopSingularityError(
-            f"1 + H*K vanishes at omega = {omega[idx]:g} rad/s"
+            f"1 + H*K vanishes at omega = {samples.omega[idx]:g} rad/s"
         )
     sens = 1.0 / den
-    ch_e = np.abs(np.asarray(w.we(s), dtype=complex) * sens)
-    ch_u = np.abs(np.asarray(w.wu(s), dtype=complex) * kvals * sens)
-    return ch_e, ch_u
+    ch_e = np.abs(samples.we * sens)
+    ch_u = np.abs(samples.wu * kvals * sens)
+    return float(np.max(np.hypot(ch_e, ch_u)))
 
 
 def eval_weighted_performance(
@@ -166,8 +185,7 @@ def eval_weighted_performance(
     (We*S, Wu*K*S) with S = 1/(1 + H*K).  Raises
     :class:`LoopSingularityError` when 1 + H*K underflows at a grid point.
     """
-    ch_e, ch_u = _channel_norms(plant, k, w, grid)
-    return float(np.max(np.hypot(ch_e, ch_u)))
+    return _score(_sample(plant, w, grid), k)
 
 
 @dataclass(frozen=True)
@@ -220,11 +238,11 @@ def optimize_pi(
     lo, hi = float(gain_box[0]), float(gain_box[1])
     if not (0.0 < lo < hi):
         raise ValueError(f"bad gain box {gain_box}")
-    omega = np.asarray(grid, dtype=float).ravel()
+    samples = _sample(plant, w, grid)
 
     def score(ctrl: PIController) -> float:
         try:
-            return eval_weighted_performance(plant, ctrl, w, omega)
+            return _score(samples, ctrl)
         except LoopSingularityError:
             return math.inf
 
@@ -235,7 +253,7 @@ def optimize_pi(
         )
 
     plant_rlz = plant.realization
-    zero_response = bool(np.all(np.asarray(plant(1j * omega)) == 0.0))
+    zero_response = bool(np.all(samples.h == 0.0))
     check_stability = plant_rlz is not None and not zero_response
 
     def objective(x) -> float:
@@ -264,7 +282,7 @@ def optimize_pi(
         )
         return PIController(kp=10.0 ** res.x[0], ki=10.0 ** res.x[1])
 
-    candidates = list(parallel_map(polish, seeds))
+    candidates = [polish(seed) for seed in seeds]
     candidates.append(start)
 
     best: Optional[tuple[float, PIController, bool]] = None

@@ -168,6 +168,26 @@ class TestDelaySweep:
         assert all("synthetic" in row.detail for row in res.rows)
         assert res.destabilizing_delay is None
 
+    def test_failing_row_does_not_stop_the_sweep(self):
+        # Rows run in order, so a plant that fails on its second evaluation
+        # breaks exactly the second row.
+        calls = []
+
+        def fails_second(s):
+            calls.append(s.size)
+            if len(calls) == 2:
+                raise SingularityError("synthetic evaluation failure")
+            return self.plant.fn(s)
+
+        res = delay_margin_sweep(
+            TransferMap.from_callable(fails_second), self.unity,
+            [0.8, 1.0, 1.3], self.grid,
+        )
+        assert [row.verdict for row in res.rows] == ["stable", "inconclusive", "unstable"]
+        assert math.isnan(res.rows[1].stab_tag)
+        assert "synthetic" in res.rows[1].detail
+        assert res.destabilizing_delay == 1.3
+
     def test_validation(self):
         with pytest.raises(ValueError):
             delay_margin_sweep(self.plant, self.unity, [], self.grid)
@@ -184,6 +204,23 @@ class TestDelaySweep:
         row = DelayRow(tau=1.0, stab_tag=0.0, verdict="stable")
         with pytest.raises(ValueError):
             DelaySweepResult(rows=(row, row), destabilizing_delay=None, epsilon=1e-10)
+
+
+class TestBuiltinPlantSweep:
+    def test_published_pi_rows(self, plant_oracle_map, pi_paper, omega_grid):
+        # Regression rows.  The true delay margin of this loop is 5.632 s, so
+        # the flip between 5.0 and 5.65 is the right one.
+        res = delay_margin_sweep(
+            plant_oracle_map, pi_paper.transfer_map(), [0.0, 5.0, 5.65, 6.0], omega_grid
+        )
+        assert [row.verdict for row in res.rows] == [
+            "stable", "stable", "unstable", "unstable"
+        ]
+        assert [row.order for row in res.rows] == [32, 40, 39, 41]
+        assert [row.stab_tag for row in res.rows[:2]] == [0.0, 0.0]
+        assert res.rows[2].stab_tag == pytest.approx(565.3306115567675, rel=1e-6)
+        assert res.rows[3].stab_tag == pytest.approx(27.670407199506474, rel=1e-6)
+        assert res.destabilizing_delay == 5.65
 
 
 class TestNyquistCurve:

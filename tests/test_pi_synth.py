@@ -229,6 +229,35 @@ class TestOptimizePI:
         assert not res.stability_checked
         assert res.stable
 
+    def test_plant_is_sampled_once_per_call(self):
+        rlz = modal_realization([(-1.0 + 3.0j, 0.8)], [(-0.5, 1.0)])
+        inner = TransferMap.from_realization(rlz)
+        calls = []
+
+        def counted(s):
+            calls.append(s.size)
+            return inner.fn(s)
+
+        plant = TransferMap(fn=counted, realization=rlz)
+        res = optimize_pi(plant, default_weights(), GRID, start=PIController(0.05, 0.01))
+        assert calls == [GRID.size]
+        assert res.stability_checked
+        assert res.stable
+
+    def test_published_start_on_identified_plant(self, approximant_map, omega_grid):
+        # Regression values: scoring every candidate against one set of plant
+        # samples must not move the gains, the score or the screen.
+        w = default_weights()
+        res = optimize_pi(approximant_map, w, omega_grid, start=PIController(0.191, 0.0252))
+        assert res.gamma == eval_weighted_performance(
+            approximant_map, res.controller, w, omega_grid
+        )
+        assert res.controller.kp == pytest.approx(0.2268505832570414, rel=1e-9)
+        assert res.controller.ki == pytest.approx(0.028209269828526395, rel=1e-9)
+        assert res.gamma == pytest.approx(56.790846908499624, rel=1e-9)
+        assert res.stable
+        assert res.feasible_candidates == 5
+
     def test_gain_box_validation(self):
         plant = TransferMap.constant(1.0)
         w = default_weights()
