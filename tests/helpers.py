@@ -91,3 +91,62 @@ def random_system(rng, stable=True, max_pairs=4, max_reals=2,
         + [complex(p) for p, _ in reals]
     )
     return rlz, oracle, poles
+
+
+def dense_pair_transform(points) -> np.ndarray:
+    """Dense unitary T mapping conjugate-pair coordinates to real ones.
+
+    Reference for the pairwise realness transform: each adjacent pair
+    (z, conj z) gets the block [[1, i], [1, -i]]/sqrt(2); lone real points
+    get 1.  T^H L T is real for a Loewner matrix L of conjugate-symmetric
+    data.
+    """
+    points = np.asarray(points)
+    m = points.size
+    T = np.zeros((m, m), dtype=complex)
+    h = 1.0 / np.sqrt(2.0)
+    i = 0
+    while i < m:
+        if points[i].imag == 0.0:
+            T[i, i] = 1.0
+            i += 1
+            continue
+        T[i : i + 2, i : i + 2] = [[h, 1j * h], [h, -1j * h]]
+        i += 2
+    return T
+
+
+def dense_real_forms(pen):
+    """(Lw, Ls, v, w) of a pencil under the dense transform, still complex."""
+    Tl = dense_pair_transform(pen.partition.left_points)
+    Tr = dense_pair_transform(pen.partition.right_points)
+    TlH = Tl.conj().T
+    return (
+        TlH @ pen.loewner @ Tr,
+        TlH @ pen.shifted @ Tr,
+        TlH @ pen.partition.left_values,
+        pen.partition.right_values @ Tr,
+    )
+
+
+def explicit_stack_svds(pen):
+    """(U, s) of [Lw  Ls] and (s, Vt) of [Lw; Ls], from the stacks themselves."""
+    Lw, Ls, _, _ = pen.real_forms()
+    U, s_row, _ = np.linalg.svd(np.hstack([Lw, Ls]), full_matrices=False)
+    _, s_col, Vt = np.linalg.svd(np.vstack([Lw, Ls]), full_matrices=False)
+    return (U, s_row), (s_col, Vt)
+
+
+def explicit_projection(pen, r) -> DescriptorRealization:
+    """Order-r projection of a pencil with singular vectors of the full stacks."""
+    Lw, Ls, v, w = pen.real_forms()
+    (U, _), (_, Vt) = explicit_stack_svds(pen)
+    Y = U[:, :r]
+    X = Vt[:r, :].T
+    return DescriptorRealization(
+        E=-(Y.T @ Lw @ X),
+        A=-(Y.T @ Ls @ X),
+        B=(Y.T @ v).reshape(r, 1),
+        C=(w @ X).reshape(1, r),
+        D=0.0,
+    )

@@ -10,9 +10,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_system
+from helpers import (
+    dense_real_forms,
+    explicit_projection,
+    explicit_stack_svds,
+    partial_fraction_eval,
+    random_system,
+)
 from loewner_lab.descriptor_ops import eval_transfer, poles
-from loewner_lab.errors import CoincidentPointError, ZeroDataError
+from loewner_lab.errors import CoincidentPointError, LoewnerLabError, ZeroDataError
 from loewner_lab.freq_data import (
     FrequencyDataset,
     PointPartition,
@@ -40,6 +46,20 @@ def max_rel_residual(rlz, pen):
     return float(np.max(np.abs(got - ref) / np.abs(ref)))
 
 
+def off_axis_partition():
+    # Order-5 real rational data on both sides of the partition: conjugate
+    # pairs off the imaginary axis, pairs on it, and lone real points.
+    h = partial_fraction_eval(
+        [(-0.5 + 3.0j, 1.0 + 0.5j), (-1.2 + 0.7j, 0.3 - 1.0j)], [(-2.0, 1.5)]
+    )
+    mu = np.array([0.5, 0.3 + 1.7j, 0.3 - 1.7j, 2.0, -0.4 + 0.9j, -0.4 - 0.9j,
+                   5.0j, -5.0j, 1.1, 0.9 + 0.1j, 0.9 - 0.1j, 3.0])
+    lam = np.array([1.5 + 0.2j, 1.5 - 0.2j, 0.8, 0.1 + 3.5j, 0.1 - 3.5j, 4.0,
+                    2.0j, -2.0j, 0.2, 0.7 + 6.0j, 0.7 - 6.0j, 2.5])
+    return PointPartition(left_points=mu, left_values=h(mu),
+                          right_points=lam, right_values=h(lam))
+
+
 def biquad(s):
     # (2s + 3) / (s^2 + 3s + 2) = 1/(s+1) + 1/(s+2)
     s = np.asarray(s, dtype=complex)
@@ -56,10 +76,14 @@ class TestRankDetection:
 
     def test_shifted_probes_confirm_rank(self):
         pen = pencil_from_oracle(biquad, np.geomspace(0.01, 10.0, 12))
-        rep = detect_rank(pen, tol=1e-10)
+        rep = detect_rank(pen, tol=1e-10, shifted_probes=3)
         assert len(rep.shifted_pencil) == 3
         for z, sv in rep.shifted_pencil:
             assert int(np.sum(sv > 1e-10)) == 2
+
+    def test_shifted_probes_are_opt_in(self):
+        pen = pencil_from_oracle(biquad, np.geomspace(0.01, 10.0, 12))
+        assert detect_rank(pen).shifted_pencil == ()
 
     def test_singular_values_sorted_descending(self):
         pen = pencil_from_oracle(biquad, np.geomspace(0.01, 10.0, 12))
@@ -223,3 +247,58 @@ class TestProjection:
     def test_residual_small_at_detected_rank(self, plant_pencil, plant_rank):
         rlz = reduce_to_realization(plant_pencil, plant_rank.rank)
         assert max_rel_residual(rlz, plant_pencil) < 1e-6
+
+
+class TestRealnessTransform:
+    def test_matches_dense_transform(self):
+        pen = build_pencil(off_axis_partition())
+        for got, ref in zip(pen.real_forms(), dense_real_forms(pen)):
+            assert np.isrealobj(got)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(ref.imag)) <= 1e-14 * scale
+            assert np.max(np.abs(got - ref.real)) <= 1e-14 * scale
+
+    def test_separated_conjugates_rejected(self):
+        mu = np.array([1j, 2j, -1j, -2j])
+        lam = np.array([3j, -3j, 4j, -4j])
+        pen = build_pencil(
+            PointPartition(left_points=mu, left_values=biquad(mu),
+                           right_points=lam, right_values=biquad(lam))
+        )
+        with pytest.raises(LoewnerLabError, match="not followed by its conjugate"):
+            pen.real_forms()
+
+
+class TestHalfSizeStackFactors:
+    """The half-size factors against SVDs of the explicit m x 2m stacks."""
+
+    @staticmethod
+    def check_spectra_and_rank(pen):
+        (_, s_row), (s_col, _) = explicit_stack_svds(pen)
+        rep = detect_rank(pen, tol=1e-10)
+        assert np.max(np.abs(rep.singular_values_row - s_row)) <= 1e-12 * s_row[0]
+        assert np.max(np.abs(rep.singular_values_col - s_col)) <= 1e-12 * s_col[0]
+        assert rep.rank_row == int(np.sum(s_row > 1e-10))
+        assert rep.rank_col == int(np.sum(s_col > 1e-10))
+        return rep
+
+    def test_off_axis_and_real_points(self):
+        rep = self.check_spectra_and_rank(build_pencil(off_axis_partition()))
+        assert rep.rank == 5
+
+    def test_driving_plant_pencil(self, plant_pencil, plant_rank):
+        rep = self.check_spectra_and_rank(plant_pencil)
+        assert rep.rank == plant_rank.rank
+
+    def test_projection_matches_explicit_stacks(self):
+        rng = np.random.default_rng(20261018)
+        dense = 1j * np.geomspace(1e-2, 2e2, 200)
+        for trial in range(6):
+            rlz_true, oracle, _ = random_system(rng, stable=bool(trial % 2))
+            n = rlz_true.order
+            pen = pencil_from_oracle(oracle, np.geomspace(1e-2, 2e2, n + 6 + n % 2))
+            ref = eval_transfer(explicit_projection(pen, n), dense)
+            got = eval_transfer(reduce_to_realization(pen, n), dense)
+            assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref)), (
+                f"trial {trial}"
+            )

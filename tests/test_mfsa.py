@@ -222,6 +222,18 @@ class TestBuiltinPlantSweep:
         assert res.rows[3].stab_tag == pytest.approx(27.670407199506474, rel=1e-6)
         assert res.destabilizing_delay == 5.65
 
+    def test_flip_at_the_analytic_margin(self, plant_oracle_map, pi_paper, omega_grid):
+        # The true delay margin is 5.632 s; the verdict must flip between
+        # the two 0.01 s rows around it.
+        res = delay_margin_sweep(
+            plant_oracle_map, pi_paper.transfer_map(), [5.63, 5.64], omega_grid
+        )
+        assert [row.verdict for row in res.rows] == ["stable", "unstable"]
+        assert [row.order for row in res.rows] == [37, 37]
+        assert res.rows[0].stab_tag == 0.0
+        assert res.rows[1].stab_tag == pytest.approx(1307.586885, rel=1e-6)
+        assert res.destabilizing_delay == 5.64
+
 
 class TestNyquistCurve:
     def setup_method(self):
