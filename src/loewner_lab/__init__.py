@@ -26,7 +26,6 @@ from .descriptor_ops import (
 )
 from .freq_data import (
     FrequencyDataset,
-    FrequencySample,
     PointPartition,
     close_conjugate,
     load_csv,

@@ -41,7 +41,7 @@ from .lddc import (
     small_gain_bound,
 )
 from .loewner_core import build_pencil, detect_rank, reduce_to_realization
-from .mfsa import delay_margin_sweep, nyquist_curve, stability_tag
+from .mfsa import DELAY_DENSIFY, delay_margin_sweep, nyquist_curve, stability_tag
 from .pi_synth import PIController, default_weights, eval_weighted_performance, optimize_pi
 from .plant_oracle import PlantParameters, eval_plant, sample_grid
 
@@ -252,7 +252,7 @@ def cmd_mfsa(args) -> int:
     h = _loop_map(args)
     grid = _grid(args)
     if args.tau > 0:
-        grid = densify_log_grid(grid, 4)
+        grid = densify_log_grid(grid, DELAY_DENSIFY)
     report = stability_tag(h, grid, epsilon=args.epsilon)
     obj = {
         "stab_tag": _json_safe(report.stab_tag),
@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("approximate", help="fit a rational realization to CSV data")
     sp.add_argument("data", help="input CSV (omega_rad_s,re,im)")
     sp.add_argument("--svd-tol", type=float, default=1e-10,
-                    help="singular-value cutoff for rank detection")
+                    help="absolute singular-value cutoff for rank detection; "
+                    "a relative floor of 100*eps*sigma_1 also applies")
     sp.add_argument("--order", type=int, default=None,
                     help="force the realization order (default: detected rank)")
     _add_out_flag(sp)

@@ -386,23 +386,27 @@ def stable_antistable_split(
     return StableSplit(stable, anti)
 
 
-def linf_norm_grid(h: TransferMap, grid) -> GridNorm:
-    """Max of |h(i*omega)| over a frequency grid, with the argmax frequency."""
-    grid = np.asarray(grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise ValueError("frequency grid is empty")
+def _eval_on_axis(h, omega: np.ndarray) -> np.ndarray:
+    """h(i*omega) as an array; a failure names the first failing frequency."""
     try:
-        vals = h(1j * grid)
+        return np.asarray(h(1j * omega))
     except Exception:
         # Vectorized evaluation failed somewhere; locate the offender so the
         # error names a frequency.
-        for w in grid:
+        for w in omega:
             try:
                 h(1j * w)
             except Exception as exc:
                 raise type(exc)(f"{exc} (at omega = {w:g} rad/s)") from exc
         raise
-    mags = np.abs(np.asarray(vals))
+
+
+def linf_norm_grid(h: TransferMap, grid) -> GridNorm:
+    """Max of |h(i*omega)| over a frequency grid, with the argmax frequency."""
+    grid = np.asarray(grid, dtype=float).ravel()
+    if grid.size == 0:
+        raise ValueError("frequency grid is empty")
+    mags = np.abs(_eval_on_axis(h, grid))
     idx = int(np.argmax(mags))
     return GridNorm(value=float(mags[idx]), omega=float(grid[idx]))
 

@@ -1,24 +1,25 @@
 """Frequency-response data model and interpolation-point bookkeeping.
 
-A dataset is an ordered collection of (frequency point, response value)
-pairs.  Measured data lives on the imaginary axis, which is also the only
-on-disk representation (omega plus real/imaginary response parts); in
-memory, arbitrary complex points are allowed so synthetic test data can be
-placed anywhere in the plane.
+A dataset is an ordered, duplicate-free list of (frequency point, response
+value) pairs, held as two parallel 1-D complex arrays: ``z[k]`` is a point
+and ``phi[k]`` the response there.  Measured data lives on the imaginary
+axis, which is also the only on-disk representation (omega plus
+real/imaginary response parts); in memory, arbitrary complex points are
+allowed so synthetic test data can be placed anywhere in the plane.
 
 Two operations prepare a dataset for the Loewner build: conjugate closure,
 which guarantees that realizations projected from the data can be made
 real, and partitioning, which splits the points into two disjoint halves
-(the "left" and "right" interpolation sets) of equal size.
+(the "left" and "right" interpolation sets) of equal size.  Both act on the
+arrays as a whole and keep the dataset's point order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .errors import (
 )
 
 __all__ = [
-    "FrequencySample",
     "FrequencyDataset",
     "PointPartition",
     "load_csv",
@@ -44,56 +44,55 @@ __all__ = [
 CSV_HEADER = ("omega_rad_s", "re", "im")
 
 
-@dataclass(frozen=True)
-class FrequencySample:
-    """One measurement: complex frequency point ``z`` and response ``phi``."""
-
-    z: complex
-    phi: complex
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.z.real) and np.isfinite(self.z.imag)):
-            raise ValueError(f"non-finite frequency point {self.z}")
-        if not (np.isfinite(self.phi.real) and np.isfinite(self.phi.imag)):
-            raise ValueError(f"non-finite response value {self.phi}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyDataset:
-    """Ordered, duplicate-free collection of frequency samples."""
+    """Ordered, duplicate-free frequency samples as two parallel arrays.
 
-    samples: tuple[FrequencySample, ...]
+    ``z`` holds the complex frequency points and ``phi`` the responses,
+    both 1-D complex, equal in length and read-only.  Construction copies
+    its inputs and rejects mismatched lengths, non-finite entries and
+    repeated points.
+    """
+
+    z: np.ndarray
+    phi: np.ndarray
     conjugate_closed: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        seen: set[complex] = set()
-        for k, smp in enumerate(self.samples):
-            if smp.z in seen:
-                raise DuplicatePointError(
-                    f"sample {k}: frequency point {smp.z} already present"
-                )
-            seen.add(smp.z)
+        z = np.array(self.z, dtype=complex).ravel()
+        phi = np.array(self.phi, dtype=complex).ravel()
+        if z.shape != phi.shape:
+            raise ValueError("point and value arrays differ in length")
+        bad = np.flatnonzero(~(np.isfinite(z) & np.isfinite(phi)))
+        if bad.size:
+            k = bad[0]
+            if not np.isfinite(z[k]):
+                raise ValueError(f"non-finite frequency point {complex(z[k])}")
+            raise ValueError(f"non-finite response value {complex(phi[k])}")
+        order = np.argsort(z, kind="stable")
+        repeats = order[1:][z[order[1:]] == z[order[:-1]]]
+        if repeats.size:
+            k = int(repeats.min())
+            raise DuplicatePointError(
+                f"sample {k}: frequency point {complex(z[k])} already present"
+            )
+        z.flags.writeable = False
+        phi.flags.writeable = False
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "phi", phi)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.z.size
 
     def points(self) -> np.ndarray:
-        return np.array([s.z for s in self.samples], dtype=complex)
+        return self.z
 
     def values(self) -> np.ndarray:
-        return np.array([s.phi for s in self.samples], dtype=complex)
+        return self.phi
 
     @staticmethod
     def from_arrays(z, phi, conjugate_closed: bool = False) -> "FrequencyDataset":
-        z = np.asarray(z, dtype=complex).ravel()
-        phi = np.asarray(phi, dtype=complex).ravel()
-        if z.shape != phi.shape:
-            raise ValueError("point and value arrays differ in length")
-        samples = tuple(
-            FrequencySample(complex(a), complex(b)) for a, b in zip(z, phi)
-        )
-        return FrequencyDataset(samples, conjugate_closed=conjugate_closed)
+        return FrequencyDataset(z, phi, conjugate_closed=conjugate_closed)
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class PointPartition:
             raise ValueError("left point/value length mismatch")
         if self.right_points.size != self.right_values.size:
             raise ValueError("right point/value length mismatch")
-        if set(map(complex, self.left_points)) & set(map(complex, self.right_points)):
+        if np.isin(self.left_points, self.right_points).any():
             raise PartitionSizeError("left and right point sets overlap")
 
     @property
@@ -139,6 +138,26 @@ def _parse_float(token: str, line_no: int, col: str) -> float:
         ) from None
 
 
+def _axis_dataset(rows) -> FrequencyDataset:
+    """Dataset of (omega, re, im) rows placed at z = i*omega."""
+    omega, re, im = np.array(rows, dtype=float).reshape(-1, 3).T
+    phi = re.astype(complex)
+    phi.imag = im
+    return FrequencyDataset(1j * omega, phi)
+
+
+def _axis_rows(dataset: FrequencyDataset, note: str = "") -> list[tuple]:
+    """(omega, re, im) of every sample as Python floats; on-axis data only."""
+    off = np.flatnonzero(dataset.z.real != 0.0)
+    if off.size:
+        k = int(off[0])
+        raise DataFormatError(
+            f"sample {k}: point {complex(dataset.z[k])} is off the imaginary axis{note}"
+        )
+    return [(w, p.real, p.imag)
+            for w, p in zip(dataset.z.imag.tolist(), dataset.phi.tolist())]
+
+
 def load_csv(path) -> FrequencyDataset:
     """Read a dataset from ``omega_rad_s,re,im`` CSV.
 
@@ -147,7 +166,7 @@ def load_csv(path) -> FrequencyDataset:
     before partitioning.
     """
     path = Path(path)
-    samples: list[FrequencySample] = []
+    rows: list[list[float]] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -165,12 +184,11 @@ def load_csv(path) -> FrequencyDataset:
                 raise DataFormatError(
                     f"line {line_no}: expected 3 fields, got {len(row)}"
                 )
-            w = _parse_float(row[0], line_no, CSV_HEADER[0])
-            re = _parse_float(row[1], line_no, CSV_HEADER[1])
-            im = _parse_float(row[2], line_no, CSV_HEADER[2])
-            samples.append(FrequencySample(1j * w, complex(re, im)))
+            rows.append(
+                [_parse_float(tok, line_no, col) for tok, col in zip(row, CSV_HEADER)]
+            )
     try:
-        return FrequencyDataset(tuple(samples))
+        return _axis_dataset(rows)
     except DuplicatePointError as exc:
         raise DuplicatePointError(f"{path}: {exc}") from None
 
@@ -181,18 +199,9 @@ def save_csv(dataset: FrequencyDataset, path) -> None:
     Only imaginary-axis data can be stored on disk; points with a nonzero
     real part are rejected.
     """
-    path = Path(path)
-    rows = []
-    for k, smp in enumerate(dataset.samples):
-        if smp.z.real != 0.0:
-            raise DataFormatError(
-                f"sample {k}: point {smp.z} is off the imaginary axis, "
-                "cannot be stored in the CSV schema"
-            )
-        rows.append(
-            f"{smp.z.imag:.17g},{smp.phi.real:.17g},{smp.phi.imag:.17g}"
-        )
-    path.write_text(",".join(CSV_HEADER) + "\n" + "".join(r + "\n" for r in rows))
+    rows = _axis_rows(dataset, ", cannot be stored in the CSV schema")
+    body = "".join(f"{w:.17g},{re:.17g},{im:.17g}\n" for w, re, im in rows)
+    Path(path).write_text(",".join(CSV_HEADER) + "\n" + body)
 
 
 def load_json(path) -> FrequencyDataset:
@@ -204,30 +213,32 @@ def load_json(path) -> FrequencyDataset:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise DataFormatError(f"{path}: expected a JSON array of samples")
-    samples = []
+    rows = []
     for k, item in enumerate(raw):
         try:
-            w = float(item["omega_rad_s"])
-            re = float(item["re"])
-            im = float(item["im"])
+            rows.append([float(item[col]) for col in CSV_HEADER])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: sample {k}: {exc}") from None
-        samples.append(FrequencySample(1j * w, complex(re, im)))
-    return FrequencyDataset(tuple(samples))
+    return _axis_dataset(rows)
 
 
 def save_json(dataset: FrequencyDataset, path) -> None:
-    path = Path(path)
-    items = []
-    for k, smp in enumerate(dataset.samples):
-        if smp.z.real != 0.0:
-            raise DataFormatError(
-                f"sample {k}: point {smp.z} is off the imaginary axis"
-            )
-        items.append(
-            {"omega_rad_s": smp.z.imag, "re": smp.phi.real, "im": smp.phi.imag}
-        )
-    path.write_text(json.dumps(items, indent=1) + "\n")
+    items = [dict(zip(CSV_HEADER, row)) for row in _axis_rows(dataset)]
+    Path(path).write_text(json.dumps(items, indent=1) + "\n")
+
+
+def _conjugate_index(z: np.ndarray) -> np.ndarray:
+    """Index in ``z`` of each point's conjugate partner, -1 where there is none.
+
+    Real-axis points have no partner.  The conjugates are looked up in a
+    sorted copy of the (duplicate-free) points.
+    """
+    order = np.argsort(z)
+    ranked = z[order]
+    zc = np.conj(z)
+    pos = np.minimum(np.searchsorted(ranked, zc), z.size - 1)
+    found = (z.imag != 0.0) & (ranked[pos] == zc)
+    return np.where(found, order[pos], -1)
 
 
 def close_conjugate(dataset: FrequencyDataset) -> FrequencyDataset:
@@ -238,49 +249,27 @@ def close_conjugate(dataset: FrequencyDataset) -> FrequencyDataset:
     its response must equal the conjugated response to 1e-12 relative,
     otherwise a :class:`ConjugateConflictError` is raised.
     """
-    by_point = {smp.z: smp.phi for smp in dataset.samples}
-    out: list[FrequencySample] = []
-    for smp in dataset.samples:
-        out.append(smp)
-        if smp.z.imag == 0.0:
-            continue
-        zc = smp.z.conjugate()
-        if zc in by_point:
-            expected = smp.phi.conjugate()
-            tol = 1e-12 * max(abs(smp.phi), 1e-300)
-            if abs(by_point[zc] - expected) > tol:
-                raise ConjugateConflictError(
-                    f"point {zc}: response {by_point[zc]} conflicts with "
-                    f"conjugate of response at {smp.z}"
-                )
-        else:
-            partner = FrequencySample(zc, smp.phi.conjugate())
-            by_point[zc] = partner.phi
-            out.append(partner)
-    return FrequencyDataset(tuple(out), conjugate_closed=True)
-
-
-def _units(dataset: FrequencyDataset) -> list[list[int]]:
-    """Group sample indices into conjugate units (pairs, or real singletons)."""
-    index_of: dict[complex, int] = {s.z: k for k, s in enumerate(dataset.samples)}
-    used = [False] * len(dataset.samples)
-    units: list[list[int]] = []
-    for k, smp in enumerate(dataset.samples):
-        if used[k]:
-            continue
-        used[k] = True
-        if smp.z.imag == 0.0:
-            units.append([k])
-            continue
-        j = index_of.get(smp.z.conjugate())
-        if j is None or used[j]:
-            raise PartitionSizeError(
-                f"point {smp.z} has no available conjugate partner; "
-                "dataset is not conjugate-closed"
-            )
-        used[j] = True
-        units.append([k, j])
-    return units
+    z, phi = dataset.z, dataset.phi
+    partner = _conjugate_index(z)
+    present = partner >= 0
+    tol = 1e-12 * np.maximum(np.abs(phi), 1e-300)
+    clash = present & (np.abs(phi[partner] - np.conj(phi)) > tol)
+    if clash.any():
+        k = int(np.argmax(clash))
+        raise ConjugateConflictError(
+            f"point {complex(z[k]).conjugate()}: response "
+            f"{complex(phi[partner[k]])} conflicts with conjugate of response "
+            f"at {complex(z[k])}"
+        )
+    missing = (z.imag != 0.0) & ~present
+    take = np.repeat(np.arange(z.size), 1 + missing)
+    mirrored = np.zeros(take.size, dtype=bool)
+    mirrored[1:] = take[1:] == take[:-1]
+    return FrequencyDataset(
+        np.where(mirrored, np.conj(z[take]), z[take]),
+        np.where(mirrored, np.conj(phi[take]), phi[take]),
+        conjugate_closed=True,
+    )
 
 
 def partition_points(dataset: FrequencyDataset) -> PointPartition:
@@ -290,28 +279,35 @@ def partition_points(dataset: FrequencyDataset) -> PointPartition:
     are assigned alternately: unit 1 to the left set, unit 2 to the right
     set, and so on.  Alternation interleaves the frequency coverage of the
     two sides, which conditions the Loewner pencil noticeably better than
-    a contiguous split.
+    a contiguous split.  A unit starts at its first point in dataset
+    order, and each side lists its units in that order.
     """
     if not dataset.conjugate_closed:
         raise PartitionSizeError(
             "dataset must be conjugate-closed before partitioning"
         )
-    units = _units(dataset)
-    if len(units) % 2 != 0:
+    z, phi = dataset.z, dataset.phi
+    partner = _conjugate_index(z)
+    lone = (z.imag != 0.0) & (partner < 0)
+    if lone.any():
         raise PartitionSizeError(
-            f"cannot split an odd number of conjugate units ({len(units)})"
+            f"point {complex(z[np.argmax(lone)])} has no available conjugate "
+            "partner; dataset is not conjugate-closed"
         )
-    left_idx: list[int] = []
-    right_idx: list[int] = []
-    for u, unit in enumerate(units):
-        (left_idx if u % 2 == 0 else right_idx).extend(unit)
-    if len(left_idx) != len(right_idx):
+    starts = np.flatnonzero((partner < 0) | (partner > np.arange(z.size)))
+    if starts.size % 2 != 0:
         raise PartitionSizeError(
-            f"alternating split is unbalanced: {len(left_idx)} left vs "
-            f"{len(right_idx)} right points (mixed real/complex units)"
+            f"cannot split an odd number of conjugate units ({starts.size})"
         )
-    z = dataset.points()
-    phi = dataset.values()
+    # One row per unit: its first point and its partner (-1 for a real point).
+    units = np.column_stack([starts, partner[starts]])
+    left_idx, right_idx = units[0::2].ravel(), units[1::2].ravel()
+    left_idx, right_idx = left_idx[left_idx >= 0], right_idx[right_idx >= 0]
+    if left_idx.size != right_idx.size:
+        raise PartitionSizeError(
+            f"alternating split is unbalanced: {left_idx.size} left vs "
+            f"{right_idx.size} right points (mixed real/complex units)"
+        )
     return PointPartition(
         left_points=z[left_idx],
         left_values=phi[left_idx],

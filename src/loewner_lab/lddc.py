@@ -60,6 +60,10 @@ __all__ = [
 
 DEFAULT_ORDERS = tuple(range(1, 21))
 
+# A constraint at omega = infinity is probed at this finite frequency,
+# since a limit cannot be evaluated directly.
+INFINITY_PROBE_OMEGA = 1e6
+
 # Poles this many times above the top data frequency are treated as
 # parasitic interpolation artifacts rather than controller dynamics.
 PARASITIC_POLE_FACTOR = 1e3
@@ -194,7 +198,7 @@ def reference_from_dataset(dataset: FrequencyDataset) -> ReferenceModelSpec:
     else raises :class:`GridMismatchError`.  That keeps downstream grid
     bookkeeping honest when M exists purely as data.
     """
-    table = {complex(s.z): complex(s.phi) for s in dataset.samples}
+    table = dict(zip(dataset.points().tolist(), dataset.values().tolist()))
 
     def lookup(z):
         z = np.asarray(z, dtype=complex)
@@ -247,15 +251,13 @@ def ideal_controller_response(
 
 
 def check_achievability(
-    m_ref: ReferenceModelSpec,
-    tol: float = 1e-6,
-    infinity_probe_omega: float = 1e6,
+    m_ref: ReferenceModelSpec, tol: float = 1e-6
 ) -> AchievabilityReport:
     """Evaluate M at every declared constraint point and compare.
 
     Finite constraint frequencies are probed at s = i*omega; the point at
-    infinity is probed at s = i*infinity_probe_omega, since a limit cannot
-    be evaluated directly.  A constraint passes when |M - target| <= tol.
+    infinity is probed at s = i*INFINITY_PROBE_OMEGA.  A constraint passes
+    when |M - target| <= tol.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -265,7 +267,7 @@ def check_achievability(
         ("unity", 1.0, m_ref.unity_at),
     ):
         for w in omegas:
-            probe = infinity_probe_omega if math.isinf(w) else w
+            probe = INFINITY_PROBE_OMEGA if math.isinf(w) else w
             try:
                 value = complex(m_ref.transfer(1j * probe))
             except LoewnerLabError as exc:
@@ -379,7 +381,6 @@ def reduce_controller(
     parasitic_cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(z.imag)))
 
     candidates: list[_Candidate] = []
-    failures: list[Exception] = []
     q_max = min(orders[-1] + 1, pencil.size)
     for q in range(1, q_max + 1):
         try:
@@ -387,8 +388,7 @@ def reduce_controller(
             err, err_rel = _grid_errors(rlz, z, kstar)
             finite = poles(rlz).finite
             dyn = int(np.sum(np.abs(finite) <= parasitic_cut))
-        except LoewnerLabError as exc:
-            failures.append(exc)
+        except LoewnerLabError:
             continue
         candidates.append(_Candidate(q, rlz, err, err_rel, dyn))
 

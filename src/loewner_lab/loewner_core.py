@@ -217,16 +217,15 @@ class RankReport:
 
     Holds the singular values of the row stack [Lw Ls] and the column
     stack [Lw; Ls] (taken exactly from their half-size factors, see
-    ``LoewnerPencil``), the singular values of shifted pencils z*Lw - Ls
-    at probe points drawn from the data when requested (empty by
-    default), and the detected rank under the absolute threshold.
+    ``LoewnerPencil``), the absolute floor ``tol`` of the cut, the count
+    of each stack above its cut max(tol, 100*eps*sigma_1), and the
+    detected rank, the larger of the two counts.
     """
 
     rank: int
     tol: float
     singular_values_row: np.ndarray
     singular_values_col: np.ndarray
-    shifted_pencil: tuple[tuple[complex, np.ndarray], ...]
     rank_row: int
     rank_col: int
     ranks_agree: bool
@@ -252,26 +251,36 @@ def build_pencil(p: PointPartition) -> LoewnerPencil:
     return LoewnerPencil(loewner=Lw, shifted=Ls, partition=p)
 
 
-def detect_rank(
-    pen: LoewnerPencil, tol: float = 1e-10, shifted_probes: int = 0
-) -> RankReport:
+def _count_above_cut(s: np.ndarray, tol: float) -> int:
+    """Singular values above max(tol, 100*eps*s[0]); s is sorted descending."""
+    return int(np.sum(s > max(tol, 100.0 * np.finfo(float).eps * s[0])))
+
+
+def detect_rank(pen: LoewnerPencil, tol: float = 1e-10) -> RankReport:
     """Numerical rank of the pencil family under an SVD cutoff.
 
-    The rank is the count of singular values of [Lw Ls] above ``tol``.
-    The cutoff is absolute, as in MATLAB's ``rank(A, tol)``: response data
-    of order-one magnitude produces Loewner matrices whose noise-floor
-    singular values sit at machine scale, so a small absolute threshold
-    separates signal from rounding noise regardless of how slowly the
-    signal spectrum decays.  (A threshold proportional to sigma_max
+    This is the one rank rule of the package: ``approximate``, the LDDC
+    workflow and the MFSA stability tag all read their orders from it.
+    Each stack's rank is the count of its singular values above
+    max(tol, 100*eps*sigma_1), with sigma_1 that stack's largest.
+
+    The absolute part ``tol``, as in MATLAB's ``rank(A, tol)``, governs
+    response data of order-one magnitude: its Loewner matrices have
+    noise-floor singular values at machine scale, so a small absolute
+    threshold separates signal from rounding noise regardless of how
+    slowly the signal spectrum decays.  (A purely relative threshold
     misreads slowly decaying spectra from irrational models, whose
-    meaningful singular values span many decades.)
+    meaningful singular values span many decades.)  The relative floor
+    governs large data: divided differences carry rounding noise near
+    eps*sigma_1, so an absolute cut alone would count noise as order once
+    the responses are measured in large units.  With the floor in charge
+    (sigma_1 above tol/(100*eps), about 4.5e3 for the default), scaling
+    the responses scales every singular value and the cut alike, and the
+    rank does not change.
 
     The column stack must agree with the row stack; a disagreement
     (possible with noisy or feed-through-bearing data) takes the larger
-    count with a warning.  Probes are opt-in: ``shifted_probes`` > 0
-    records that many (at most 3) additional singular spectra of
-    z*Lw - Ls at points drawn from the data as evidence; each costs a
-    full m x m SVD, and the rank never depends on them.
+    count with a "rank mismatch" warning.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
@@ -279,8 +288,8 @@ def detect_rank(
     s_col = pen.svd_col_stack()[0]
     if s_row[0] == 0.0:
         raise ZeroDataError("Loewner pencil is identically zero")
-    rank_row = int(np.sum(s_row > tol))
-    rank_col = int(np.sum(s_col > tol))
+    rank_row = _count_above_cut(s_row, tol)
+    rank_col = _count_above_cut(s_col, tol)
     agree = rank_row == rank_col
     if not agree:
         warnings.warn(
@@ -288,21 +297,11 @@ def detect_rank(
             f"({rank_col}); taking the larger",
             stacklevel=2,
         )
-    probes: list[tuple[complex, np.ndarray]] = []
-    if shifted_probes > 0:
-        Lw_r, Ls_r, _, _ = pen.real_forms()
-        mu = pen.partition.left_points
-        lam = pen.partition.right_points
-        candidates = [mu[0], lam[lam.size // 2], mu[-1]]
-        for z in candidates[: int(shifted_probes)]:
-            sv = np.linalg.svd(z * Lw_r - Ls_r, compute_uv=False)
-            probes.append((complex(z), sv))
     return RankReport(
         rank=max(rank_row, rank_col),
         tol=tol,
         singular_values_row=s_row,
         singular_values_col=s_col,
-        shifted_pencil=tuple(probes),
         rank_row=rank_row,
         rank_col=rank_col,
         ranks_agree=agree,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .descriptor_ops import (
     TransferMap,
+    _eval_on_axis,
     closed_loop_delay,
     densify_log_grid,
     eval_transfer,
@@ -31,7 +32,7 @@ from .descriptor_ops import (
 )
 from .errors import BoundaryPoleError, LoewnerLabError
 from .freq_data import FrequencyDataset, close_conjugate, partition_points
-from .loewner_core import build_pencil, reduce_to_realization
+from .loewner_core import build_pencil, detect_rank, reduce_to_realization
 
 __all__ = [
     "StabilityReport",
@@ -46,6 +47,15 @@ __all__ = [
 # are treated as interpolation junk: the data carries no energy there, so
 # nothing that far out can be certified either way.
 INBAND_SLACK = 1.0 + 1e-7
+
+# The antistable part's norm is read on a grid this many times finer than
+# the sampling grid, so a lightly damped peak cannot slip between points.
+TAG_DENSIFY = 5
+
+# Delayed loops are sampled this many times finer than the given grid: the
+# delay wraps roughly tau*omega_max/(2*pi) extra phase turns that the
+# interpolant must resolve.
+DELAY_DENSIFY = 4
 
 
 @dataclass(frozen=True)
@@ -78,27 +88,22 @@ class StabilityReport:
                 )
 
 
-def stability_tag(
-    h: TransferMap,
-    grid,
-    epsilon: float = 1e-10,
-    svd_tol: float = 1e-10,
-    guard: float = 1e-8,
-    densify: int = 5,
-) -> StabilityReport:
+def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityReport:
     """Measure the antistable content of a transfer from samples alone.
 
     Samples h at i*grid, closes the data under conjugation, builds the
-    Loewner interpolant at the detected rank, splits it, and takes the
-    L-infinity norm of the antistable part over a ``densify``-times finer
-    grid augmented with the antistable pole frequencies (the peak of a
-    lightly damped mode slips between plain grid points).
+    Loewner interpolant at the rank :func:`detect_rank` reports, splits it,
+    and takes the L-infinity norm of the antistable part over a
+    ``TAG_DENSIFY``-times finer grid augmented with the antistable pole
+    frequencies (the peak of a lightly damped mode slips between plain
+    grid points).
 
-    Two guards keep noise from flipping verdicts.  The rank cut never digs
-    below 100*eps relative to the top singular value, since divided
-    differences of clean data bottom out near machine precision and modes
-    taken from that floor are fiction.  And antistable modes lying above
-    the sampled band are ignored: the data says nothing up there.
+    Two guards keep noise from flipping verdicts.  The rank is the shared
+    rule of :func:`detect_rank`, whose cut never digs below 100*eps
+    relative to the top singular value, since divided differences of clean
+    data bottom out near machine precision and modes taken from that floor
+    are fiction.  And antistable modes lying above the sampled band are
+    ignored: the data says nothing up there.
 
     A split blocked by poles inside the imaginary-axis guard band returns
     verdict "inconclusive" with ``stab_tag`` NaN rather than guessing.
@@ -119,18 +124,15 @@ def stability_tag(
 
     data = close_conjugate(FrequencyDataset.from_arrays(1j * omega, vals))
     pencil = build_pencil(partition_points(data))
-    sigma = pencil.svd_row_stack()[1]
-    noise_floor = 100.0 * np.finfo(float).eps * sigma[0]
-    r = int(np.sum(sigma > max(svd_tol, noise_floor)))
+    r = detect_rank(pencil).rank
     if r == 0:
         return StabilityReport(
             stab_tag=0.0, epsilon=epsilon, verdict="stable", order=0
         )
-    r = min(r, pencil.size)
     interpolant = reduce_to_realization(pencil, r)
 
     try:
-        split = stable_antistable_split(interpolant, guard=guard)
+        split = stable_antistable_split(interpolant)
     except BoundaryPoleError as exc:
         return StabilityReport(
             stab_tag=math.nan,
@@ -158,7 +160,7 @@ def stability_tag(
             detail="antistable modes outside the sampled band were ignored",
         )
 
-    fine = densify_log_grid(omega, densify) if densify > 1 else omega
+    fine = densify_log_grid(omega, TAG_DENSIFY)
     peaks = np.abs(in_band.imag[in_band.imag != 0.0])
     n_real = int(np.sum(in_band.imag == 0.0))
     probe = np.concatenate(
@@ -213,16 +215,14 @@ def delay_margin_sweep(
     taus: Sequence[float],
     grid,
     epsilon: float = 1e-10,
-    densify: int = 4,
     refine_bisect: int = 0,
 ) -> DelaySweepResult:
     """Run the stability tag on the delayed loop for each frozen delay.
 
     The loop transfer H*K/(1 + H*K*e^{-tau*s}) is sampled on the given
-    grid, densified ``densify`` times for tau > 0 because the delay wraps
-    phase roughly tau*omega_max/(2*pi) extra turns that the interpolation
-    must resolve.  Rows never abort the sweep; a row whose evaluation
-    fails is recorded as "inconclusive" with the error text attached.
+    grid, densified ``DELAY_DENSIFY`` times for tau > 0.  Rows never abort
+    the sweep; a row whose evaluation fails is recorded as "inconclusive"
+    with the error text attached.
 
     With ``refine_bisect`` > 0 and a stable row directly preceding the
     first unstable one, that bracket is bisected the requested number of
@@ -241,7 +241,7 @@ def delay_margin_sweep(
     omega = np.asarray(grid, dtype=float).ravel()
 
     def run_tau(tau: float) -> DelayRow:
-        sample_grid = densify_log_grid(omega, densify) if tau > 0 else omega
+        sample_grid = densify_log_grid(omega, DELAY_DENSIFY) if tau > 0 else omega
         try:
             loop = closed_loop_delay(plant, k, tau)
             report = stability_tag(loop, sample_grid, epsilon=epsilon)
@@ -295,14 +295,8 @@ def nyquist_curve(plant: TransferMap, k: TransferMap, tau: float, grid) -> np.nd
         raise ValueError("frequency grid is empty")
     if tau < 0:
         raise ValueError(f"delay must be nonnegative, got {tau}")
-    s = 1j * omega
-    try:
-        loop = np.asarray(plant(s), dtype=complex) * np.asarray(k(s), dtype=complex)
-    except Exception:
-        for w in omega:
-            try:
-                complex(plant(1j * w)) * complex(k(1j * w))
-            except Exception as exc:
-                raise type(exc)(f"{exc} (at omega = {w:g} rad/s)") from exc
-        raise
+    loop = _eval_on_axis(
+        lambda s: np.asarray(plant(s), dtype=complex) * np.asarray(k(s), dtype=complex),
+        omega,
+    )
     return loop * np.exp(-1j * omega * tau)

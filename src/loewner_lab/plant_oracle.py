@@ -36,8 +36,6 @@ class PlantParameters:
         Natural frequency of the actuator (rad/s).
     damping : float
         Dimensionless actuator damping coefficient.
-    n_x : int
-        Number of points of the uniform spatial measurement grid.
     x_m : float
         Measurement abscissa.  The default is the printed grid value used
         throughout the benchmark rather than a recomputed ``linspace``
@@ -47,7 +45,6 @@ class PlantParameters:
     length: float = 3.0
     omega0: float = 3.0
     damping: float = 0.5
-    n_x: int = 50
     x_m: float = 1.9592
 
     def __post_init__(self) -> None:
@@ -57,8 +54,6 @@ class PlantParameters:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not self.damping > 0:
             raise ValueError(f"damping must be positive, got {self.damping}")
-        if self.n_x < 2:
-            raise ValueError(f"n_x must be at least 2, got {self.n_x}")
         if not 0.0 <= self.x_m <= self.length:
             raise ValueError(
                 f"x_m must lie in [0, {self.length}], got {self.x_m}"

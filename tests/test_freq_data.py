@@ -11,7 +11,6 @@ from loewner_lab.errors import (
 )
 from loewner_lab.freq_data import (
     FrequencyDataset,
-    FrequencySample,
     close_conjugate,
     load_csv,
     load_json,
@@ -29,10 +28,10 @@ def _pairs_dataset(n_pairs, rng=None):
 
 
 def test_sample_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        FrequencySample(complex(np.inf, 0), 1.0)
-    with pytest.raises(ValueError):
-        FrequencySample(1j, complex(np.nan, 0))
+    with pytest.raises(ValueError, match="non-finite frequency point"):
+        FrequencyDataset.from_arrays([1j, complex(np.inf, 0)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite response value"):
+        FrequencyDataset.from_arrays([1j, 2j], [1.0, complex(np.nan, 0)])
 
 
 def test_dataset_rejects_duplicates():
@@ -68,8 +67,8 @@ def test_csv_schema_read_back(tmp_path):
     path.write_text("omega_rad_s,re,im\n0.0628,1.2,-3.4\n")
     ds = load_csv(path)
     assert len(ds) == 1
-    assert ds.samples[0].z == 0.0628j
-    assert ds.samples[0].phi == 1.2 - 3.4j
+    assert ds.points()[0] == 0.0628j
+    assert ds.values()[0] == 1.2 - 3.4j
 
 
 def test_csv_empty_data_section(tmp_path):
@@ -104,14 +103,21 @@ def test_save_csv_rejects_off_axis(tmp_path):
         save_csv(ds, tmp_path / "offaxis.csv")
 
 
+def test_save_json_rejects_off_axis(tmp_path):
+    ds = FrequencyDataset.from_arrays([2j, 1.0 + 1j], [1.0, 2.0])
+    with pytest.raises(DataFormatError, match="sample 1"):
+        save_json(ds, tmp_path / "offaxis.json")
+    assert not (tmp_path / "offaxis.json").exists()
+
+
 def test_close_conjugate_definition():
     ds = FrequencyDataset.from_arrays([1j], [2.0 + 1j])
     closed = close_conjugate(ds)
     assert closed.conjugate_closed
     assert len(closed) == 2
-    assert closed.samples[0].z == 1j
-    assert closed.samples[1].z == -1j
-    assert closed.samples[1].phi == 2.0 - 1j
+    assert closed.points()[0] == 1j
+    assert closed.points()[1] == -1j
+    assert closed.values()[1] == 2.0 - 1j
 
 
 def test_close_conjugate_pairs_adjacent():
@@ -174,11 +180,56 @@ def test_partition_sides_conjugate_closed():
 def test_partition_values_follow_points():
     ds = _pairs_dataset(4)
     part = partition_points(ds)
-    lookup = {complex(s.z): s.phi for s in ds.samples}
+    lookup = dict(zip(ds.points().tolist(), ds.values().tolist()))
     for pt, val in zip(part.left_points, part.left_values):
         assert lookup[complex(pt)] == val
     for pt, val in zip(part.right_points, part.right_values):
         assert lookup[complex(pt)] == val
+
+
+def _reference_close_and_split(z, phi):
+    """Point-by-point closure and alternating split: the order contract."""
+    present = set(z)
+    out = []
+    for a, b in zip(z, phi):
+        out.append((a, b))
+        if a.imag != 0.0 and a.conjugate() not in present:
+            out.append((a.conjugate(), b.conjugate()))
+    index = {a: k for k, (a, _) in enumerate(out)}
+    used, units = set(), []
+    for k, (a, _) in enumerate(out):
+        if k not in used:
+            unit = [k] if a.imag == 0.0 else [k, index[a.conjugate()]]
+            used.update(unit)
+            units.append(unit)
+    left = [out[k] for unit in units[0::2] for k in unit]
+    right = [out[k] for unit in units[1::2] for k in unit]
+    return out, left, right
+
+
+def test_closure_and_partition_keep_reference_order():
+    # Partners present but scattered, partners missing, off-axis points and
+    # real points; the reals open and close the list so the split balances.
+    rng = np.random.default_rng(11)
+    paired = rng.uniform(-1, 1, 6) + 1j * rng.uniform(0.1, 9, 6)
+    single = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-9, -0.1, 4)
+    middle = np.concatenate([paired, np.conj(paired), single])
+    z = np.concatenate([[0.5], rng.permutation(middle), [-2.0]])
+    phi = rng.normal(size=z.size) + 1j * rng.normal(size=z.size)
+    for k, pt in enumerate(z):
+        # Responses at present partners must be conjugate-consistent.
+        partner = np.flatnonzero(z == np.conj(pt))
+        if pt.imag != 0.0 and partner.size and partner[0] < k:
+            phi[k] = np.conj(phi[partner[0]])
+    closed = close_conjugate(FrequencyDataset.from_arrays(z, phi))
+    part = partition_points(closed)
+    out, left, right = _reference_close_and_split(z.tolist(), phi.tolist())
+    assert closed.points().tolist() == [a for a, _ in out]
+    assert closed.values().tolist() == [b for _, b in out]
+    assert part.left_points.tolist() == [a for a, _ in left]
+    assert part.left_values.tolist() == [b for _, b in left]
+    assert part.right_points.tolist() == [a for a, _ in right]
+    assert part.right_values.tolist() == [b for _, b in right]
 
 
 def test_partition_odd_pair_count():
