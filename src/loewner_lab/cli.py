@@ -26,7 +26,6 @@ from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
     closed_loop_delay,
-    densify_log_grid,
     load_realization,
     save_realization,
 )
@@ -41,7 +40,7 @@ from .lddc import (
     small_gain_bound,
 )
 from .loewner_core import build_pencil, detect_rank, reduce_to_realization
-from .mfsa import DELAY_DENSIFY, delay_margin_sweep, nyquist_curve, stability_tag
+from .mfsa import _delay_grid, delay_margin_sweep, nyquist_curve, stability_tag
 from .pi_synth import PIController, default_weights, eval_weighted_performance, optimize_pi
 from .plant_oracle import PlantParameters, eval_plant, sample_grid
 
@@ -250,10 +249,7 @@ def _loop_map(args) -> TransferMap:
 def cmd_mfsa(args) -> int:
     out = _out_dir(args)
     h = _loop_map(args)
-    grid = _grid(args)
-    if args.tau > 0:
-        grid = densify_log_grid(grid, DELAY_DENSIFY)
-    report = stability_tag(h, grid, epsilon=args.epsilon)
+    report = stability_tag(h, _delay_grid(_grid(args), args.tau), epsilon=args.epsilon)
     obj = {
         "stab_tag": _json_safe(report.stab_tag),
         "epsilon": report.epsilon,

@@ -141,11 +141,15 @@ class StableSplit:
     """Additive decomposition H = H_stable + H_antistable.
 
     The feed-through term is assigned to the stable part; the antistable
-    part is strictly proper with all its poles in Re(s) >= 0.
+    part is strictly proper with all its finite poles in Re(s) >= 0 and
+    every infinite eigenvalue of the pencil.  ``antistable_poles`` holds
+    the antistable part's finite eigenvalues, read off the same ordered
+    Schur form that produced the split.
     """
 
     stable_part: DescriptorRealization
     antistable_part: DescriptorRealization
+    antistable_poles: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -265,21 +269,28 @@ def poles(rlz: DescriptorRealization) -> SpectrumReport:
     """Finite generalized eigenvalues of (A, E); infinite ones counted apart.
 
     Directions along which E is singular produce eigenvalues at infinity
-    (impulsive modes); they are excluded from the finite list.
+    (impulsive modes); they are excluded from the finite list.  An
+    eigenvalue alpha/beta counts as finite when |beta| > n*eps*||E||_F,
+    the same rule :func:`stable_antistable_split` applies.
     """
     n = rlz.order
     if n == 0:
         return SpectrumReport(finite=np.array([], dtype=complex), infinite_count=0)
     ab = scipy.linalg.eig(rlz.A, rlz.E, right=False, homogeneous_eigvals=True)
     alpha, beta = ab[0], ab[1]
-    tol = n * np.finfo(float).eps * max(
-        float(np.linalg.norm(rlz.E, "fro")), np.finfo(float).tiny
-    )
-    finite_mask = np.abs(beta) > tol
+    finite_mask = _finite(beta, rlz.E)
     finite = alpha[finite_mask] / beta[finite_mask]
     return SpectrumReport(
         finite=finite, infinite_count=int(np.sum(~finite_mask))
     )
+
+
+def _finite(beta: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Mask of the finite eigenvalues alpha/beta of a pencil (A, E)."""
+    tol = E.shape[0] * np.finfo(float).eps * max(
+        float(np.linalg.norm(E, "fro")), np.finfo(float).tiny
+    )
+    return np.abs(beta) > tol
 
 
 def _empty_realization(d: float = 0.0) -> DescriptorRealization:
@@ -299,55 +310,54 @@ def _sylvester_residual(A11, R, L, A22, A12):
     return num / max(den, np.finfo(float).tiny)
 
 
-def _stable_select(alpha, beta):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = alpha / beta
-    ok = np.isfinite(lam)
-    out = np.zeros(np.shape(alpha), dtype=bool)
-    out[ok] = lam[ok].real < 0.0
-    return out
-
-
 def stable_antistable_split(
     rlz: DescriptorRealization, guard: float = 1e-8
 ) -> StableSplit:
     """Split a realization into stable and antistable additive parts.
 
-    The generalized Schur form of (A, E) is reordered so the open-left-
-    half-plane eigenvalues lead, then the off-diagonal coupling blocks are
+    One ordered real QZ of (A, E) brings the eigenvalues selected as
+    stable, those that are finite (the rule of :func:`poles`) with
+    Re < 0, to the lead; every infinite eigenvalue therefore lands in the
+    antistable block.  The off-diagonal coupling blocks are then
     annihilated with a generalized Sylvester solve, yielding two decoupled
-    descriptor systems whose transfers sum to the original.  Eigenvalues at
-    infinity travel with the antistable block.  Any finite pole whose real
-    part lies within ``guard`` of the imaginary axis aborts the split.
+    descriptor systems whose transfers sum to the original.  The guard
+    check and the antistable eigenvalues are read off the same Schur form:
+    any finite pole whose real part lies within ``guard`` of the imaginary
+    axis aborts the split before anything is reordered.
     """
     n = rlz.order
     if n == 0:
-        return StableSplit(rlz, _empty_realization(0.0))
-    spec = poles(rlz)
-    near = spec.finite[np.abs(spec.finite.real) < guard]
-    if near.size:
-        raise BoundaryPoleError(
-            f"poles within {guard:g} of the imaginary axis: {near}"
-        )
-    n_stable = int(np.sum(spec.finite.real < 0))
-    if n_stable == n:
-        return StableSplit(rlz, _empty_realization(0.0))
-    if n_stable == 0 and spec.infinite_count == 0:
-        anti = DescriptorRealization(rlz.E, rlz.A, rlz.B, rlz.C, 0.0)
-        return StableSplit(_empty_realization(rlz.D), anti)
+        return StableSplit(rlz, _empty_realization(0.0), np.array([], dtype=complex))
+
+    def select(alpha, beta):
+        # ordqz calls this on the unordered Schur form, so the guard check
+        # runs before any reordering; infinite eigenvalues divide by zero.
+        fin = _finite(beta, rlz.E)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = alpha / beta
+        near = fin & (np.abs(lam.real) < guard)
+        if near.any():
+            raise BoundaryPoleError(
+                f"poles within {guard:g} of the imaginary axis: {lam[near]}"
+            )
+        return fin & (lam.real < 0.0)
 
     S, T, alpha, beta, Q, Z = scipy.linalg.ordqz(
-        rlz.A, rlz.E, sort=_stable_select, output="real"
+        rlz.A, rlz.E, sort=select, output="real"
     )
-    mask = _stable_select(alpha, beta)
+    mask = select(alpha, beta)
     k = int(np.sum(mask))
     if not mask[:k].all() or mask[k:].any():
         raise SingularPencilError("generalized Schur reordering failed")
+    fin = _finite(beta[k:], rlz.E)
+    anti_poles = alpha[k:][fin] / beta[k:][fin]
+    if k == n:
+        return StableSplit(rlz, _empty_realization(0.0), anti_poles)
+    if k == 0:
+        anti = DescriptorRealization(rlz.E, rlz.A, rlz.B, rlz.C, 0.0)
+        return StableSplit(_empty_realization(rlz.D), anti, anti_poles)
     Bt = Q.T @ rlz.B
     Ct = rlz.C @ Z
-    if k == 0:
-        anti = DescriptorRealization(T, S, Bt, Ct, 0.0)
-        return StableSplit(_empty_realization(rlz.D), anti)
 
     S11, S12, S22 = S[:k, :k], S[:k, k:], S[k:, k:]
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
@@ -383,7 +393,7 @@ def stable_antistable_split(
     C2 = Ct[:, :k] @ R + Ct[:, k:]
     stable = DescriptorRealization(T11, S11, B1, C1, rlz.D)
     anti = DescriptorRealization(T22, S22, B2, C2, 0.0)
-    return StableSplit(stable, anti)
+    return StableSplit(stable, anti, anti_poles)
 
 
 def _eval_on_axis(h, omega: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from .descriptor_ops import (
     closed_loop_delay,
     densify_log_grid,
     eval_transfer,
-    poles,
     stable_antistable_split,
 )
 from .errors import BoundaryPoleError, LoewnerLabError
@@ -103,7 +102,9 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
     relative to the top singular value, since divided differences of clean
     data bottom out near machine precision and modes taken from that floor
     are fiction.  And antistable modes lying above the sampled band are
-    ignored: the data says nothing up there.
+    ignored: the data says nothing up there.  The band filter reads the
+    split's own antistable eigenvalues (``StableSplit.antistable_poles``),
+    so no second eigenvalue solve runs.
 
     A split blocked by poles inside the imaginary-axis guard band returns
     verdict "inconclusive" with ``stab_tag`` NaN rather than guessing.
@@ -148,7 +149,7 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
         )
 
     omega_max = float(np.max(omega))
-    anti_poles = poles(anti).finite
+    anti_poles = split.antistable_poles
     in_band = anti_poles[np.abs(anti_poles.imag) <= omega_max * INBAND_SLACK]
     if in_band.size == 0:
         return StabilityReport(
@@ -177,6 +178,12 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
         peak_omega=float(probe[idx]),
         antistable_order=int(anti.order),
     )
+
+
+def _delay_grid(omega: np.ndarray, tau: float) -> np.ndarray:
+    """The grid a loop with delay ``tau`` is sampled on: ``DELAY_DENSIFY``
+    times finer than ``omega`` when tau > 0."""
+    return densify_log_grid(omega, DELAY_DENSIFY) if tau > 0 else omega
 
 
 @dataclass(frozen=True)
@@ -241,10 +248,9 @@ def delay_margin_sweep(
     omega = np.asarray(grid, dtype=float).ravel()
 
     def run_tau(tau: float) -> DelayRow:
-        sample_grid = densify_log_grid(omega, DELAY_DENSIFY) if tau > 0 else omega
         try:
             loop = closed_loop_delay(plant, k, tau)
-            report = stability_tag(loop, sample_grid, epsilon=epsilon)
+            report = stability_tag(loop, _delay_grid(omega, tau), epsilon=epsilon)
         except LoewnerLabError as exc:
             return DelayRow(
                 tau=tau,

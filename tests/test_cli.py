@@ -15,6 +15,8 @@ from helpers import modal_realization
 from loewner_lab.cli import main
 from loewner_lab.descriptor_ops import load_realization, save_realization
 from loewner_lab.freq_data import CSV_HEADER, FrequencyDataset, save_csv
+from loewner_lab.mfsa import delay_margin_sweep
+from loewner_lab.plant_oracle import sample_grid
 
 
 def read_lines(path):
@@ -159,6 +161,31 @@ class TestMfsa:
         obj = json.loads((out / "stability_report.json").read_text())
         assert obj["verdict"] == "unstable"
         assert obj["stab_tag"] > 0.9
+
+    def test_delayed_loop_matches_the_sweep_row(self, tmp_path):
+        # mfsa --tau and delay-sweep must sample the delayed loop on the
+        # same densified grid, so they reach the same verdict.
+        plant = modal_realization([], [(-1.0, 2.0)])
+        ctrl = modal_realization([], [], feedthrough=2.0)
+        plant_path = tmp_path / "plant.json"
+        ctrl_path = tmp_path / "ctrl.json"
+        save_realization(plant, plant_path)
+        save_realization(ctrl, ctrl_path)
+        out = tmp_path / "mfsa"
+        rc = main([
+            "mfsa", "--plant", str(plant_path), "--controller", str(ctrl_path),
+            "--tau", "1.0", "--grid-n", "40", "--wmin", "0.05", "--wmax", "20",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        obj = json.loads((out / "stability_report.json").read_text())
+        row = delay_margin_sweep(
+            plant.transfer_map(), ctrl.transfer_map(), [1.0],
+            sample_grid(40, 0.05, 20.0).imag,
+        ).rows[0]
+        assert obj["verdict"] == row.verdict == "unstable"
+        assert obj["order"] == row.order
+        assert obj["stab_tag"] == row.stab_tag
 
     def test_tau_without_controller_is_a_domain_error(self, tmp_path):
         rc = main(["mfsa", "--tau", "1.0", "--out", str(tmp_path)])

@@ -158,6 +158,7 @@ class TestStableAntistableSplit:
         assert sp.antistable_part.order == 0
         assert sp.antistable_part.D == 0.0
         assert sp.stable_part is rlz
+        assert sp.antistable_poles.size == 0
 
     def test_pure_antistable_keeps_feedthrough_on_stable_side(self):
         rlz = modal_realization([(1.0 + 2.0j, 1.0)], [], feedthrough=0.5)
@@ -192,6 +193,12 @@ class TestStableAntistableSplit:
             assert rel_err(recon, oracle(grid)) < 1e-8, f"trial {trial}"
             fin_s = poles(sp.stable_part).finite
             fin_a = poles(sp.antistable_part).finite
+            # The split reports the antistable spectrum it computed.
+            assert sp.antistable_poles.size == fin_a.size
+            for p in fin_a:
+                assert np.min(np.abs(sp.antistable_poles - p)) < 1e-8 * max(1.0, abs(p))
+            for p in sp.antistable_poles:
+                assert np.min(np.abs(fin_a - p)) < 1e-8 * max(1.0, abs(p))
             assert np.all(fin_s.real < 0)
             assert np.all(fin_a.real > 0)
             got = np.concatenate([fin_s, fin_a])
@@ -229,6 +236,28 @@ class TestStableAntistableSplit:
             + eval_transfer(sp.antistable_part, GRID)
         )
         assert rel_err(recon, eval_transfer(rlz, GRID)) < 1e-10
+
+        # The same index-1 structure hidden by random orthogonal rotations:
+        # QZ then returns the infinite eigenvalue with a tiny nonzero beta,
+        # which must still count as infinite and go antistable.
+        rng = np.random.default_rng(0)
+        for trial in range(200):
+            Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            Z, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            rlz = DescriptorRealization(
+                E=Q @ np.diag([1.0, 1.0, 1.0, 0.0]) @ Z,
+                A=Q @ np.diag([-1.0, 2.0, -3.0, 1.0]) @ Z,
+                B=rng.standard_normal((4, 1)), C=rng.standard_normal((1, 4)),
+            )
+            sp = stable_antistable_split(rlz)
+            spec = poles(sp.stable_part)
+            assert spec.infinite_count == 0, f"trial {trial}"
+            assert np.all(spec.finite.real < 0), f"trial {trial}"
+            recon = (
+                eval_transfer(sp.stable_part, GRID)
+                + eval_transfer(sp.antistable_part, GRID)
+            )
+            assert rel_err(recon, eval_transfer(rlz, GRID)) < 1e-10, f"trial {trial}"
 
 
 class TestCompositionAlgebra:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import modal_realization, random_system
 from loewner_lab.descriptor_ops import TransferMap
@@ -35,6 +36,23 @@ class TestStabilityTag:
         assert rep.stab_tag == 0.0
         assert rep.order == 1
         assert rep.antistable_order == 0
+
+    def test_spectrum_is_computed_once(self, monkeypatch):
+        # The band filter reads the split's eigenvalues: one ordered QZ and
+        # no separate eigenvalue solve per tag.
+        calls = {"eig": 0, "ordqz": 0}
+        for name in calls:
+            real = getattr(scipy.linalg, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, spy)
+        h = lambda s: 1.0 / (s + 1.0) + 0.5 / (s - 2.0)
+        rep = stability_tag(TransferMap.from_callable(h), GRID)
+        assert rep.verdict == "unstable"
+        assert calls == {"eig": 0, "ordqz": 1}
 
     def test_unstable_first_order_tag_value(self):
         # The whole transfer is antistable; its peak over the band sits at
