@@ -277,13 +277,12 @@ def cmd_delay_sweep(args) -> int:
         "tau_s,stab_tag,verdict",
         [(float(row.tau), float(row.stab_tag), row.verdict) for row in result.rows],
     )
-    ny_rows = []
-    for row in result.rows:
-        curve = nyquist_curve(plant, k, row.tau, grid)
-        ny_rows.extend(
-            (float(w), float(v.real), float(v.imag), float(row.tau))
-            for w, v in zip(grid, curve)
-        )
+    loop = nyquist_curve(plant, k, 0.0, grid)
+    ny_rows = [
+        (float(w), float(v.real), float(v.imag), float(row.tau))
+        for row in result.rows
+        for w, v in zip(grid, loop * np.exp(-1j * grid * row.tau))
+    ]
     _write_rows(out / "nyquist.csv", "omega_rad_s,re,im,tau_s", ny_rows)
     margin = result.destabilizing_delay
     print(

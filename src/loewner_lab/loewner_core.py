@@ -2,11 +2,18 @@
 projection to a real descriptor realization.
 
 Given response data split into left points (mu_i, v_i) and right points
-(lambda_j, w_j), the Loewner matrix and its shifted companion are the
-divided-difference matrices
+(lambda_j, w_j), the Loewner matrix is the divided-difference matrix
 
-    Lw[i, j] = (v_i - w_j) / (mu_i - lambda_j),
-    Ls[i, j] = (mu_i v_i - lambda_j w_j) / (mu_i - lambda_j).
+    Lw[i, j] = (v_i - w_j) / (mu_i - lambda_j).
+
+Its shifted companion Ls[i, j] = (mu_i v_i - lambda_j w_j) / (mu_i - lambda_j)
+holds nothing that Lw and the data do not: the pencil identities (Mayo &
+Antoulas, LAA 2007)
+
+    Ls = Lw diag(lambda) + v 1^T = diag(mu) Lw + 1 w^T
+
+give it exactly.  So a pencil stores Lw alone, and Ls enters the rank step
+and the projection only through these identities.
 
 The raw pencil (-Lw, -Ls) together with the boundary vectors realizes a
 rational interpolant of the data; its numerical rank reveals the minimal
@@ -17,14 +24,11 @@ adjacent; the transform is applied to row and column pairs in place, in
 O(m^2).
 
 The rank and the projectors come from the row stack [Lw  Ls] and the
-column stack [Lw; Ls], which are factored exactly at half size.  The
-pencil identities (Mayo & Antoulas, LAA 2007)
-
-    Ls = Lw diag(lambda) + v 1^T = diag(mu) Lw + 1 w^T
-
-turn the Gram matrix of each m x 2m stack into that of an m x (m+1)
-matrix, so one SVD of the small factor yields the stack's singular
-values and the singular vectors that are used, with no approximation.
+column stack [Lw; Ls], which are factored exactly at half size: the
+identities turn the Gram matrix of each m x 2m stack into that of an
+m x (m+1) matrix, so one SVD of the small factor yields the stack's
+singular values and the singular vectors that are used, with no
+approximation.
 """
 
 from __future__ import annotations
@@ -112,15 +116,18 @@ def _stack_weights(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 @dataclass
 class LoewnerPencil:
-    """Loewner matrix pair plus its generating partition.
+    """Loewner matrix plus its generating partition.
 
-    Real-transformed forms and the stack factorizations are computed
-    lazily and cached, since rank detection and projection reuse them.
+    The pencil holds Lw only.  The shifted matrix Ls is never formed: the
+    rank step and the projection read it through the identities
+    Ls = Lw diag(lambda) + v 1^T = diag(mu) Lw + 1 w^T.  The conjugate-pair
+    layout of each side, the real-transformed forms and the stack
+    factorizations are computed lazily and cached, since rank detection
+    and projection reuse them.
 
     For an m x n pencil the row stack [Lw  Ls] (m x 2n) and the column
-    stack [Lw; Ls] (2m x n) are never formed.  The pencil identities
-    Ls = Lw diag(lambda) + v 1^T = diag(mu) Lw + 1 w^T give half-size
-    factors N_row (m x (n+1)) and N_col ((m+1) x n) with
+    stack [Lw; Ls] (2m x n) are never formed.  The identities give
+    half-size factors N_row (m x (n+1)) and N_col ((m+1) x n) with
 
         N_row N_row^H = [Lw Ls][Lw Ls]^H,
         N_col^H N_col = [Lw; Ls]^H [Lw; Ls].
@@ -133,8 +140,8 @@ class LoewnerPencil:
     """
 
     loewner: np.ndarray
-    shifted: np.ndarray
     partition: PointPartition
+    _pairs: tuple | None = field(default=None, repr=False, compare=False)
     _real: tuple | None = field(default=None, repr=False, compare=False)
     _svd_row: tuple | None = field(default=None, repr=False, compare=False)
     _svd_col: tuple | None = field(default=None, repr=False, compare=False)
@@ -143,25 +150,29 @@ class LoewnerPencil:
     def size(self) -> int:
         return self.loewner.shape[0]
 
-    def real_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Real Loewner/shifted matrices and boundary vectors.
+    def _pair_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right): first indices of the conjugate pairs on each side."""
+        if self._pairs is None:
+            p = self.partition
+            self._pairs = (_pair_starts(p.left_points), _pair_starts(p.right_points))
+        return self._pairs
 
-        Returns (Lw_r, Ls_r, v_r, w_r) where the unitary conjugate-pair
-        transform has been applied on both sides and the (numerically
-        negligible) imaginary residue dropped.  The transform acts on each
-        pair of rows (a, b) as ((a+b)/sqrt2, i(b-a)/sqrt2) and on each pair
-        of columns as ((a+b)/sqrt2, i(a-b)/sqrt2), so it costs O(m^2).
+    def real_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Real Loewner matrix and boundary vectors.
+
+        Returns (Lw_r, v_r, w_r) where the unitary conjugate-pair transform
+        has been applied on both sides and the (numerically negligible)
+        imaginary residue dropped.  The transform acts on each pair of rows
+        (a, b) as ((a+b)/sqrt2, i(b-a)/sqrt2) and on each pair of columns
+        as ((a+b)/sqrt2, i(a-b)/sqrt2), so it costs O(m^2).  There is no
+        shifted form: Ls_r = Lw_r Lam_r + v_r 1_r^T, see
+        ``reduce_to_realization``.
         """
         if self._real is None:
-            left = _pair_starts(self.partition.left_points)
-            right = _pair_starts(self.partition.right_points)
-
-            def both(M):
-                return _pair_cols(_pair_rows(M, left), right)
-
+            left, right = self._pair_layout()
             self._real = (
-                _drop_imag("Loewner matrix", both(self.loewner)),
-                _drop_imag("shifted Loewner matrix", both(self.shifted)),
+                _drop_imag("Loewner matrix",
+                           _pair_cols(_pair_rows(self.loewner, left), right)),
                 _drop_imag("left responses",
                            _pair_rows(self.partition.left_values, left)),
                 _drop_imag("right responses",
@@ -178,10 +189,9 @@ class LoewnerPencil:
         realness transform: d is equal on the two points of a conjugate
         pair, so D commutes with it, and c transforms like w.
         """
-        Lw_r, _, v_r, _ = self.real_forms()
+        Lw_r, v_r, _ = self.real_forms()
         d, c, y = _stack_weights(self.partition.right_points)
-        c_r = _drop_imag("row-stack weights",
-                         _pair_cols(c, _pair_starts(self.partition.right_points)))
+        c_r = _drop_imag("row-stack weights", _pair_cols(c, self._pair_layout()[1]))
         return np.hstack([(y * v_r)[:, None], Lw_r * d + np.outer(v_r, c_r)])
 
     def _col_factor(self) -> np.ndarray:
@@ -190,10 +200,9 @@ class LoewnerPencil:
         The mirror of ``_row_factor`` with (d, c, y) from the left points:
         N_col^H N_col = [Lw; Ls]^H [Lw; Ls].
         """
-        Lw_r, _, _, w_r = self.real_forms()
+        Lw_r, _, w_r = self.real_forms()
         d, c, y = _stack_weights(self.partition.left_points)
-        c_r = _drop_imag("column-stack weights",
-                         _pair_rows(c, _pair_starts(self.partition.left_points)))
+        c_r = _drop_imag("column-stack weights", _pair_rows(c, self._pair_layout()[0]))
         return np.vstack([y * w_r, d[:, None] * Lw_r + np.outer(c_r, w_r)])
 
     def svd_row_stack(self) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +241,7 @@ class RankReport:
 
 
 def build_pencil(p: PointPartition) -> LoewnerPencil:
-    """Assemble the Loewner and shifted-Loewner matrices entrywise."""
+    """Assemble the Loewner matrix entrywise; Ls is left to the identities."""
     mu = p.left_points
     lam = p.right_points
     v = p.left_values
@@ -246,9 +255,7 @@ def build_pencil(p: PointPartition) -> LoewnerPencil:
         raise CoincidentPointError(
             f"left point {mu[i]} coincides with right point {lam[j]}"
         )
-    Lw = (v[:, None] - w[None, :]) / denom
-    Ls = (mu[:, None] * v[:, None] - lam[None, :] * w[None, :]) / denom
-    return LoewnerPencil(loewner=Lw, shifted=Ls, partition=p)
+    return LoewnerPencil(loewner=(v[:, None] - w[None, :]) / denom, partition=p)
 
 
 def _count_above_cut(s: np.ndarray, tol: float) -> int:
@@ -320,15 +327,33 @@ def reduce_to_realization(pen: LoewnerPencil, r: int) -> DescriptorRealization:
     all in the real-transformed coordinates, so the output matrices are
     real.  At the detected rank the realization interpolates the data; at
     full rank the interpolation is exact up to conditioning.
+
+    Ls is not formed.  Under the realness transform (T_l^H on the left,
+    T_r on the right) the identity Ls = Lw diag(lambda) + v 1^T reads
+    Ls_r = Lw_r Lam_r + v_r 1_r^T with Lam_r = T_r^H diag(lambda) T_r, so
+
+        A = -(Y' Lw_r)(Lam_r X) - (Y' v_r)(1_r^T X)
+
+    with one r x m x m product, Y' Lw_r, shared with E.  Lam_r is the
+    block [[Re z, -Im z], [Im z, Re z]] on a conjugate pair (z, conj z)
+    and z on a lone real point.  1_r^T = 1^T T_r, the transform applied to
+    a row of ones, is (sqrt2, 0) on a pair and 1 on a real point.  Applying
+    both costs O(m r).
     """
     m = pen.size
     if not 1 <= r <= m:
         raise ValueError(f"target order must lie in [1, {m}], got {r}")
-    Lw_r, Ls_r, v_r, w_r = pen.real_forms()
+    Lw_r, v_r, w_r = pen.real_forms()
+    lam, right = pen.partition.right_points, pen._pair_layout()[1]
     Y = pen.svd_row_stack()[0][:, :r]
     X = pen.svd_col_stack()[1][:r, :].T
-    E = -(Y.T @ Lw_r @ X)
-    A = -(Y.T @ Ls_r @ X)
-    B = (Y.T @ v_r).reshape(r, 1)
-    C = (w_r @ X).reshape(1, r)
-    return DescriptorRealization(E=E, A=A, B=B, C=C, D=0.0)
+    LX = lam.real[:, None] * X
+    LX[right] -= lam.imag[right, None] * X[right + 1]
+    LX[right + 1] += lam.imag[right, None] * X[right]
+    ones_r = _pair_cols(np.ones(lam.size), right).real
+    YL = Y.T @ Lw_r
+    B = Y.T @ v_r
+    E = -(YL @ X)
+    A = -(YL @ LX) - np.outer(B, ones_r @ X)
+    return DescriptorRealization(E=E, A=A, B=B.reshape(r, 1),
+                                 C=(w_r @ X).reshape(1, r), D=0.0)

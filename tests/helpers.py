@@ -116,6 +116,21 @@ def dense_pair_transform(points) -> np.ndarray:
     return T
 
 
+def shifted_loewner(partition) -> np.ndarray:
+    """Reference shifted Loewner matrix from its divided-difference formula,
+
+        Ls[i, j] = (mu_i v_i - lambda_j w_j) / (mu_i - lambda_j).
+
+    The library never forms Ls; it reads it through the pencil identity
+    Ls = Lw diag(lambda) + v 1^T.
+    """
+    mu, lam = partition.left_points, partition.right_points
+    v, w = partition.left_values, partition.right_values
+    return (mu[:, None] * v[:, None] - lam[None, :] * w[None, :]) / (
+        mu[:, None] - lam[None, :]
+    )
+
+
 def dense_real_forms(pen):
     """(Lw, Ls, v, w) of a pencil under the dense transform, still complex."""
     Tl = dense_pair_transform(pen.partition.left_points)
@@ -123,7 +138,7 @@ def dense_real_forms(pen):
     TlH = Tl.conj().T
     return (
         TlH @ pen.loewner @ Tr,
-        TlH @ pen.shifted @ Tr,
+        TlH @ shifted_loewner(pen.partition) @ Tr,
         TlH @ pen.partition.left_values,
         pen.partition.right_values @ Tr,
     )
@@ -131,7 +146,7 @@ def dense_real_forms(pen):
 
 def explicit_stack_svds(pen):
     """(U, s) of [Lw  Ls] and (s, Vt) of [Lw; Ls], from the stacks themselves."""
-    Lw, Ls, _, _ = pen.real_forms()
+    Lw, Ls, _, _ = (M.real for M in dense_real_forms(pen))
     U, s_row, _ = np.linalg.svd(np.hstack([Lw, Ls]), full_matrices=False)
     _, s_col, Vt = np.linalg.svd(np.vstack([Lw, Ls]), full_matrices=False)
     return (U, s_row), (s_col, Vt)
@@ -139,7 +154,7 @@ def explicit_stack_svds(pen):
 
 def explicit_projection(pen, r) -> DescriptorRealization:
     """Order-r projection of a pencil with singular vectors of the full stacks."""
-    Lw, Ls, v, w = pen.real_forms()
+    Lw, Ls, v, w = (M.real for M in dense_real_forms(pen))
     (U, _), (_, Vt) = explicit_stack_svds(pen)
     Y = U[:, :r]
     X = Vt[:r, :].T

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from helpers import modal_realization
+from loewner_lab import cli
 from loewner_lab.cli import main
-from loewner_lab.descriptor_ops import load_realization, save_realization
+from loewner_lab.descriptor_ops import TransferMap, load_realization, save_realization
 from loewner_lab.freq_data import CSV_HEADER, FrequencyDataset, save_csv
-from loewner_lab.mfsa import delay_margin_sweep
-from loewner_lab.plant_oracle import sample_grid
+from loewner_lab.mfsa import delay_margin_sweep, nyquist_curve
+from loewner_lab.pi_synth import PIController
+from loewner_lab.plant_oracle import PlantParameters, eval_plant, sample_grid
 
 
 def read_lines(path):
@@ -218,6 +220,35 @@ class TestDelaySweep:
         assert ny[0] == "omega_rad_s,re,im,tau_s"
         assert len(ny) == 1 + 3 * 30
         assert "destabilizing delay" in capsys.readouterr().out
+
+    def test_nyquist_loop_is_evaluated_once(self, tmp_path, monkeypatch):
+        # Each row of nyquist.csv is the delay-free loop times e^{-i omega tau};
+        # the plant is evaluated on the Nyquist grid once, not once per row.
+        sizes = []
+
+        def counted(p, x, s):
+            sizes.append(np.size(s))
+            return eval_plant(p, x, s)
+
+        monkeypatch.setattr(cli, "eval_plant", counted)
+        ctrl_path = tmp_path / "pi.json"
+        save_realization(PIController(kp=0.191, ki=0.0252).realization(), ctrl_path)
+        out = tmp_path / "sweep"
+        rc = main(["delay-sweep", "--controller", str(ctrl_path), "--tau-n", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        assert sizes.count(200) == 1
+        grid = sample_grid(200, 2.0 * np.pi * 1e-2, 2.0 * np.pi).imag
+        ny = np.loadtxt(out / "nyquist.csv", delimiter=",", skiprows=1)
+        assert ny.shape == (3 * 200, 4)
+        p = PlantParameters()
+        plant = TransferMap.from_callable(lambda s: eval_plant(p, p.x_m, s))
+        k = TransferMap.from_realization(load_realization(ctrl_path))
+        for tau, rows in zip(np.linspace(4.6, 5.5, 3), np.split(ny, 3)):
+            curve = nyquist_curve(plant, k, tau, grid)
+            assert np.array_equal(rows[:, 0], grid)
+            assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], curve)
+            assert np.all(rows[:, 3] == tau)
 
 
 class TestExitCodes:

@@ -25,7 +25,13 @@ from loewner_lab.freq_data import (
     close_conjugate,
     partition_points,
 )
-from loewner_lab.loewner_core import build_pencil, detect_rank, reduce_to_realization
+from loewner_lab import loewner_core
+from loewner_lab.loewner_core import (
+    _pair_starts,
+    build_pencil,
+    detect_rank,
+    reduce_to_realization,
+)
 from loewner_lab.plant_oracle import eval_plant, sample_grid
 
 
@@ -146,7 +152,11 @@ class TestPencilAssembly:
         expect_lw = (v[0] - w[0]) / (mu[0] - lam[0])
         expect_ls = (mu[0] * v[0] - lam[0] * w[0]) / (mu[0] - lam[0])
         assert pen.loewner[0, 0] == pytest.approx(expect_lw)
-        assert pen.shifted[0, 0] == pytest.approx(expect_ls)
+        # The pencil holds no Ls; both identities must reproduce its entry.
+        Lw = pen.loewner
+        ones = np.ones(2)
+        assert (Lw @ np.diag(lam) + np.outer(v, ones))[0, 0] == pytest.approx(expect_ls)
+        assert (np.diag(mu) @ Lw + np.outer(ones, w))[0, 0] == pytest.approx(expect_ls)
         assert pen.size == 2
 
     def test_near_coincident_points_rejected(self):
@@ -252,11 +262,27 @@ class TestProjection:
 class TestRealnessTransform:
     def test_matches_dense_transform(self):
         pen = build_pencil(off_axis_partition())
-        for got, ref in zip(pen.real_forms(), dense_real_forms(pen)):
+        Lw, Ls, v, w = dense_real_forms(pen)
+        assert np.max(np.abs(Ls.imag)) <= 1e-14 * np.max(np.abs(Ls))
+        for got, ref in zip(pen.real_forms(), (Lw, v, w)):
             assert np.isrealobj(got)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(ref.imag)) <= 1e-14 * scale
             assert np.max(np.abs(got - ref.real)) <= 1e-14 * scale
+
+    def test_pair_layout_found_once_per_side(self, monkeypatch):
+        calls = []
+
+        def counted(points):
+            calls.append(points.size)
+            return _pair_starts(points)
+
+        monkeypatch.setattr(loewner_core, "_pair_starts", counted)
+        pen = build_pencil(off_axis_partition())
+        rank = detect_rank(pen).rank
+        reduce_to_realization(pen, rank)
+        reduce_to_realization(pen, pen.size)
+        assert calls == [12, 12]
 
     def test_separated_conjugates_rejected(self):
         mu = np.array([1j, 2j, -1j, -2j])
@@ -302,3 +328,37 @@ class TestHalfSizeStackFactors:
             assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref)), (
                 f"trial {trial}"
             )
+
+
+class TestShiftedIdentity:
+    """E, A, B, C against the projection of an explicitly formed Ls.
+
+    The library reads Ls_r only as Lw_r Lam_r + v_r 1_r^T; the reference
+    builds Ls from its divided differences, transforms it densely and
+    projects it with the pencil's own Y and X.
+    """
+
+    @staticmethod
+    def check(pen, r):
+        Lw, Ls, v, w = (M.real for M in dense_real_forms(pen))
+        Y = pen.svd_row_stack()[0][:, :r]
+        X = pen.svd_col_stack()[1][:r, :].T
+        rlz = reduce_to_realization(pen, r)
+        pairs = (
+            (rlz.E, -(Y.T @ Lw @ X)),
+            (rlz.A, -(Y.T @ Ls @ X)),
+            (rlz.B, (Y.T @ v).reshape(r, 1)),
+            (rlz.C, (w @ X).reshape(1, r)),
+        )
+        for name, (got, ref) in zip("EABC", pairs):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (
+                f"{name} at order {r}"
+            )
+
+    def test_every_order_off_axis(self):
+        pen = build_pencil(off_axis_partition())
+        for r in range(1, pen.size + 1):
+            self.check(pen, r)
+
+    def test_driving_plant_pencil(self, plant_pencil, plant_rank):
+        self.check(plant_pencil, plant_rank.rank)
