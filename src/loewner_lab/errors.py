@@ -31,7 +31,7 @@ class CoincidentPointError(LoewnerLabError):
 
 
 class ZeroDataError(LoewnerLabError):
-    """All-zero matrix where a rank decision was requested."""
+    """No data, or an all-zero matrix, where a rank decision was requested."""
 
 
 class SingularPencilError(LoewnerLabError):

@@ -56,7 +56,6 @@ class FrequencyDataset:
 
     z: np.ndarray
     phi: np.ndarray
-    conjugate_closed: bool = False
 
     def __post_init__(self) -> None:
         z = np.array(self.z, dtype=complex).ravel()
@@ -90,9 +89,21 @@ class FrequencyDataset:
     def values(self) -> np.ndarray:
         return self.phi
 
+    @property
+    def conjugate_closed(self) -> bool:
+        """Whether the arrays already satisfy the rule of :func:`close_conjugate`.
+
+        That is: every point off the real axis has its conjugate partner,
+        and the partner's response is the conjugate of the point's own to
+        1e-12 relative.  Worked out from ``z`` and ``phi`` on each read.
+        """
+        partner = _conjugate_index(self.z)
+        lone = (self.z.imag != 0.0) & (partner < 0)
+        return not (lone.any() or _partner_clash(self.phi, partner).any())
+
     @staticmethod
-    def from_arrays(z, phi, conjugate_closed: bool = False) -> "FrequencyDataset":
-        return FrequencyDataset(z, phi, conjugate_closed=conjugate_closed)
+    def from_arrays(z, phi) -> "FrequencyDataset":
+        return FrequencyDataset(z, phi)
 
 
 @dataclass(frozen=True)
@@ -161,9 +172,9 @@ def _axis_rows(dataset: FrequencyDataset, note: str = "") -> list[tuple]:
 def load_csv(path) -> FrequencyDataset:
     """Read a dataset from ``omega_rad_s,re,im`` CSV.
 
-    Points are placed on the imaginary axis (z = i*omega).  The returned
-    dataset is marked not conjugate-closed; run :func:`close_conjugate`
-    before partitioning.
+    Points are placed on the imaginary axis (z = i*omega), so the returned
+    dataset is not conjugate-closed unless the file lists both omega and
+    -omega; run :func:`close_conjugate` before partitioning.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -241,6 +252,18 @@ def _conjugate_index(z: np.ndarray) -> np.ndarray:
     return np.where(found, order[pos], -1)
 
 
+def _partner_clash(phi: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Mask of points whose partner is present with a non-conjugate response.
+
+    The partner's response must equal the conjugate of the point's own to
+    1e-12 relative; this is the one closure rule, shared by
+    :func:`close_conjugate`, ``FrequencyDataset.conjugate_closed`` and
+    :func:`partition_points`.
+    """
+    tol = 1e-12 * np.maximum(np.abs(phi), 1e-300)
+    return (partner >= 0) & (np.abs(phi[partner] - np.conj(phi)) > tol)
+
+
 def close_conjugate(dataset: FrequencyDataset) -> FrequencyDataset:
     """Add the conjugate partner of every non-real-axis point.
 
@@ -251,9 +274,7 @@ def close_conjugate(dataset: FrequencyDataset) -> FrequencyDataset:
     """
     z, phi = dataset.z, dataset.phi
     partner = _conjugate_index(z)
-    present = partner >= 0
-    tol = 1e-12 * np.maximum(np.abs(phi), 1e-300)
-    clash = present & (np.abs(phi[partner] - np.conj(phi)) > tol)
+    clash = _partner_clash(phi, partner)
     if clash.any():
         k = int(np.argmax(clash))
         raise ConjugateConflictError(
@@ -261,19 +282,22 @@ def close_conjugate(dataset: FrequencyDataset) -> FrequencyDataset:
             f"{complex(phi[partner[k]])} conflicts with conjugate of response "
             f"at {complex(z[k])}"
         )
-    missing = (z.imag != 0.0) & ~present
+    missing = (z.imag != 0.0) & (partner < 0)
     take = np.repeat(np.arange(z.size), 1 + missing)
     mirrored = np.zeros(take.size, dtype=bool)
     mirrored[1:] = take[1:] == take[:-1]
     return FrequencyDataset(
         np.where(mirrored, np.conj(z[take]), z[take]),
         np.where(mirrored, np.conj(phi[take]), phi[take]),
-        conjugate_closed=True,
     )
 
 
 def partition_points(dataset: FrequencyDataset) -> PointPartition:
     """Split a conjugate-closed dataset into left and right interpolation sets.
+
+    The dataset must satisfy the rule of :func:`close_conjugate` (see
+    ``FrequencyDataset.conjugate_closed``), whether or not it was passed
+    through it; otherwise :class:`PartitionSizeError` is raised.
 
     Conjugate units (a point plus its partner, or a lone real-axis point)
     are assigned alternately: unit 1 to the left set, unit 2 to the right
@@ -282,10 +306,6 @@ def partition_points(dataset: FrequencyDataset) -> PointPartition:
     a contiguous split.  A unit starts at its first point in dataset
     order, and each side lists its units in that order.
     """
-    if not dataset.conjugate_closed:
-        raise PartitionSizeError(
-            "dataset must be conjugate-closed before partitioning"
-        )
     z, phi = dataset.z, dataset.phi
     partner = _conjugate_index(z)
     lone = (z.imag != 0.0) & (partner < 0)
@@ -293,6 +313,12 @@ def partition_points(dataset: FrequencyDataset) -> PointPartition:
         raise PartitionSizeError(
             f"point {complex(z[np.argmax(lone)])} has no available conjugate "
             "partner; dataset is not conjugate-closed"
+        )
+    clash = _partner_clash(phi, partner)
+    if clash.any():
+        raise PartitionSizeError(
+            f"response at {complex(z[np.argmax(clash)])} is not the conjugate "
+            "of its partner's; dataset is not conjugate-closed"
         )
     starts = np.flatnonzero((partner < 0) | (partner > np.arange(z.size)))
     if starts.size % 2 != 0:

@@ -12,8 +12,8 @@ Antoulas, LAA 2007)
 
     Ls = Lw diag(lambda) + v 1^T = diag(mu) Lw + 1 w^T
 
-give it exactly.  So a pencil stores Lw alone, and Ls enters the rank step
-and the projection only through these identities.
+give it exactly.  So Ls is never formed; it enters the rank step and the
+projection only through these identities.
 
 The raw pencil (-Lw, -Ls) together with the boundary vectors realizes a
 rational interpolant of the data; its numerical rank reveals the minimal
@@ -24,17 +24,21 @@ adjacent; the transform is applied to row and column pairs in place, in
 O(m^2).
 
 The rank and the projectors come from the row stack [Lw  Ls] and the
-column stack [Lw; Ls], which are factored exactly at half size: the
-identities turn the Gram matrix of each m x 2m stack into that of an
-m x (m+1) matrix, so one SVD of the small factor yields the stack's
-singular values and the singular vectors that are used, with no
-approximation.
+column stack [Lw; Ls], which are factored exactly at half size (see
+``_row_factor`` and ``_col_factor``): one SVD of each small factor yields
+the stack's singular values and the singular vectors that are used, with
+no approximation.
+
+A pencil is real and factored once.  ``build_pencil`` forms the complex
+Lw, transforms it to real coordinates, drops it, and runs the two SVDs;
+the frozen ``LoewnerPencil`` it returns holds only the real arrays that
+``detect_rank`` and every ``reduce_to_realization`` call read.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,110 +118,94 @@ def _stack_weights(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return d, np.conj(points) / d, float(np.sqrt(np.sum(1.0 / d**2)))
 
 
-@dataclass
+def _loewner_matrix(p: PointPartition) -> np.ndarray:
+    """The complex Loewner matrix, entrywise; rejects coincident points.
+
+    Only ``build_pencil`` calls this, and it keeps neither the result nor
+    the denominators: both are freed before the stack SVDs run.
+    """
+    mu, lam = p.left_points, p.right_points
+    denom = mu[:, None] - lam[None, :]
+    zscale = float(np.max(np.abs(np.concatenate([mu, lam])), initial=0.0))
+    if np.any(np.abs(denom) <= 1e-14 * max(zscale, 1e-300)):
+        i, j = np.unravel_index(int(np.argmin(np.abs(denom))), denom.shape)
+        raise CoincidentPointError(
+            f"left point {mu[i]} coincides with right point {lam[j]}"
+        )
+    return (p.left_values[:, None] - p.right_values[None, :]) / denom
+
+
+def _row_factor(Lw_r: np.ndarray, v_r: np.ndarray, right_points: np.ndarray,
+                right_pairs: np.ndarray) -> np.ndarray:
+    """N_row = [y v, Lw D + v c^T] in real coordinates, m x (n+1).
+
+    For an m x n pencil the row stack [Lw  Ls] (m x 2n) is never formed.
+    With D = diag(d) and (d, c, y) from the n right points, N_row N_row^H
+    expands to Lw (I + |Lam|^2) Lw^H + Lw Lam 1 v^H + v 1^T Lam^H Lw^H
+    + n v v^H, which is [Lw Ls][Lw Ls]^H.  Equal Gram matrices mean equal
+    singular values and equal left singular vectors, which are all that
+    rank detection and projection read from the row stack; the factor is
+    exact, not an approximation.  The same holds after the realness
+    transform: d is equal on the two points of a conjugate pair, so D
+    commutes with it, and c transforms like w.
+    """
+    d, c, y = _stack_weights(right_points)
+    c_r = _drop_imag("row-stack weights", _pair_cols(c, right_pairs))
+    return np.hstack([(y * v_r)[:, None], Lw_r * d + np.outer(v_r, c_r)])
+
+
+def _col_factor(Lw_r: np.ndarray, w_r: np.ndarray, left_points: np.ndarray,
+                left_pairs: np.ndarray) -> np.ndarray:
+    """N_col = [y w^T; D Lw + c w^T] in real coordinates, (m+1) x n.
+
+    The mirror of ``_row_factor`` with (d, c, y) from the left points:
+    N_col^H N_col = [Lw; Ls]^H [Lw; Ls], so N_col gives the column stack's
+    singular values and right singular vectors exactly.
+    """
+    d, c, y = _stack_weights(left_points)
+    c_r = _drop_imag("column-stack weights", _pair_rows(c, left_pairs))
+    return np.vstack([y * w_r, d[:, None] * Lw_r + np.outer(c_r, w_r)])
+
+
+@dataclass(frozen=True, eq=False)
 class LoewnerPencil:
-    """Loewner matrix plus its generating partition.
+    """A Loewner pencil in real coordinates, factored once.
 
-    The pencil holds Lw only.  The shifted matrix Ls is never formed: the
-    rank step and the projection read it through the identities
-    Ls = Lw diag(lambda) + v 1^T = diag(mu) Lw + 1 w^T.  The conjugate-pair
-    layout of each side, the real-transformed forms and the stack
-    factorizations are computed lazily and cached, since rank detection
-    and projection reuse them.
+    ``build_pencil`` fills every field and nothing is computed later:
 
-    For an m x n pencil the row stack [Lw  Ls] (m x 2n) and the column
-    stack [Lw; Ls] (2m x n) are never formed.  The identities give
-    half-size factors N_row (m x (n+1)) and N_col ((m+1) x n) with
+    - ``partition``: the data the pencil was built from;
+    - ``left_pairs``, ``right_pairs``: first indices of the conjugate
+      pairs on each side (the realness transform's layout);
+    - ``Lw_r``, ``v_r``, ``w_r``: the Loewner matrix and the boundary
+      vectors under the unitary conjugate-pair transform (T_l^H on the
+      left, T_r on the right), with the numerically negligible imaginary
+      residue dropped.  The transform acts on each pair of rows (a, b) as
+      ((a+b)/sqrt2, i(b-a)/sqrt2) and on each pair of columns as
+      ((a+b)/sqrt2, i(a-b)/sqrt2);
+    - ``U_row``, ``s_row``: left singular vectors and singular values of
+      the row stack [Lw  Ls], from ``_row_factor``;
+    - ``s_col``, ``Vt_col``: singular values and right singular vectors
+      (transposed) of the column stack [Lw; Ls], from ``_col_factor``.
 
-        N_row N_row^H = [Lw Ls][Lw Ls]^H,
-        N_col^H N_col = [Lw; Ls]^H [Lw; Ls].
-
-    Equal Gram matrices mean equal singular values, equal left singular
-    vectors of the row stack and equal right singular vectors of the
-    column stack, which are all that rank detection and projection read;
-    the factors are exact, not an approximation.  See ``_row_factor`` and
-    ``_col_factor``.
+    Every array is real and read-only.  There is no complex Lw and no
+    shifted form: Ls_r = Lw_r Lam_r + v_r 1_r^T, see
+    ``reduce_to_realization``.
     """
 
-    loewner: np.ndarray
     partition: PointPartition
-    _pairs: tuple | None = field(default=None, repr=False, compare=False)
-    _real: tuple | None = field(default=None, repr=False, compare=False)
-    _svd_row: tuple | None = field(default=None, repr=False, compare=False)
-    _svd_col: tuple | None = field(default=None, repr=False, compare=False)
+    left_pairs: np.ndarray
+    right_pairs: np.ndarray
+    Lw_r: np.ndarray
+    v_r: np.ndarray
+    w_r: np.ndarray
+    U_row: np.ndarray
+    s_row: np.ndarray
+    s_col: np.ndarray
+    Vt_col: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.loewner.shape[0]
-
-    def _pair_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """(left, right): first indices of the conjugate pairs on each side."""
-        if self._pairs is None:
-            p = self.partition
-            self._pairs = (_pair_starts(p.left_points), _pair_starts(p.right_points))
-        return self._pairs
-
-    def real_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Real Loewner matrix and boundary vectors.
-
-        Returns (Lw_r, v_r, w_r) where the unitary conjugate-pair transform
-        has been applied on both sides and the (numerically negligible)
-        imaginary residue dropped.  The transform acts on each pair of rows
-        (a, b) as ((a+b)/sqrt2, i(b-a)/sqrt2) and on each pair of columns
-        as ((a+b)/sqrt2, i(a-b)/sqrt2), so it costs O(m^2).  There is no
-        shifted form: Ls_r = Lw_r Lam_r + v_r 1_r^T, see
-        ``reduce_to_realization``.
-        """
-        if self._real is None:
-            left, right = self._pair_layout()
-            self._real = (
-                _drop_imag("Loewner matrix",
-                           _pair_cols(_pair_rows(self.loewner, left), right)),
-                _drop_imag("left responses",
-                           _pair_rows(self.partition.left_values, left)),
-                _drop_imag("right responses",
-                           _pair_cols(self.partition.right_values, right)),
-            )
-        return self._real
-
-    def _row_factor(self) -> np.ndarray:
-        """N_row = [y v, Lw D + v c^T] in real coordinates, m x (n+1).
-
-        With D = diag(d) and (d, c, y) from the n right points, N_row N_row^H
-        expands to Lw (I + |Lam|^2) Lw^H + Lw Lam 1 v^H + v 1^T Lam^H Lw^H
-        + n v v^H, which is [Lw Ls][Lw Ls]^H.  The same holds after the
-        realness transform: d is equal on the two points of a conjugate
-        pair, so D commutes with it, and c transforms like w.
-        """
-        Lw_r, v_r, _ = self.real_forms()
-        d, c, y = _stack_weights(self.partition.right_points)
-        c_r = _drop_imag("row-stack weights", _pair_cols(c, self._pair_layout()[1]))
-        return np.hstack([(y * v_r)[:, None], Lw_r * d + np.outer(v_r, c_r)])
-
-    def _col_factor(self) -> np.ndarray:
-        """N_col = [y w^T; D Lw + c w^T] in real coordinates, (m+1) x n.
-
-        The mirror of ``_row_factor`` with (d, c, y) from the left points:
-        N_col^H N_col = [Lw; Ls]^H [Lw; Ls].
-        """
-        Lw_r, _, w_r = self.real_forms()
-        d, c, y = _stack_weights(self.partition.left_points)
-        c_r = _drop_imag("column-stack weights", _pair_rows(c, self._pair_layout()[0]))
-        return np.vstack([y * w_r, d[:, None] * Lw_r + np.outer(c_r, w_r)])
-
-    def svd_row_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U, s) of the row stack [Lw  Ls] (real form), from N_row."""
-        if self._svd_row is None:
-            U, s, _ = np.linalg.svd(self._row_factor(), full_matrices=False)
-            self._svd_row = (U, s)
-        return self._svd_row
-
-    def svd_col_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s, Vt) of the column stack [Lw; Ls] (real form), from N_col."""
-        if self._svd_col is None:
-            _, s, Vt = np.linalg.svd(self._col_factor(), full_matrices=False)
-            self._svd_col = (s, Vt)
-        return self._svd_col
+        return self.partition.size
 
 
 @dataclass(frozen=True)
@@ -226,7 +214,7 @@ class RankReport:
 
     Holds the singular values of the row stack [Lw Ls] and the column
     stack [Lw; Ls] (taken exactly from their half-size factors, see
-    ``LoewnerPencil``), the absolute floor ``tol`` of the cut, the count
+    ``_row_factor``), the absolute floor ``tol`` of the cut, the count
     of each stack above its cut max(tol, 100*eps*sigma_1), and the
     detected rank, the larger of the two counts.
     """
@@ -241,21 +229,31 @@ class RankReport:
 
 
 def build_pencil(p: PointPartition) -> LoewnerPencil:
-    """Assemble the Loewner matrix entrywise; Ls is left to the identities."""
-    mu = p.left_points
-    lam = p.right_points
-    v = p.left_values
-    w = p.right_values
-    denom = mu[:, None] - lam[None, :]
-    zscale = float(np.max(np.abs(np.concatenate([mu, lam])), initial=0.0))
-    if np.any(np.abs(denom) <= 1e-14 * max(zscale, 1e-300)):
-        i, j = np.unravel_index(
-            int(np.argmin(np.abs(denom))), denom.shape
-        )
-        raise CoincidentPointError(
-            f"left point {mu[i]} coincides with right point {lam[j]}"
-        )
-    return LoewnerPencil(loewner=(v[:, None] - w[None, :]) / denom, partition=p)
+    """Build the real, factored pencil of a partition, once.
+
+    Finds each side's conjugate-pair layout, assembles Lw entrywise,
+    transforms it and the boundary vectors to real coordinates, and runs
+    one SVD of each half-size stack factor.  Ls is left to the identities.
+    Raises ``ZeroDataError`` on an empty partition, ``CoincidentPointError``
+    when a left and a right point coincide, and ``LoewnerLabError`` when
+    conjugate partners are not adjacent or the data is not
+    conjugate-symmetric.
+    """
+    if p.size == 0:
+        raise ZeroDataError("no data points to interpolate")
+    left, right = _pair_starts(p.left_points), _pair_starts(p.right_points)
+    Lw_r = _drop_imag("Loewner matrix",
+                      _pair_cols(_pair_rows(_loewner_matrix(p), left), right))
+    v_r = _drop_imag("left responses", _pair_rows(p.left_values, left))
+    w_r = _drop_imag("right responses", _pair_cols(p.right_values, right))
+    U_row, s_row, _ = np.linalg.svd(_row_factor(Lw_r, v_r, p.right_points, right),
+                                    full_matrices=False)
+    _, s_col, Vt_col = np.linalg.svd(_col_factor(Lw_r, w_r, p.left_points, left),
+                                     full_matrices=False)
+    arrays = (left, right, Lw_r, v_r, w_r, U_row, s_row, s_col, Vt_col)
+    for a in arrays:
+        a.flags.writeable = False
+    return LoewnerPencil(p, *arrays)
 
 
 def _count_above_cut(s: np.ndarray, tol: float) -> int:
@@ -269,7 +267,9 @@ def detect_rank(pen: LoewnerPencil, tol: float = 1e-10) -> RankReport:
     This is the one rank rule of the package: ``approximate``, the LDDC
     workflow and the MFSA stability tag all read their orders from it.
     Each stack's rank is the count of its singular values above
-    max(tol, 100*eps*sigma_1), with sigma_1 that stack's largest.
+    max(tol, 100*eps*sigma_1), with sigma_1 that stack's largest.  The
+    singular values are the pencil's own fields, computed once by
+    ``build_pencil``; no factorization runs here.
 
     The absolute part ``tol``, as in MATLAB's ``rank(A, tol)``, governs
     response data of order-one magnitude: its Loewner matrices have
@@ -291,8 +291,7 @@ def detect_rank(pen: LoewnerPencil, tol: float = 1e-10) -> RankReport:
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    s_row = pen.svd_row_stack()[1]
-    s_col = pen.svd_col_stack()[0]
+    s_row, s_col = pen.s_row, pen.s_col
     if s_row[0] == 0.0:
         raise ZeroDataError("Loewner pencil is identically zero")
     rank_row = _count_above_cut(s_row, tol)
@@ -343,17 +342,16 @@ def reduce_to_realization(pen: LoewnerPencil, r: int) -> DescriptorRealization:
     m = pen.size
     if not 1 <= r <= m:
         raise ValueError(f"target order must lie in [1, {m}], got {r}")
-    Lw_r, v_r, w_r = pen.real_forms()
-    lam, right = pen.partition.right_points, pen._pair_layout()[1]
-    Y = pen.svd_row_stack()[0][:, :r]
-    X = pen.svd_col_stack()[1][:r, :].T
+    lam, right = pen.partition.right_points, pen.right_pairs
+    Y = pen.U_row[:, :r]
+    X = pen.Vt_col[:r, :].T
     LX = lam.real[:, None] * X
     LX[right] -= lam.imag[right, None] * X[right + 1]
     LX[right + 1] += lam.imag[right, None] * X[right]
     ones_r = _pair_cols(np.ones(lam.size), right).real
-    YL = Y.T @ Lw_r
-    B = Y.T @ v_r
+    YL = Y.T @ pen.Lw_r
+    B = Y.T @ pen.v_r
     E = -(YL @ X)
     A = -(YL @ LX) - np.outer(B, ones_r @ X)
     return DescriptorRealization(E=E, A=A, B=B.reshape(r, 1),
-                                 C=(w_r @ X).reshape(1, r), D=0.0)
+                                 C=(pen.w_r @ X).reshape(1, r), D=0.0)

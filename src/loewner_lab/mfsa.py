@@ -26,7 +26,7 @@ from .descriptor_ops import (
     _eval_on_axis,
     closed_loop_delay,
     densify_log_grid,
-    eval_transfer,
+    linf_norm_grid,
     stable_antistable_split,
 )
 from .errors import BoundaryPoleError, LoewnerLabError
@@ -93,9 +93,9 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
     Samples h at i*grid, closes the data under conjugation, builds the
     Loewner interpolant at the rank :func:`detect_rank` reports, splits it,
     and takes the L-infinity norm of the antistable part over a
-    ``TAG_DENSIFY``-times finer grid augmented with the antistable pole
-    frequencies (the peak of a lightly damped mode slips between plain
-    grid points).
+    ``TAG_DENSIFY``-times finer grid augmented with the frequency of each
+    antistable conjugate pair, once (the peak of a lightly damped mode
+    slips between plain grid points), via :func:`linf_norm_grid`.
 
     Two guards keep noise from flipping verdicts.  The rank is the shared
     rule of :func:`detect_rank`, whose cut never digs below 100*eps
@@ -161,21 +161,19 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
             detail="antistable modes outside the sampled band were ignored",
         )
 
-    fine = densify_log_grid(omega, TAG_DENSIFY)
-    peaks = np.abs(in_band.imag[in_band.imag != 0.0])
-    n_real = int(np.sum(in_band.imag == 0.0))
+    # The fine grid starts exactly at omega_min (geomspace pins its
+    # endpoints), where a real antistable pole peaks within the band; each
+    # conjugate pair adds its own frequency once.
     probe = np.concatenate(
-        [fine, peaks, np.full(n_real, float(np.min(omega)))]
+        [densify_log_grid(omega, TAG_DENSIFY), in_band.imag[in_band.imag > 0.0]]
     )
-    gap = np.abs(eval_transfer(anti, 1j * probe))
-    idx = int(np.argmax(gap))
-    tag = float(gap[idx])
+    peak = linf_norm_grid(TransferMap.from_realization(anti), probe)
     return StabilityReport(
-        stab_tag=tag,
+        stab_tag=peak.value,
         epsilon=epsilon,
-        verdict="stable" if tag < epsilon else "unstable",
+        verdict="stable" if peak.value < epsilon else "unstable",
         order=r,
-        peak_omega=float(probe[idx]),
+        peak_omega=peak.omega,
         antistable_order=int(anti.order),
     )
 

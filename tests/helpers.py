@@ -116,6 +116,18 @@ def dense_pair_transform(points) -> np.ndarray:
     return T
 
 
+def loewner_matrix(partition) -> np.ndarray:
+    """Reference Loewner matrix from its divided-difference formula,
+
+        Lw[i, j] = (v_i - w_j) / (mu_i - lambda_j).
+
+    The library keeps Lw only in real coordinates, as the pencil's Lw_r.
+    """
+    mu, lam = partition.left_points, partition.right_points
+    v, w = partition.left_values, partition.right_values
+    return (v[:, None] - w[None, :]) / (mu[:, None] - lam[None, :])
+
+
 def shifted_loewner(partition) -> np.ndarray:
     """Reference shifted Loewner matrix from its divided-difference formula,
 
@@ -137,7 +149,7 @@ def dense_real_forms(pen):
     Tr = dense_pair_transform(pen.partition.right_points)
     TlH = Tl.conj().T
     return (
-        TlH @ pen.loewner @ Tr,
+        TlH @ loewner_matrix(pen.partition) @ Tr,
         TlH @ shifted_loewner(pen.partition) @ Tr,
         TlH @ pen.partition.left_values,
         pen.partition.right_values @ Tr,

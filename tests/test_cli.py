@@ -273,3 +273,10 @@ class TestExitCodes:
         save_csv(ds, path)
         rc = main(["approximate", str(path), "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_header_only_csv_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n")
+        rc = main(["approximate", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -242,3 +242,25 @@ def test_partition_requires_closure():
     ds = FrequencyDataset.from_arrays([1j, 2j], [1.0, 2.0])
     with pytest.raises(PartitionSizeError):
         partition_points(ds)
+
+
+def test_closed_data_needs_no_closure_pass():
+    # Both i*omega and -i*omega listed, with conjugate responses, and never
+    # passed through close_conjugate: closed as given.
+    w = np.array([0.5, 1.5, 4.0, 9.0])
+    vals = np.array([1 + 2j, -0.5 + 1j, 3 - 1j, 0.25j])
+    ds = FrequencyDataset.from_arrays(
+        np.concatenate([1j * w, -1j * w[::-1]]),
+        np.concatenate([vals, np.conj(vals[::-1])]),
+    )
+    assert ds.conjugate_closed
+    got, ref = partition_points(ds), partition_points(close_conjugate(ds))
+    for name in ("left_points", "left_values", "right_points", "right_values"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def test_partner_with_other_response_is_not_closed():
+    ds = FrequencyDataset.from_arrays([1j, -1j], [2.0 + 1j, 2.0 + 1j])
+    assert not ds.conjugate_closed
+    with pytest.raises(PartitionSizeError, match="not the conjugate"):
+        partition_points(ds)

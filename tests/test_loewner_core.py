@@ -7,10 +7,13 @@ computed by an independent partial-fraction evaluator.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import (
+    dense_pair_transform,
     dense_real_forms,
     explicit_projection,
     explicit_stack_svds,
@@ -151,9 +154,11 @@ class TestPencilAssembly:
         )
         expect_lw = (v[0] - w[0]) / (mu[0] - lam[0])
         expect_ls = (mu[0] * v[0] - lam[0] * w[0]) / (mu[0] - lam[0])
-        assert pen.loewner[0, 0] == pytest.approx(expect_lw)
+        # The pencil holds Lw only as Lw_r = Tl^H Lw Tr; undo the transform.
+        Tl, Tr = dense_pair_transform(mu), dense_pair_transform(lam)
+        Lw = Tl @ pen.Lw_r @ Tr.conj().T
+        assert Lw[0, 0] == pytest.approx(expect_lw)
         # The pencil holds no Ls; both identities must reproduce its entry.
-        Lw = pen.loewner
         ones = np.ones(2)
         assert (Lw @ np.diag(lam) + np.outer(v, ones))[0, 0] == pytest.approx(expect_ls)
         assert (np.diag(mu) @ Lw + np.outer(ones, w))[0, 0] == pytest.approx(expect_ls)
@@ -168,6 +173,45 @@ class TestPencilAssembly:
                 PointPartition(left_points=mu, left_values=ones,
                                right_points=lam, right_values=ones)
             )
+
+
+class TestFactoredOnce:
+    """The pencil is one frozen value of real arrays, built by one pass."""
+
+    def test_two_svds_per_pencil(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        pen = build_pencil(off_axis_partition())
+        # One SVD per half-size stack factor, N_row (m x m+1), N_col (m+1 x m).
+        assert calls == [(12, 13), (13, 12)]
+        rank = detect_rank(pen).rank
+        for r in (1, rank, pen.size):
+            reduce_to_realization(pen, r)
+        assert len(calls) == 2
+
+    def test_fields_are_frozen_real_arrays(self):
+        pen = build_pencil(off_axis_partition())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pen.Lw_r = np.zeros((12, 12))
+        for f in dataclasses.fields(pen):
+            if f.name == "partition":
+                continue
+            a = getattr(pen, f.name)
+            assert np.isrealobj(a) and not a.flags.writeable, f.name
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_empty_partition_rejected(self):
+        empty = np.zeros(0, dtype=complex)
+        with pytest.raises(ZeroDataError):
+            build_pencil(PointPartition(left_points=empty, left_values=empty,
+                                        right_points=empty, right_values=empty))
 
 
 class TestProjection:
@@ -264,7 +308,7 @@ class TestRealnessTransform:
         pen = build_pencil(off_axis_partition())
         Lw, Ls, v, w = dense_real_forms(pen)
         assert np.max(np.abs(Ls.imag)) <= 1e-14 * np.max(np.abs(Ls))
-        for got, ref in zip(pen.real_forms(), (Lw, v, w)):
+        for got, ref in zip((pen.Lw_r, pen.v_r, pen.w_r), (Lw, v, w)):
             assert np.isrealobj(got)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(ref.imag)) <= 1e-14 * scale
@@ -287,12 +331,11 @@ class TestRealnessTransform:
     def test_separated_conjugates_rejected(self):
         mu = np.array([1j, 2j, -1j, -2j])
         lam = np.array([3j, -3j, 4j, -4j])
-        pen = build_pencil(
-            PointPartition(left_points=mu, left_values=biquad(mu),
-                           right_points=lam, right_values=biquad(lam))
-        )
         with pytest.raises(LoewnerLabError, match="not followed by its conjugate"):
-            pen.real_forms()
+            build_pencil(
+                PointPartition(left_points=mu, left_values=biquad(mu),
+                               right_points=lam, right_values=biquad(lam))
+            )
 
 
 class TestHalfSizeStackFactors:
@@ -341,8 +384,8 @@ class TestShiftedIdentity:
     @staticmethod
     def check(pen, r):
         Lw, Ls, v, w = (M.real for M in dense_real_forms(pen))
-        Y = pen.svd_row_stack()[0][:, :r]
-        X = pen.svd_col_stack()[1][:r, :].T
+        Y = pen.U_row[:, :r]
+        X = pen.Vt_col[:r, :].T
         rlz = reduce_to_realization(pen, r)
         pairs = (
             (rlz.E, -(Y.T @ Lw @ X)),
