@@ -229,8 +229,16 @@ def eval_transfer(rlz: DescriptorRealization, s):
     """Evaluate C (sE - A)^{-1} B + D via batched linear solves.
 
     ``s`` may be a scalar or an ndarray of complex points; the result has
-    the same shape.  A singular solve raises :class:`PoleHitError` naming
-    the offending point.
+    the same shape.  Each point and its conjugate share one solve: points
+    with Im s < 0 are mapped to their conjugates, each distinct point of
+    that set is solved once, and the mirrored values are conjugated.  This
+    is exact, not an approximation: the realization is real, so the pencil
+    at conj(s) is the entrywise conjugate of the pencil at s, and the LU
+    solve (whose pivot choice reads |Re| + |Im|) runs the same arithmetic
+    on it with every imaginary part negated.  A point's value does not
+    depend on its place in the batch either, so each value equals the one
+    a separate solve at that point gives.  A singular solve raises
+    :class:`PoleHitError` naming the offending point as the caller gave it.
     """
     s_arr = np.asarray(s, dtype=complex)
     scalar = s_arr.ndim == 0
@@ -239,20 +247,26 @@ def eval_transfer(rlz: DescriptorRealization, s):
     if n == 0:
         vals = np.full(pts.shape, complex(rlz.D))
     else:
-        vals = np.empty(pts.shape, dtype=complex)
+        mirror = pts.imag < 0
+        upper, back = np.unique(np.where(mirror, pts.conj(), pts), return_inverse=True)
+        half = np.empty(upper.shape, dtype=complex)
         # Chunk the stacked pencils so huge grids do not balloon memory.
         chunk = max(1, (1 << 22) // max(1, n * n))
-        for lo in range(0, pts.size, chunk):
-            blk = pts[lo : lo + chunk]
+        for lo in range(0, upper.size, chunk):
+            blk = upper[lo : lo + chunk]
             T = blk[:, None, None] * rlz.E - rlz.A
             try:
                 x = np.linalg.solve(T, np.broadcast_to(rlz.B, (blk.size,) + rlz.B.shape))
             except np.linalg.LinAlgError:
-                bad = _find_singular_point(rlz, blk)
+                # Search the caller's points, so the error names the point
+                # asked for rather than its conjugate.
+                bad = _find_singular_point(rlz, pts)
                 raise PoleHitError(
                     f"transfer evaluation hit a pole at s = {bad}"
                 ) from None
-            vals[lo : lo + chunk] = (rlz.C @ x)[:, 0, 0] + rlz.D
+            half[lo : lo + chunk] = (rlz.C @ x)[:, 0, 0] + rlz.D
+        vals = half[back]
+        np.conjugate(vals, out=vals, where=mirror)
     vals = vals.reshape(s_arr.shape) if not scalar else vals[0]
     return complex(vals) if scalar else vals
 

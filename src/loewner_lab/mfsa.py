@@ -29,7 +29,7 @@ from .descriptor_ops import (
     linf_norm_grid,
     stable_antistable_split,
 )
-from .errors import BoundaryPoleError, LoewnerLabError
+from .errors import BoundaryPoleError, LoewnerLabError, SingularityError
 from .freq_data import FrequencyDataset, close_conjugate, partition_points
 from .loewner_core import build_pencil, detect_rank, reduce_to_realization
 
@@ -107,7 +107,9 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
     so no second eigenvalue solve runs.
 
     A split blocked by poles inside the imaginary-axis guard band returns
-    verdict "inconclusive" with ``stab_tag`` NaN rather than guessing.
+    verdict "inconclusive" with ``stab_tag`` NaN rather than guessing.  A
+    sample that is not finite raises :class:`SingularityError` naming the
+    first such frequency.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -118,6 +120,12 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
         raise ValueError("grid frequencies must be strictly positive")
 
     vals = np.asarray(h(1j * omega), dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = bad[0]
+        raise SingularityError(
+            f"non-finite sample {complex(vals[k])} (at omega = {omega[k]:g} rad/s)"
+        )
     if np.all(vals == 0.0):
         return StabilityReport(
             stab_tag=0.0, epsilon=epsilon, verdict="stable", order=0

@@ -7,6 +7,8 @@ for spectra, and analytic step responses for the integrator.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from loewner_lab.errors import (
     BoundaryPoleError,
     DataFormatError,
     LoopSingularityError,
+    PoleHitError,
     SimulationError,
     SingularPencilError,
 )
@@ -74,6 +77,58 @@ class TestEvalTransfer:
             B=np.zeros((0, 1)), C=np.zeros((1, 0)), D=0.25,
         )
         assert eval_transfer(rlz, 5.0j) == pytest.approx(0.25)
+
+    @staticmethod
+    def dense_realization(seed):
+        # A modal system behind random dense real transforms, so every
+        # solve runs a full LU with pivoting.
+        rng = np.random.default_rng(seed)
+        rlz, _, _ = random_system(rng, stable=True)
+        n = rlz.order
+        Tl = rng.standard_normal((n, n)) + n * np.eye(n)
+        Tr = rng.standard_normal((n, n)) + n * np.eye(n)
+        return DescriptorRealization(
+            Tl @ rlz.E @ Tr, Tl @ rlz.A @ Tr, Tl @ rlz.B, rlz.C @ Tr, rlz.D
+        )
+
+    def test_conjugate_pairs_are_solved_once(self, monkeypatch):
+        systems = []
+        real_solve = np.linalg.solve
+
+        def spy(a, b):
+            systems.append(a.shape[0])
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        upper = 1j * np.geomspace(2 * np.pi / 100, 2 * np.pi, 200)
+        closed = np.concatenate([upper, upper.conj()])
+        vals = eval_transfer(self.dense_realization(3), closed)
+        assert sum(systems) == 200
+        assert np.array_equal(vals[200:], vals[:200].conj())
+
+    def test_each_value_equals_its_scalar_evaluation(self):
+        rlz = self.dense_realization(7)
+        s = np.array([
+            [0.3 + 2.0j, 0.3 - 2.0j, -1.5 + 0.0j, 4.0 + 0.0j],
+            [-4.0j, 4.0j, 0.3 + 2.0j, 1.7 - 0.6j],
+        ])
+        out = eval_transfer(rlz, s)
+        assert out.shape == s.shape
+        for idx, p in np.ndenumerate(s):
+            assert out[idx] == eval_transfer(rlz, p), (idx, p)
+
+    def test_pole_error_names_the_requested_point(self):
+        # 1/(s^2 + 1): the pencil is exactly singular at s = +-1j, and the
+        # solve for -1j runs at its conjugate +1j.
+        rlz = DescriptorRealization(
+            E=np.eye(2), A=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+            B=np.array([[0.0], [1.0]]), C=np.array([[1.0, 0.0]]), D=0.0,
+        )
+        want = re.escape(f"at s = {complex(-1j)}")
+        with pytest.raises(PoleHitError, match=want):
+            eval_transfer(rlz, -1j)
+        with pytest.raises(PoleHitError, match=want):
+            eval_transfer(rlz, np.array([2.0j, -1j, 3.0j]))
 
 
 class TestRealizationValidation:

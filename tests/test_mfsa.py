@@ -124,6 +124,11 @@ class TestStabilityTag:
         with pytest.raises(ValueError):
             stability_tag(h, [0.0, 1.0])
 
+    def test_non_finite_sample_names_its_frequency(self):
+        h = lambda s: np.where(s.imag > 2.0, np.inf, 1.0 / (s + 1.0))
+        with pytest.raises(SingularityError, match=r"at omega = 2\.\d+ rad/s"):
+            stability_tag(TransferMap.from_callable(h), GRID)
+
     def test_report_consistency_enforced(self):
         with pytest.raises(ValueError):
             StabilityReport(stab_tag=1.0, epsilon=1e-10, verdict="stable", order=1)
@@ -205,6 +210,27 @@ class TestDelaySweep:
         assert math.isnan(res.rows[1].stab_tag)
         assert "synthetic" in res.rows[1].detail
         assert res.destabilizing_delay == 1.3
+
+    def test_non_finite_sample_is_inconclusive_not_fatal(self):
+        # The tau = 0 row samples the given grid, which holds omega = 1; the
+        # delayed rows sample the densified grid, which does not.
+        grid = np.union1d(self.grid, [1.0])
+
+        def nan_at_one(s):
+            return np.where(s.imag == 1.0, np.nan, self.plant.fn(s))
+
+        # The loop's division by the NaN return difference raises numpy's
+        # invalid flag; what is tested is the row it leads to.
+        with np.errstate(invalid="ignore"):
+            res = delay_margin_sweep(
+                TransferMap.from_callable(nan_at_one), TransferMap.constant(0.5),
+                [0.0, 0.8, 1.3], grid,
+            )
+        first = res.rows[0]
+        assert first.verdict == "inconclusive"
+        assert math.isnan(first.stab_tag)
+        assert "omega = 1 rad/s" in first.detail
+        assert [row.verdict for row in res.rows[1:]] == ["stable", "stable"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
