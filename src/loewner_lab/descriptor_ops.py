@@ -455,7 +455,11 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
             raise LoopSingularityError(
                 f"return difference vanished at s = {bad}"
             )
-        return loop / den
+        # A non-finite sample leaves the return difference non-finite there
+        # (NaN slips past the test above); keep that value rather than
+        # divide by it, which would raise numpy's invalid flag.
+        out = np.array(den, dtype=complex)
+        return np.divide(loop, den, out=out, where=np.isfinite(den))
 
     return TransferMap(
         fn=fn, label=f"closed_loop(h={h.label}, k={k.label}, tau={tau:g})"

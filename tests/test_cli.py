@@ -7,10 +7,15 @@ a temp directory, including exit codes for usage and domain errors.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loewner_lab
 from helpers import modal_realization
 from loewner_lab import cli
 from loewner_lab.cli import main
@@ -50,6 +55,32 @@ class TestSample:
         assert main(["sample", "--grid-n", "40", "--out", str(a)]) == 0
         assert main(["sample", "--grid-n", "40", "--out", str(b)]) == 0
         assert (a / "plant.csv").read_bytes() == (b / "plant.csv").read_bytes()
+
+
+class TestStartUp:
+    def test_only_the_tuner_loads_scipy_optimize(self, tmp_path):
+        # A fresh interpreter: this process has long since imported it.
+        code = f"""
+import sys
+import numpy as np
+from loewner_lab import cli
+assert cli.main(["sample", "--out", {str(tmp_path)!r}]) == 0
+assert "scipy.optimize" not in sys.modules
+from loewner_lab.descriptor_ops import DescriptorRealization, TransferMap
+from loewner_lab.pi_synth import PIController, default_weights, optimize_pi
+one = np.array([[1.0]])
+plant = TransferMap.from_realization(DescriptorRealization(E=one, A=-one, B=one, C=one, D=0.0))
+res = optimize_pi(plant, default_weights(), np.geomspace(1e-2, 1e2, 30), PIController(0.5, 0.1))
+assert res.stable and res.feasible_candidates > 0
+assert "scipy.optimize" in sys.modules
+"""
+        src = str(Path(loewner_lab.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "plant.csv").exists()
 
 
 class TestApproximate:

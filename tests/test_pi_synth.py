@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from helpers import modal_realization
+from loewner_lab import pi_synth
 from loewner_lab.descriptor_ops import TransferMap, eval_transfer
 from loewner_lab.errors import LoopSingularityError, OptimizationError
 from loewner_lab.pi_synth import (
@@ -120,6 +122,24 @@ class TestPerformanceScore:
             eval_weighted_performance(
                 plant, PIController(1.0, 0.0), default_weights(), GRID
             )
+
+    def test_return_difference_just_inside_the_singular_band(self):
+        # |1 + H*K| = 0.5e-12 < 1e-12 * max(1, |H*K|): singular.
+        plant = TransferMap.constant(-1.0 + 0.5e-12)
+        with pytest.raises(LoopSingularityError, match=r"omega = 0\.01 rad/s"):
+            eval_weighted_performance(
+                plant, PIController(1.0, 0.0), default_weights(), GRID
+            )
+
+    def test_return_difference_just_outside_the_singular_band(self):
+        # |1 + H*K| = 1.5e-12 is below the 2e-12 pre-check, so the full
+        # test runs and must let it through.
+        plant = TransferMap.constant(-1.0 + 1.5e-12)
+        gamma = eval_weighted_performance(
+            plant, PIController(1.0, 0.0), default_weights(), GRID
+        )
+        assert math.isfinite(gamma)
+        assert gamma > 1e12
 
     def test_published_gains_on_identified_plant(self, approximant_map, omega_grid):
         # Known reference score for the transport-plant workflow at the
@@ -256,6 +276,40 @@ class TestOptimizePI:
         assert res.controller.ki == pytest.approx(0.028209269828526395, rel=1e-9)
         assert res.gamma == pytest.approx(56.790846908499624, rel=1e-9)
         assert res.stable
+        assert res.feasible_candidates == 5
+
+    def test_stability_screen_runs_once_per_distinct_candidate(
+        self, approximant_map, omega_grid, monkeypatch
+    ):
+        # Several Nelder-Mead seeds end at the same gains; each distinct
+        # pair is screened once, and every candidate still counts.
+        ends, screened = [], []
+        minimize, screen = scipy.optimize.minimize, pi_synth._loop_is_stable
+
+        def minimize_spy(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            ends.append(res.x)
+            return res
+
+        def screen_spy(rlz, ctrl):
+            screened.append((ctrl.kp, ctrl.ki))
+            return screen(rlz, ctrl)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize_spy)
+        monkeypatch.setattr(pi_synth, "_loop_is_stable", screen_spy)
+        w = default_weights()
+        start = PIController(0.191, 0.0252)
+        res = optimize_pi(approximant_map, w, omega_grid, start=start)
+
+        candidates = [PIController(10.0 ** x[0], 10.0 ** x[1]) for x in ends]
+        candidates.append(start)
+        finite = [
+            (c.kp, c.ki) for c in candidates
+            if math.isfinite(eval_weighted_performance(approximant_map, c, w, omega_grid))
+        ]
+        assert len(candidates) == 22
+        assert sorted(screened) == sorted(set(finite))
+        assert len(screened) < len(finite)
         assert res.feasible_candidates == 5
 
     def test_gain_box_validation(self):
