@@ -250,8 +250,10 @@ def eval_transfer(rlz: DescriptorRealization, s):
         mirror = pts.imag < 0
         upper, back = np.unique(np.where(mirror, pts.conj(), pts), return_inverse=True)
         half = np.empty(upper.shape, dtype=complex)
-        # Chunk the stacked pencils so huge grids do not balloon memory.
-        chunk = max(1, (1 << 22) // max(1, n * n))
+        # Chunk the stacked pencils so huge grids do not balloon memory:
+        # a chunk holds about 2^18 pencil entries (4 MiB complex), and the
+        # solve's own copies scale with it.
+        chunk = max(1, (1 << 18) // max(1, n * n))
         for lo in range(0, upper.size, chunk):
             blk = upper[lo : lo + chunk]
             T = blk[:, None, None] * rlz.E - rlz.A
@@ -446,7 +448,13 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
 
     def fn(s):
         s = np.asarray(s, dtype=complex)
-        loop = h(s) * k(s)
+        hs, ks = h(s), k(s)
+        # A complex product with an infinite factor computes inf*0 and
+        # raises numpy's invalid flag; a sample with a non-finite factor is
+        # left NaN instead, for the caller to reject.
+        finite = np.isfinite(hs) & np.isfinite(ks)
+        loop = np.full(finite.shape, np.nan, dtype=complex)
+        np.multiply(hs, ks, out=loop, where=finite)
         den = 1.0 + loop * np.exp(-tau * s)
         if np.any(np.abs(den) < 1e-300):
             bad = np.asarray(s).ravel()[

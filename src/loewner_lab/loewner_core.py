@@ -289,6 +289,23 @@ def detect_rank(pen: LoewnerPencil, tol: float = 1e-10) -> RankReport:
     (possible with noisy or feed-through-bearing data) takes the larger
     count with a "rank mismatch" warning.
     """
+    report = _rank_report(pen, tol)
+    if not report.ranks_agree:
+        warnings.warn(
+            f"rank mismatch between row stack ({report.rank_row}) and column "
+            f"stack ({report.rank_col}); taking the larger",
+            stacklevel=2,
+        )
+    return report
+
+
+def _rank_report(pen: LoewnerPencil, tol: float) -> RankReport:
+    """:func:`detect_rank` without the mismatch warning.
+
+    For callers that read ``ranks_agree`` themselves, such as the MFSA
+    point selection, where a disagreement on a subset of the data only
+    means that more points are needed.
+    """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     s_row, s_col = pen.s_row, pen.s_col
@@ -297,12 +314,6 @@ def detect_rank(pen: LoewnerPencil, tol: float = 1e-10) -> RankReport:
     rank_row = _count_above_cut(s_row, tol)
     rank_col = _count_above_cut(s_col, tol)
     agree = rank_row == rank_col
-    if not agree:
-        warnings.warn(
-            f"rank mismatch between row stack ({rank_row}) and column stack "
-            f"({rank_col}); taking the larger",
-            stacklevel=2,
-        )
     return RankReport(
         rank=max(rank_row, rank_col),
         tol=tol,

@@ -177,3 +177,29 @@ def explicit_projection(pen, r) -> DescriptorRealization:
         C=(w @ X).reshape(1, r),
         D=0.0,
     )
+
+
+def crossing_delay(loop, w_lo, w_hi, n=20001) -> float:
+    """Delay margin of a loop that is stable without delay, from evaluations.
+
+    The loop gain must cross one exactly once in [w_lo, w_hi].  The
+    crossover omega_c is bracketed on a log grid and bisected; the margin
+    is the phase margin there divided by omega_c (Gu, Kharitonov & Chen,
+    Stability of Time-Delay Systems, 2003).  It reads only ``loop(i w)``,
+    so it is independent of any interpolant.
+    """
+    w = np.geomspace(w_lo, w_hi, n)
+    above = np.abs(loop(1j * w)) > 1.0
+    idx = np.flatnonzero(above[:-1] != above[1:])
+    if idx.size != 1:
+        raise ValueError(f"loop gain crosses one {idx.size} times, expected once")
+    lo, hi = w[idx[0]], w[idx[0] + 1]
+    for _ in range(80):
+        mid = np.sqrt(lo * hi)
+        if (abs(loop(1j * mid)) > 1.0) == above[idx[0]]:
+            lo = mid
+        else:
+            hi = mid
+    wc = np.sqrt(lo * hi)
+    phase_margin = (np.angle(loop(1j * wc)) + np.pi) % (2.0 * np.pi)
+    return float(phase_margin / wc)

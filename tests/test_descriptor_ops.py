@@ -117,6 +117,21 @@ class TestEvalTransfer:
         for idx, p in np.ndenumerate(s):
             assert out[idx] == eval_transfer(rlz, p), (idx, p)
 
+    def test_grid_larger_than_one_chunk_matches_pointwise(self):
+        # Order 80 puts 40 points in a chunk of about 2^18 pencil entries,
+        # so 150 points take four chunks; batching must not change a bit.
+        rng = np.random.default_rng(11)
+        n = 80
+        rlz = DescriptorRealization(
+            E=np.eye(n) + 0.1 * rng.standard_normal((n, n)),
+            A=rng.standard_normal((n, n)) - n * np.eye(n),
+            B=rng.standard_normal((n, 1)),
+            C=rng.standard_normal((1, n)),
+        )
+        s = 1j * np.geomspace(1e-2, 1e2, 150)
+        out = eval_transfer(rlz, s)
+        assert all(out[i] == eval_transfer(rlz, p) for i, p in enumerate(s))
+
     def test_pole_error_names_the_requested_point(self):
         # 1/(s^2 + 1): the pencil is exactly singular at s = +-1j, and the
         # solve for -1j runs at its conjugate +1j.
@@ -392,6 +407,17 @@ class TestClosedLoopDelay:
         h = TransferMap.constant(1.0)
         with pytest.raises(ValueError):
             closed_loop_delay(h, h, -0.1)
+
+    def test_non_finite_factor_passes_through_without_invalid_flag(self):
+        h = TransferMap.from_callable(
+            lambda s: np.where(s.imag == 1.0, np.inf, 1.0 / (s + 1.0))
+        )
+        k = TransferMap.constant(0.5)
+        with np.errstate(all="raise"):
+            vals = closed_loop_delay(h, k, 0.0)(np.array([0.5j, 1.0j, 2.0j]))
+        assert np.isfinite(vals).tolist() == [True, False, True]
+        want = 0.5 / (2.0j + 1.0) / (1.0 + 0.5 / (2.0j + 1.0))
+        assert vals[2] == pytest.approx(want, rel=1e-15)
 
     def test_vanishing_return_difference(self):
         h = TransferMap.constant(-1.0)

@@ -9,15 +9,18 @@ random systems whose stability is known by construction.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import modal_realization, random_system
-from loewner_lab.descriptor_ops import TransferMap
+from helpers import crossing_delay, modal_realization, random_system
+from loewner_lab.descriptor_ops import TransferMap, closed_loop_delay, densify_log_grid
 from loewner_lab.errors import SingularityError
 from loewner_lab.mfsa import (
+    DELAY_DENSIFY,
+    HOLDOUT_RTOL,
     DelayRow,
     DelaySweepResult,
     StabilityReport,
@@ -102,6 +105,51 @@ class TestStabilityTag:
         assert rep.verdict == "stable"
         assert rep.stab_tag == 0.0
         assert "outside the sampled band" in rep.detail
+        assert [why for _, why in rep.ignored_poles] == ["above band"] * 2
+        assert sorted(p.imag for p, _ in rep.ignored_poles) == pytest.approx(
+            [-100.0, 100.0], rel=1e-6
+        )
+
+    @pytest.mark.parametrize("a", [0.005, 0.02, 0.05, 10.0, 30.0])
+    def test_genuine_out_of_band_pole_is_never_stable(self, a, omega_grid):
+        # A real antistable pole below or above the paper band leaves a tag
+        # of 0.033 to 15.9 on it, far above spurious content; it may read
+        # inconclusive, never stable.
+        h = lambda s: 1.0 / (s - a) + 2.0 / (s**2 + 0.4 * s + 1.0)
+        rep = stability_tag(TransferMap.from_callable(h), omega_grid)
+        assert rep.verdict != "stable"
+        if rep.verdict == "inconclusive":
+            assert "outside the sampled band" in rep.detail
+        want = "below band" if a < omega_grid[0] else "above band"
+        assert [why for _, why in rep.ignored_poles] == [want]
+        assert rep.ignored_poles[0][0] == pytest.approx(a, rel=1e-6)
+
+    def test_fit_uses_a_subset_that_predicts_the_rest(self):
+        # The first fit takes 40 spread points of 400; an order-2 transfer
+        # is matched on the other 360 to the hold-out bound at once.
+        h = lambda s: 1.0 / (s + 1.0) + 0.5 / (s - 2.0)
+        rep = stability_tag(TransferMap.from_callable(h), np.geomspace(1e-2, 1e2, 400))
+        assert rep.verdict == "unstable"
+        assert rep.order == 2
+        assert rep.points_used == 40
+        assert rep.holdout_error <= HOLDOUT_RTOL
+
+    def test_noisy_data_ends_on_the_full_grid_without_warnings(self):
+        # Relative noise of 1e-6 keeps every subset fit above the hold-out
+        # bound, so the last fit takes the whole grid, and none warns.
+        grid = np.geomspace(1e-2, 1e1, 100)
+        rng = np.random.default_rng(7)
+        noise = 1.0 + 1e-6 * (rng.standard_normal(100) + 1j * rng.standard_normal(100))
+
+        def h(s):
+            clean = 1.0 / (s + 1.0) + 2.0 / (s**2 + 0.4 * s + 1.0)
+            return clean * noise[np.searchsorted(grid, s.imag)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = stability_tag(TransferMap.from_callable(h), grid)
+        assert rep.points_used == grid.size
+        assert math.isnan(rep.holdout_error)
 
     def test_zero_transfer_is_stable_order_zero(self):
         rep = stability_tag(TransferMap.constant(0.0), GRID)
@@ -229,6 +277,23 @@ class TestDelaySweep:
         assert "omega = 1 rad/s" in first.detail
         assert [row.verdict for row in res.rows[1:]] == ["stable", "stable"]
 
+    def test_infinite_sample_is_inconclusive_without_invalid_flag(self):
+        # inf*0 inside the loop product would raise numpy's invalid flag.
+        grid = np.union1d(self.grid, [1.0])
+
+        def inf_at_one(s):
+            return np.where(s.imag == 1.0, np.inf, self.plant.fn(s))
+
+        with np.errstate(all="raise"):
+            res = delay_margin_sweep(
+                TransferMap.from_callable(inf_at_one), TransferMap.constant(0.5),
+                [0.0], grid,
+            )
+        row = res.rows[0]
+        assert row.verdict == "inconclusive"
+        assert math.isnan(row.stab_tag)
+        assert "omega = 1 rad/s" in row.detail
+
     def test_validation(self):
         with pytest.raises(ValueError):
             delay_margin_sweep(self.plant, self.unity, [], self.grid)
@@ -257,7 +322,11 @@ class TestBuiltinPlantSweep:
         assert [row.verdict for row in res.rows] == [
             "stable", "stable", "unstable", "unstable"
         ]
-        assert [row.order for row in res.rows] == [32, 40, 39, 41]
+        assert [row.order for row in res.rows] == [32, 39, 39, 40]
+        # Each row is fitted on a small part of its grid (200 points at
+        # tau = 0, 800 when delayed) that predicts the rest.
+        assert all(row.points_used <= 80 for row in res.rows)
+        assert all(row.holdout_error <= HOLDOUT_RTOL for row in res.rows)
         assert [row.stab_tag for row in res.rows[:2]] == [0.0, 0.0]
         assert res.rows[2].stab_tag == pytest.approx(565.3306115567675, rel=1e-6)
         assert res.rows[3].stab_tag == pytest.approx(27.670407199506474, rel=1e-6)
@@ -270,10 +339,56 @@ class TestBuiltinPlantSweep:
             plant_oracle_map, pi_paper.transfer_map(), [5.63, 5.64], omega_grid
         )
         assert [row.verdict for row in res.rows] == ["stable", "unstable"]
-        assert [row.order for row in res.rows] == [37, 37]
+        assert [row.order for row in res.rows] == [39, 39]
         assert res.rows[0].stab_tag == 0.0
         assert res.rows[1].stab_tag == pytest.approx(1307.586885, rel=1e-6)
         assert res.destabilizing_delay == 5.64
+
+
+class TestDelayOracle:
+    """MFSA rows of the built-in loop against its crossing delay.
+
+    The loop gain of the plant under PI(0.191, 0.0252) crosses one once,
+    at 0.178 rad/s, which gives a delay margin of 5.632 s without any
+    interpolant.
+    """
+
+    @pytest.fixture
+    def margin(self, plant_oracle_map, pi_paper):
+        k = pi_paper.transfer_map()
+        return crossing_delay(lambda s: plant_oracle_map(s) * k(s), 1e-3, 1e2)
+
+    def test_tau_scan_agrees_with_the_crossing_delay(
+        self, plant_oracle_map, pi_paper, omega_grid, margin
+    ):
+        assert margin == pytest.approx(5.6324, abs=1e-4)
+        res = delay_margin_sweep(
+            plant_oracle_map, pi_paper.transfer_map(), np.arange(29) * 0.25, omega_grid
+        )
+        wrong = [
+            (row.tau, row.verdict) for row in res.rows
+            if row.verdict == ("unstable" if row.tau < margin else "stable")
+        ]
+        inconclusive = [row.tau for row in res.rows if row.verdict == "inconclusive"]
+        assert wrong == []
+        # Inconclusive rows are allowed but must stay few, or the scan
+        # would pass without deciding anything.
+        assert len(inconclusive) <= len(res.rows) // 4, inconclusive
+
+    def test_verdicts_hold_under_grid_refinement(
+        self, plant_oracle_map, pi_paper, omega_grid, margin
+    ):
+        # Delays from the two delay_sweep benchmark windows, each sampled
+        # DELAY_DENSIFY and twice DELAY_DENSIFY times finer than the grid.
+        k = pi_paper.transfer_map()
+        for tau in (4.6, 5.2, 5.5, 5.76, 6.2, 6.66):
+            loop = closed_loop_delay(plant_oracle_map, k, tau)
+            verdicts = [
+                stability_tag(loop, densify_log_grid(omega_grid, f)).verdict
+                for f in (DELAY_DENSIFY, 2 * DELAY_DENSIFY)
+            ]
+            want = "stable" if tau < margin else "unstable"
+            assert verdicts == [want, want], tau
 
 
 class TestNyquistCurve:
