@@ -26,6 +26,7 @@ from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
     closed_loop_delay,
+    eval_transfer,
     load_realization,
     save_realization,
 )
@@ -123,19 +124,16 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _approximant(dataset, svd_tol, order):
-    pencil = build_pencil(partition_points(close_conjugate(dataset)))
+def _approximant(closed, svd_tol, order):
+    pencil = build_pencil(partition_points(closed))
     report = detect_rank(pencil, tol=svd_tol)
     r = order if order is not None else report.rank
-    rlz = reduce_to_realization(pencil, r)
-    return pencil, report, rlz
+    return report, reduce_to_realization(pencil, r)
 
 
-def _relative_residual(rlz, dataset) -> float:
-    closed = close_conjugate(dataset)
-    z = closed.points()
+def _relative_residual(rlz, closed) -> float:
     phi = closed.values()
-    approx = TransferMap.from_realization(rlz)(z)
+    approx = eval_transfer(rlz, closed.points())
     mag = np.abs(phi)
     mag[mag == 0.0] = 1.0
     return float(np.max(np.abs(approx - phi) / mag))
@@ -143,10 +141,10 @@ def _relative_residual(rlz, dataset) -> float:
 
 def cmd_approximate(args) -> int:
     out = _out_dir(args)
-    dataset = load_csv(args.data)
-    _, report, rlz = _approximant(dataset, args.svd_tol, args.order)
+    closed = close_conjugate(load_csv(args.data))
+    report, rlz = _approximant(closed, args.svd_tol, args.order)
     save_realization(rlz, out / "realization.json")
-    residual = _relative_residual(rlz, dataset)
+    residual = _relative_residual(rlz, closed)
     report_obj = {
         "order": rlz.order,
         "detected_rank": report.rank,
@@ -165,7 +163,7 @@ def _reference(args, dataset):
     if args.reference == "m1":
         return second_order_reference()
     if args.reference == "m2":
-        _, _, rlz = _approximant(dataset, args.svd_tol, args.order)
+        _, rlz = _approximant(dataset, args.svd_tol, args.order)
         return closed_loop_reference(
             rlz, PIController(args.kp, args.ki).realization()
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -217,6 +217,16 @@ def reference_from_dataset(dataset: FrequencyDataset) -> ReferenceModelSpec:
     )
 
 
+def _plant_and_reference(
+    plant_data: FrequencyDataset, m_ref: ReferenceModelSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plant grid z, the plant samples Phi and M sampled on z."""
+    z = plant_data.points()
+    if z.size == 0:
+        raise ValueError("plant dataset is empty")
+    return z, plant_data.values(), np.asarray(m_ref.transfer(z), dtype=complex)
+
+
 def ideal_controller_response(
     plant_data: FrequencyDataset, m_ref: ReferenceModelSpec
 ) -> FrequencyDataset:
@@ -226,11 +236,7 @@ def ideal_controller_response(
     response or M = 1 anywhere on the grid makes the division meaningless
     and raises :class:`SingularityError` naming the offending frequency.
     """
-    z = plant_data.points()
-    phi = plant_data.values()
-    if z.size == 0:
-        raise ValueError("plant dataset is empty")
-    mvals = np.asarray(m_ref.transfer(z), dtype=complex)
+    z, phi, mvals = _plant_and_reference(plant_data, m_ref)
     floor = 4.0 * np.finfo(float).tiny
     dead_plant = np.abs(phi) < floor
     if np.any(dead_plant):
@@ -301,11 +307,7 @@ def small_gain_bound(
     equal to one everywhere gives gamma = 0; the bound is then vacuous and
     a warning is emitted.
     """
-    z = plant_data.points()
-    phi = plant_data.values()
-    if z.size == 0:
-        raise ValueError("plant dataset is empty")
-    mvals = np.asarray(m_ref.transfer(z), dtype=complex)
+    _, phi, mvals = _plant_and_reference(plant_data, m_ref)
     gamma = float(np.max(np.abs(phi * (1.0 - mvals))))
     if gamma == 0.0:
         warnings.warn(
@@ -314,15 +316,6 @@ def small_gain_bound(
             stacklevel=2,
         )
     return gamma
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    projection_size: int
-    realization: DescriptorRealization
-    error: float
-    error_rel: float
-    dynamic_order: int
 
 
 def _grid_errors(rlz, z, kstar):
@@ -380,7 +373,8 @@ def reduce_controller(
     pencil = build_pencil(partition_points(kstar_data))
     parasitic_cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(z.imag)))
 
-    candidates: list[_Candidate] = []
+    # One row per projection size, its order the count of dynamic poles.
+    candidates: list[SweepRow] = []
     q_max = min(orders[-1] + 1, pencil.size)
     for q in range(1, q_max + 1):
         try:
@@ -390,7 +384,16 @@ def reduce_controller(
             dyn = int(np.sum(np.abs(finite) <= parasitic_cut))
         except LoewnerLabError:
             continue
-        candidates.append(_Candidate(q, rlz, err, err_rel, dyn))
+        candidates.append(
+            SweepRow(
+                order=dyn,
+                realization=rlz,
+                error=err,
+                error_rel=err_rel,
+                verdict="inconclusive",
+                projection_size=q,
+            )
+        )
 
     safe_level = None
     if gamma_bound is not None and gamma_bound > 0.0:
@@ -398,7 +401,7 @@ def reduce_controller(
 
     rows: list[SweepRow] = []
     for r in orders:
-        eligible = [c for c in candidates if c.dynamic_order <= r]
+        eligible = [c for c in candidates if c.order <= r]
         if not eligible:
             rows.append(
                 SweepRow(
@@ -414,14 +417,5 @@ def reduce_controller(
         verdict = "inconclusive"
         if safe_level is not None and best.error_rel < safe_level:
             verdict = "stable"
-        rows.append(
-            SweepRow(
-                order=r,
-                realization=best.realization,
-                error=best.error,
-                error_rel=best.error_rel,
-                verdict=verdict,
-                projection_size=best.projection_size,
-            )
-        )
+        rows.append(replace(best, order=r, verdict=verdict))
     return ReductionSweep(rows=tuple(rows), gamma_bound=gamma_bound)

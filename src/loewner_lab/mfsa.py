@@ -133,17 +133,9 @@ class StabilityReport:
                 )
 
 
-@dataclass(frozen=True)
-class _Fit:
-    """The interpolant of a grid's samples and the points it was fitted on."""
-
-    realization: Optional[DescriptorRealization]
-    order: int
-    points_used: int
-    holdout_error: float
-
-
-def _fit_on_selected_points(omega: np.ndarray, vals: np.ndarray) -> _Fit:
+def _fit_on_selected_points(
+    omega: np.ndarray, vals: np.ndarray
+) -> tuple[Optional[DescriptorRealization], int, int, float]:
     """Fit the samples at the detected rank on a greedily grown subset.
 
     Starts from ``SELECT_START`` points spread evenly over the grid
@@ -153,36 +145,40 @@ def _fit_on_selected_points(omega: np.ndarray, vals: np.ndarray) -> _Fit:
     Sete & Trefethen, SISC 2018).  A fit is accepted once its largest
     held-out error is at most ``HOLDOUT_RTOL * max|h|`` and the row and
     column stacks agree on the rank; a disagreement only means that more
-    points are needed, so subset fits never warn.  The last possible step
-    is the whole grid, which is accepted as it stands, with the rank
-    mismatch warning of :func:`detect_rank`.  Subsets stay even in size,
-    as :func:`partition_points` needs an even number of conjugate units.
+    points are needed, so subset fits never warn.  Subsets stay even in
+    size, as :func:`partition_points` needs an even number of conjugate
+    units, so the last possible step is the largest even subset: the whole
+    grid when its size is even, all but one sample when it is odd.  That
+    step is accepted as it stands, with the rank mismatch warning of
+    :func:`detect_rank`.
+
+    Returns the realization (None at rank 0), its order, the number of
+    points used and the largest held-out error relative to max|h| (NaN
+    when nothing was held out).
     """
     n = omega.size
+    last = n - n % 2
     scale = float(np.max(np.abs(vals)))
     chosen = np.zeros(n, dtype=bool)
-    chosen[np.round(np.linspace(0, n - 1, min(n, SELECT_START))).astype(int)] = True
+    chosen[np.round(np.linspace(0, n - 1, min(last, SELECT_START))).astype(int)] = True
     while True:
         used = int(np.count_nonzero(chosen))
         data = FrequencyDataset.from_arrays(1j * omega[chosen], vals[chosen])
         pencil = build_pencil(partition_points(close_conjugate(data)))
-        if used == n:
-            r = detect_rank(pencil).rank
-            return _Fit(reduce_to_realization(pencil, r) if r else None, r, n, math.nan)
-        report = _rank_report(pencil, tol=1e-10)
+        report = detect_rank(pencil) if used == last else _rank_report(pencil, tol=1e-10)
         r = report.rank
         rlz = reduce_to_realization(pencil, r) if r else None
         held = np.flatnonzero(~chosen)
+        if held.size == 0:
+            return rlz, r, used, math.nan
         fitted = eval_transfer(rlz, 1j * omega[held]) if r else 0.0
         err = np.abs(fitted - vals[held])
         worst = float(np.max(err))
-        if worst <= HOLDOUT_RTOL * scale and report.ranks_agree:
-            return _Fit(rlz, r, used, worst / scale)
-        step = min(n - used, max(SELECT_STEP, math.ceil(SELECT_GROWTH * used)))
-        if (used + step) % 2 and used + step < n:
-            step += 1
+        if used == last or (worst <= HOLDOUT_RTOL * scale and report.ranks_agree):
+            return rlz, r, used, worst / scale
+        step = min(last - used, max(SELECT_STEP, math.ceil(SELECT_GROWTH * used)))
         # Descending order puts a NaN error, a fit that failed there, first.
-        chosen[held[np.argsort(err)[::-1][:step]]] = True
+        chosen[held[np.argsort(err)[::-1][:step + step % 2]]] = True
 
 
 def _band_reason(p: complex, omega_min: float, omega_max: float) -> Optional[str]:
@@ -246,17 +242,16 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
             stab_tag=0.0, epsilon=epsilon, verdict="stable", order=0
         )
 
-    fit = _fit_on_selected_points(omega, vals)
-    r = fit.order
+    rlz, r, points_used, holdout_error = _fit_on_selected_points(omega, vals)
     report = partial(
         StabilityReport, epsilon=epsilon, order=r,
-        points_used=fit.points_used, holdout_error=fit.holdout_error,
+        points_used=points_used, holdout_error=holdout_error,
     )
     if r == 0:
         return report(stab_tag=0.0, verdict="stable")
 
     try:
-        split = stable_antistable_split(fit.realization)
+        split = stable_antistable_split(rlz)
     except BoundaryPoleError as exc:
         return report(stab_tag=math.nan, verdict="inconclusive", detail=str(exc))
     anti = split.antistable_part
@@ -311,22 +306,12 @@ def _delay_grid(omega: np.ndarray, tau: float) -> np.ndarray:
     return densify_log_grid(omega, DELAY_DENSIFY) if tau > 0 else omega
 
 
-@dataclass(frozen=True)
-class DelayRow:
-    """One frozen-delay evaluation of the sweep.
-
-    The fields after ``verdict`` are those of the row's
-    :class:`StabilityReport`.
-    """
+@dataclass(frozen=True, kw_only=True)
+class DelayRow(StabilityReport):
+    """One frozen-delay evaluation of the sweep: the row's
+    :class:`StabilityReport` and the delay ``tau`` it was taken at."""
 
     tau: float
-    stab_tag: float
-    verdict: str
-    order: int = 0
-    detail: str = ""
-    points_used: int = 0
-    holdout_error: float = math.nan
-    ignored_poles: tuple[tuple[complex, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -387,19 +372,12 @@ def delay_margin_sweep(
             return DelayRow(
                 tau=tau,
                 stab_tag=math.nan,
+                epsilon=epsilon,
                 verdict="inconclusive",
+                order=0,
                 detail=str(exc),
             )
-        return DelayRow(
-            tau=tau,
-            stab_tag=report.stab_tag,
-            verdict=report.verdict,
-            order=report.order,
-            detail=report.detail,
-            points_used=report.points_used,
-            holdout_error=report.holdout_error,
-            ignored_poles=report.ignored_poles,
-        )
+        return DelayRow(tau=tau, **vars(report))
 
     rows = [run_tau(tau) for tau in taus]
 

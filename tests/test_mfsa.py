@@ -151,6 +151,23 @@ class TestStabilityTag:
         assert rep.points_used == grid.size
         assert math.isnan(rep.holdout_error)
 
+    @pytest.mark.parametrize("n", [41, 81, 101])
+    def test_odd_grid_ends_on_its_largest_even_subset(self, n):
+        # Subsets stay even for the partition, so the last fit of an odd
+        # grid leaves one sample out and reports its error.
+        grid = np.geomspace(1e-2, 1e2, n)
+        rng = np.random.default_rng(7)
+        noise = 1.0 + 1e-6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+        def h(s):
+            clean = 1.0 / (s + 1.0) + 0.5 / (s - 2.0)
+            return clean * noise[np.searchsorted(grid, s.imag)]
+
+        rep = stability_tag(TransferMap.from_callable(h), grid)
+        assert rep.verdict == "unstable"
+        assert rep.points_used == n - 1
+        assert 0.0 < rep.holdout_error < 1e-5
+
     def test_zero_transfer_is_stable_order_zero(self):
         rep = stability_tag(TransferMap.constant(0.0), GRID)
         assert rep.verdict == "stable"
@@ -237,6 +254,7 @@ class TestDelaySweep:
         assert [row.verdict for row in res.rows] == ["inconclusive"] * 2
         assert all(math.isnan(row.stab_tag) for row in res.rows)
         assert all("synthetic" in row.detail for row in res.rows)
+        assert all(row.epsilon == 1e-10 and row.order == 0 for row in res.rows)
         assert res.destabilizing_delay is None
 
     def test_failing_row_does_not_stop_the_sweep(self):
@@ -306,8 +324,22 @@ class TestDelaySweep:
                 self.plant, self.unity, [0.5], self.grid, epsilon=0.0
             )
 
+    @pytest.mark.parametrize("tau", [0.0, 0.8, 1.3])
+    def test_row_is_the_stability_report_of_its_delay(self, tau):
+        res = delay_margin_sweep(self.plant, self.unity, [tau], self.grid)
+        grid = densify_log_grid(self.grid, DELAY_DENSIFY) if tau > 0 else self.grid
+        report = stability_tag(closed_loop_delay(self.plant, self.unity, tau), grid)
+        row = vars(res.rows[0]).copy()
+        assert row.pop("tau") == tau
+        # repr compares floats bit for bit and NaN equal to NaN.
+        assert repr(row) == repr(vars(report))
+
+    def test_row_verdict_must_match_its_tag(self):
+        with pytest.raises(ValueError):
+            DelayRow(tau=1.0, stab_tag=1e-3, epsilon=1e-10, verdict="stable", order=1)
+
     def test_result_requires_ascending_rows(self):
-        row = DelayRow(tau=1.0, stab_tag=0.0, verdict="stable")
+        row = DelayRow(tau=1.0, stab_tag=0.0, epsilon=1e-10, verdict="stable", order=0)
         with pytest.raises(ValueError):
             DelaySweepResult(rows=(row, row), destabilizing_delay=None, epsilon=1e-10)
 
