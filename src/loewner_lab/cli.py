@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .descriptor_ops import (
-    DescriptorRealization,
     TransferMap,
     closed_loop_delay,
     eval_transfer,
@@ -42,7 +41,7 @@ from .lddc import (
 )
 from .loewner_core import build_pencil, detect_rank, reduce_to_realization
 from .mfsa import _delay_grid, delay_margin_sweep, nyquist_curve, stability_tag
-from .pi_synth import PIController, default_weights, eval_weighted_performance, optimize_pi
+from .pi_synth import PIController, default_weights, optimize_pi
 from .plant_oracle import PlantParameters, eval_plant, sample_grid
 
 __all__ = ["main"]

@@ -11,6 +11,13 @@ them (series, summation, unity feedback), estimates grid L-infinity norms,
 forms delayed closed loops at the evaluator level, and integrates step
 responses.
 
+Evaluation reduces (A, E) once per call to its real generalized Schur form
+and then back-substitutes over the 1x1 and 2x2 diagonal blocks, vectorized
+over the points (Laub, IEEE TAC 1981).  The form is real, not complex, so
+that H(conj s) = conj H(s) holds exactly, and the block updates are
+elementwise over the points, so that no value depends on the other points
+evaluated with it.
+
 The :class:`TransferMap` wrapper lets rational realizations and irrational
 closed-form models (square roots, delays) flow through the same analysis
 code paths.
@@ -226,59 +233,83 @@ class TransferMap:
 
 
 def eval_transfer(rlz: DescriptorRealization, s):
-    """Evaluate C (sE - A)^{-1} B + D via batched linear solves.
+    """Evaluate C (sE - A)^{-1} B + D through one real generalized Schur form.
 
     ``s`` may be a scalar or an ndarray of complex points; the result has
     the same shape.  Each point and its conjugate share one solve: points
     with Im s < 0 are mapped to their conjugates, each distinct point of
-    that set is solved once, and the mirrored values are conjugated.  This
-    is exact, not an approximation: the realization is real, so the pencil
-    at conj(s) is the entrywise conjugate of the pencil at s, and the LU
-    solve (whose pivot choice reads |Re| + |Im|) runs the same arithmetic
-    on it with every imaginary part negated.  A point's value does not
-    depend on its place in the batch either, so each value equals the one
-    a separate solve at that point gives.  A singular solve raises
-    :class:`PoleHitError` naming the offending point as the caller gave it.
+    that set is solved once by :func:`_schur_values`, and the mirrored
+    values are conjugated, so H(conj s) = conj H(s) holds bit for bit.  A
+    point's value does not depend on the other points of the call, so each
+    value equals the one a separate call at that point gives.  A pole hit
+    raises :class:`PoleHitError` naming the point as the caller gave it,
+    not its conjugate.
     """
     s_arr = np.asarray(s, dtype=complex)
     scalar = s_arr.ndim == 0
     pts = np.atleast_1d(s_arr).ravel()
-    n = rlz.order
-    if n == 0:
+    if rlz.order == 0:
         vals = np.full(pts.shape, complex(rlz.D))
     else:
         mirror = pts.imag < 0
-        upper, back = np.unique(np.where(mirror, pts.conj(), pts), return_inverse=True)
-        half = np.empty(upper.shape, dtype=complex)
-        # Chunk the stacked pencils so huge grids do not balloon memory:
-        # a chunk holds about 2^18 pencil entries (4 MiB complex), and the
-        # solve's own copies scale with it.
-        chunk = max(1, (1 << 18) // max(1, n * n))
-        for lo in range(0, upper.size, chunk):
-            blk = upper[lo : lo + chunk]
-            T = blk[:, None, None] * rlz.E - rlz.A
-            try:
-                x = np.linalg.solve(T, np.broadcast_to(rlz.B, (blk.size,) + rlz.B.shape))
-            except np.linalg.LinAlgError:
-                # Search the caller's points, so the error names the point
-                # asked for rather than its conjugate.
-                bad = _find_singular_point(rlz, pts)
-                raise PoleHitError(
-                    f"transfer evaluation hit a pole at s = {bad}"
-                ) from None
-            half[lo : lo + chunk] = (rlz.C @ x)[:, 0, 0] + rlz.D
-        vals = half[back]
+        upper, first, back = np.unique(
+            np.where(mirror, pts.conj(), pts), return_index=True, return_inverse=True
+        )
+        vals = _schur_values(rlz, upper, pts[first])[back]
         np.conjugate(vals, out=vals, where=mirror)
     vals = vals.reshape(s_arr.shape) if not scalar else vals[0]
     return complex(vals) if scalar else vals
 
 
-def _find_singular_point(rlz: DescriptorRealization, pts: np.ndarray) -> complex:
-    for p in pts:
-        sign, _ = np.linalg.slogdet(p * rlz.E - rlz.A)
-        if sign == 0:
-            return complex(p)
-    return complex(pts[0])
+def _schur_values(
+    rlz: DescriptorRealization, s: np.ndarray, asked: np.ndarray
+) -> np.ndarray:
+    """H at each point of ``s`` by block back-substitution (Laub, 1981).
+
+    One real QZ, Q^T (A, E) Z = (S, T) with S quasi-upper-triangular and T
+    upper triangular, turns every solve into (sT - S) y = Q^T B, which is
+    block upper triangular with 1x1 and 2x2 diagonal blocks: O(n^2) work
+    per point after one O(n^3) factorization.  The real form keeps the
+    arithmetic at conj(s) the conjugate of that at s; a complex QZ would
+    not, and H(conj s) = conj H(s) would hold only to rounding.  The
+    updates are right-looking and elementwise over the points: after a
+    block is solved, its columns are subtracted from the right-hand sides
+    above it, so no reduction runs across points and no value depends on
+    its batch.  A diagonal block that is exactly singular at a point is a
+    pole hit, reported as the matching entry of ``asked``.
+    """
+    S, T, Q, Z = scipy.linalg.qz(rlz.A, rlz.E, output="real")
+    y = np.empty((rlz.order, s.size), dtype=complex)
+    y[:] = Q.T @ rlz.B
+    work = np.empty_like(y)
+    c = (rlz.C @ Z)[0]
+    h = np.full(s.size, complex(rlz.D))
+    hi = rlz.order
+    while hi > 0:
+        lo = hi - 2 if hi > 1 and S[hi - 1, hi - 2] != 0.0 else hi - 1
+        blk = [[s * T[i, j] - S[i, j] for j in range(lo, hi)] for i in range(lo, hi)]
+        det = blk[0][0] if hi - lo == 1 else blk[0][0] * blk[1][1] - blk[0][1] * blk[1][0]
+        hit = det == 0.0
+        if hit.any():
+            raise PoleHitError(
+                f"transfer evaluation hit a pole at s = {complex(asked[hit][0])}"
+            )
+        if hi - lo == 1:
+            y[lo] /= det
+        else:
+            y0, y1 = y[lo].copy(), y[lo + 1]
+            y[lo] = (blk[1][1] * y0 - blk[0][1] * y1) / det
+            y[lo + 1] = (blk[0][0] * y1 - blk[1][0] * y0) / det
+        for j in range(lo, hi):
+            # y[:lo] -= (s T[:lo, j] - S[:lo, j]) y[j], formed in one buffer.
+            col = work[:lo]
+            np.multiply(T[:lo, j, None], s, out=col)
+            col -= S[:lo, j, None]
+            col *= y[j]
+            y[:lo] -= col
+            h += c[j] * y[j]
+        hi = lo
+    return h
 
 
 def poles(rlz: DescriptorRealization) -> SpectrumReport:

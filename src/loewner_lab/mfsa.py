@@ -40,7 +40,7 @@ from .descriptor_ops import (
     linf_norm_grid,
     stable_antistable_split,
 )
-from .errors import BoundaryPoleError, LoewnerLabError, SingularityError
+from .errors import BoundaryPoleError, LoewnerLabError, SingularityError, ZeroDataError
 from .freq_data import FrequencyDataset, close_conjugate, partition_points
 from .loewner_core import _rank_report, build_pencil, detect_rank, reduce_to_realization
 
@@ -220,7 +220,8 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
     A split blocked by poles inside the imaginary-axis guard band returns
     verdict "inconclusive" with ``stab_tag`` NaN rather than guessing.  A
     sample that is not finite raises :class:`SingularityError` naming the
-    first such frequency.
+    first such frequency, and a one-frequency grid raises
+    :class:`ZeroDataError`.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -229,6 +230,11 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
         raise ValueError("frequency grid is empty")
     if np.any(omega <= 0):
         raise ValueError("grid frequencies must be strictly positive")
+    if omega.size < 2:
+        raise ZeroDataError(
+            f"a {omega.size}-point grid cannot be fitted: the Loewner partition "
+            "needs at least 2 frequencies"
+        )
 
     vals = np.asarray(h(1j * omega), dtype=complex)
     bad = np.flatnonzero(~np.isfinite(vals))

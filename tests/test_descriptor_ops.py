@@ -11,8 +11,10 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import modal_realization, partial_fraction_eval, random_system
+from loewner_lab import descriptor_ops
 from loewner_lab.descriptor_ops import (
     DescriptorRealization,
     TransferMap,
@@ -80,8 +82,8 @@ class TestEvalTransfer:
 
     @staticmethod
     def dense_realization(seed):
-        # A modal system behind random dense real transforms, so every
-        # solve runs a full LU with pivoting.
+        # A modal system behind random dense real transforms, so the
+        # Schur form is dense and every back-substitution is a full one.
         rng = np.random.default_rng(seed)
         rlz, _, _ = random_system(rng, stable=True)
         n = rlz.order
@@ -92,19 +94,98 @@ class TestEvalTransfer:
         )
 
     def test_conjugate_pairs_are_solved_once(self, monkeypatch):
-        systems = []
-        real_solve = np.linalg.solve
+        factorizations, solved = [], []
+        real_qz, real_values = scipy.linalg.qz, descriptor_ops._schur_values
 
-        def spy(a, b):
-            systems.append(a.shape[0])
-            return real_solve(a, b)
+        def qz_spy(*args, **kwargs):
+            factorizations.append(args[0].shape[0])
+            return real_qz(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        def values_spy(rlz, s, asked):
+            solved.append(s.size)
+            return real_values(rlz, s, asked)
+
+        monkeypatch.setattr(scipy.linalg, "qz", qz_spy)
+        monkeypatch.setattr(descriptor_ops, "_schur_values", values_spy)
         upper = 1j * np.geomspace(2 * np.pi / 100, 2 * np.pi, 200)
         closed = np.concatenate([upper, upper.conj()])
         vals = eval_transfer(self.dense_realization(3), closed)
-        assert sum(systems) == 200
+        assert len(factorizations) == 1
+        assert solved == [200]
         assert np.array_equal(vals[200:], vals[:200].conj())
+
+    @staticmethod
+    def dense_reference(rlz, s):
+        return np.array([
+            (rlz.C @ np.linalg.solve(p * rlz.E - rlz.A, rlz.B))[0, 0] + rlz.D
+            for p in s
+        ])
+
+    @staticmethod
+    def schur_blocks(rlz):
+        """(number of 2x2 diagonal blocks, number of infinite eigenvalues)."""
+        S, T, _, _ = scipy.linalg.qz(rlz.A, rlz.E, output="real")
+        pairs = int(np.count_nonzero(np.diag(S, -1)))
+        return pairs, int(np.count_nonzero(np.diag(T) == 0.0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_systems_match_dense_solves(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 12
+        rlz = DescriptorRealization(
+            E=rng.standard_normal((n, n)) + n * np.eye(n),
+            A=rng.standard_normal((n, n)) - 2.0 * np.eye(n),
+            B=rng.standard_normal((n, 1)),
+            C=rng.standard_normal((1, n)),
+            D=0.3,
+        )
+        assert self.schur_blocks(rlz)[0] >= 1
+        s = np.concatenate([GRID, GRID.conj(), [0.7 + 1.3j, -2.5 + 0.0j]])
+        assert rel_err(eval_transfer(rlz, s), self.dense_reference(rlz, s)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular_e_matches_dense_solves(self, seed):
+        # Two complex pairs, one real mode and a 2x2 nilpotent block (a
+        # polynomial part of degree one) behind dense transforms, so E is
+        # singular and the Schur form carries infinite eigenvalues.
+        rng = np.random.default_rng(100 + seed)
+        modal = modal_realization(
+            [(-0.4 + 2.0j, 1.0 - 0.5j), (-1.5 + 0.7j, 0.3 + 0.2j)], [(-3.0, 2.0)]
+        )
+        k = modal.order
+        E = scipy.linalg.block_diag(modal.E, [[0.0, 1.0], [0.0, 0.0]])
+        A = scipy.linalg.block_diag(modal.A, np.eye(2))
+        B = np.vstack([modal.B, [[0.0], [1.0]]])
+        C = np.hstack([modal.C, [[1.0, 0.0]]])
+        n = k + 2
+        Tl = rng.standard_normal((n, n)) + n * np.eye(n)
+        Tr = rng.standard_normal((n, n)) + n * np.eye(n)
+        rlz = DescriptorRealization(Tl @ E @ Tr, Tl @ A @ Tr, Tl @ B, C @ Tr, 0.5)
+        pairs, infinite = self.schur_blocks(rlz)
+        assert pairs >= 1 and infinite >= 1
+        s = np.concatenate([GRID, GRID.conj()])
+        assert rel_err(eval_transfer(rlz, s), self.dense_reference(rlz, s)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "E, A, blocks",
+        [
+            ([[2.0]], [[-3.0]], (0, 0)),
+            ([[0.0]], [[1.5]], (0, 1)),
+            ([[1.0, 0.3], [-0.2, 0.8]], [[-0.5, 2.0], [-3.0, -0.4]], (1, 0)),
+            ([[1.0, 0.0], [0.0, 0.0]], [[-1.0, 0.4], [0.7, 2.0]], (0, 1)),
+        ],
+        ids=["order-1", "order-1-infinite", "order-2-pair", "order-2-infinite"],
+    )
+    def test_low_orders_match_dense_solves(self, E, A, blocks):
+        n = len(A)
+        rlz = DescriptorRealization(
+            E=np.array(E), A=np.array(A),
+            B=np.arange(1.0, n + 1.0).reshape(n, 1),
+            C=np.linspace(0.5, -1.0, n).reshape(1, n), D=-0.2,
+        )
+        assert self.schur_blocks(rlz) == blocks
+        s = np.concatenate([GRID, GRID.conj(), [-7.0 + 0.0j]])
+        assert rel_err(eval_transfer(rlz, s), self.dense_reference(rlz, s)) < 1e-12
 
     def test_each_value_equals_its_scalar_evaluation(self):
         rlz = self.dense_realization(7)
@@ -118,8 +199,8 @@ class TestEvalTransfer:
             assert out[idx] == eval_transfer(rlz, p), (idx, p)
 
     def test_grid_larger_than_one_chunk_matches_pointwise(self):
-        # Order 80 puts 40 points in a chunk of about 2^18 pencil entries,
-        # so 150 points take four chunks; batching must not change a bit.
+        # 150 points of an order-80 system are solved together; the
+        # elementwise block updates must not let batching change a bit.
         rng = np.random.default_rng(11)
         n = 80
         rlz = DescriptorRealization(
@@ -144,6 +225,28 @@ class TestEvalTransfer:
             eval_transfer(rlz, -1j)
         with pytest.raises(PoleHitError, match=want):
             eval_transfer(rlz, np.array([2.0j, -1j, 3.0j]))
+
+    def test_pole_hit_on_a_one_by_one_block(self):
+        # Real modes at -1, -2 and -4 with E = I: the pencil's 1x1 block at
+        # -2 vanishes exactly there.
+        rlz = modal_realization([], [(-1.0, 1.0), (-2.0, 0.5), (-4.0, 2.0)])
+        assert TestEvalTransfer.schur_blocks(rlz) == (0, 0)
+        want = re.escape(f"at s = {complex(-2.0)}")
+        with pytest.raises(PoleHitError, match=want):
+            eval_transfer(rlz, np.array([1.0j, -2.0 + 0.0j, 3.0 - 1.0j]))
+
+    def test_pole_hit_on_a_two_by_two_block(self):
+        # A real mode at -3 below the pair -0.5 +- 2j, whose 2x2 block is
+        # exactly singular at the pair; the caller asks for the lower one.
+        rlz = DescriptorRealization(
+            E=np.eye(3),
+            A=np.array([[-0.5, 2.0, 0.0], [-2.0, -0.5, 1.0], [0.0, 0.0, -3.0]]),
+            B=np.ones((3, 1)), C=np.array([[1.0, -1.0, 2.0]]),
+        )
+        assert TestEvalTransfer.schur_blocks(rlz) == (1, 0)
+        want = re.escape(f"at s = {complex(-0.5 - 2.0j)}")
+        with pytest.raises(PoleHitError, match=want):
+            eval_transfer(rlz, np.array([1.0j, -0.5 - 2.0j, 4.0j]))
 
 
 class TestRealizationValidation:

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from helpers import crossing_delay, modal_realization, random_system
 from loewner_lab.descriptor_ops import TransferMap, closed_loop_delay, densify_log_grid
-from loewner_lab.errors import SingularityError
+from loewner_lab.errors import SingularityError, ZeroDataError
 from loewner_lab.mfsa import (
     DELAY_DENSIFY,
     HOLDOUT_RTOL,
@@ -188,6 +188,11 @@ class TestStabilityTag:
             stability_tag(h, [])
         with pytest.raises(ValueError):
             stability_tag(h, [0.0, 1.0])
+
+    def test_one_point_grid_names_its_size(self):
+        h = TransferMap.from_callable(lambda s: 1.0 / (s + 1.0))
+        with pytest.raises(ZeroDataError, match="1-point grid .* at least 2"):
+            stability_tag(h, np.geomspace(0.1, 10, 1))
 
     def test_non_finite_sample_names_its_frequency(self):
         h = lambda s: np.where(s.imag > 2.0, np.inf, 1.0 / (s + 1.0))
