@@ -39,8 +39,8 @@ from .lddc import (
     second_order_reference,
     small_gain_bound,
 )
-from .loewner_core import build_pencil, detect_rank, reduce_to_realization
-from .mfsa import _delay_grid, delay_margin_sweep, nyquist_curve, stability_tag
+from .loewner_core import RANK_TOL, build_pencil, detect_rank, reduce_to_realization
+from .mfsa import STABILITY_EPSILON, _delay_grid, delay_margin_sweep, nyquist_curve, stability_tag
 from .pi_synth import PIController, default_weights, optimize_pi
 from .plant_oracle import PlantParameters, eval_plant, sample_grid
 
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("approximate", help="fit a rational realization to CSV data")
     sp.add_argument("data", help="input CSV (omega_rad_s,re,im)")
-    sp.add_argument("--svd-tol", type=float, default=1e-10,
+    sp.add_argument("--svd-tol", type=float, default=RANK_TOL,
                     help="absolute singular-value cutoff for rank detection; "
                     "a relative floor of 100*eps*sigma_1 also applies")
     sp.add_argument("--order", type=int, default=None,
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("data", help="plant frequency data CSV")
     sp.add_argument("--reference", required=True,
                     help="reference model: 'm1', 'm2', or a CSV path on the same grid")
-    sp.add_argument("--svd-tol", type=float, default=1e-10)
+    sp.add_argument("--svd-tol", type=float, default=RANK_TOL)
     sp.add_argument("--order", type=int, default=33,
                     help="approximant order used when --reference m2 (default 33)")
     sp.add_argument("--kp", type=float, default=0.191,
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--controller", default=None,
                     help="controller realization JSON; omit to analyse the plant alone")
     sp.add_argument("--tau", type=float, default=0.0, help="loop delay, seconds")
-    sp.add_argument("--epsilon", type=float, default=1e-10,
+    sp.add_argument("--epsilon", type=float, default=STABILITY_EPSILON,
                     help="stability-tag threshold")
     _add_grid_flags(sp)
     _add_plant_flags(sp)
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau-min", type=float, default=4.6)
     sp.add_argument("--tau-max", type=float, default=5.5)
     sp.add_argument("--tau-n", type=int, default=20)
-    sp.add_argument("--epsilon", type=float, default=1e-10)
+    sp.add_argument("--epsilon", type=float, default=STABILITY_EPSILON)
     _add_grid_flags(sp)
     _add_plant_flags(sp)
     _add_out_flag(sp)

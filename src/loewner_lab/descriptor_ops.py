@@ -38,6 +38,7 @@ from .errors import (
     LoopSingularityError,
     PoleHitError,
     SimulationError,
+    SingularityError,
     SingularPencilError,
 )
 
@@ -206,12 +207,7 @@ class TransferMap:
     @staticmethod
     def constant(value: complex, label: str = "") -> "TransferMap":
         value = complex(value)
-        rlz = None
-        if value.imag == 0.0:
-            rlz = DescriptorRealization(
-                E=np.zeros((0, 0)), A=np.zeros((0, 0)),
-                B=np.zeros((0, 1)), C=np.zeros((1, 0)), D=value.real,
-            )
+        rlz = _empty_realization(value.real) if value.imag == 0.0 else None
         return TransferMap(
             fn=lambda s, v=value: np.full(np.shape(s), v, dtype=complex),
             label=label or str(value),
@@ -444,9 +440,17 @@ def stable_antistable_split(
 
 
 def _eval_on_axis(h, omega: np.ndarray) -> np.ndarray:
-    """h(i*omega) as an array; a failure names the first failing frequency."""
+    """h(i*omega) as a complex array, every sample checked where it is taken.
+
+    This is the one grid sampler of the package: the stability tag, the PI
+    tuner's plant and weight samples, grid norms and Nyquist curves all
+    read their values through it.  If the evaluation raises, the error is
+    raised again with the first failing frequency appended to its message.
+    A sample that is not finite raises :class:`SingularityError` naming
+    the first such frequency.
+    """
     try:
-        return np.asarray(h(1j * omega))
+        vals = np.asarray(h(1j * omega), dtype=complex)
     except Exception:
         # Vectorized evaluation failed somewhere; locate the offender so the
         # error names a frequency.
@@ -456,6 +460,13 @@ def _eval_on_axis(h, omega: np.ndarray) -> np.ndarray:
             except Exception as exc:
                 raise type(exc)(f"{exc} (at omega = {w:g} rad/s)") from exc
         raise
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = bad[0]
+        raise SingularityError(
+            f"non-finite sample {complex(vals[k])} (at omega = {omega[k]:g} rad/s)"
+        )
+    return vals
 
 
 def linf_norm_grid(h: TransferMap, grid) -> GridNorm:
@@ -472,7 +483,10 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
     """Complementary-sensitivity style loop with an input delay on feedback.
 
     Returns the evaluator s -> h(s)k(s) / (1 + h(s)k(s)e^{-tau*s}).  With
-    tau = 0 this is the plain unity-feedback closed loop.
+    tau = 0 this is the plain unity-feedback closed loop.  A non-finite
+    factor gives a non-finite value at that point, with no numpy warning,
+    for the grid sampler to name; a return difference below 1e-300 raises
+    :class:`LoopSingularityError`.
     """
     if tau < 0:
         raise ValueError(f"delay must be nonnegative, got {tau}")
@@ -480,25 +494,18 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
     def fn(s):
         s = np.asarray(s, dtype=complex)
         hs, ks = h(s), k(s)
-        # A complex product with an infinite factor computes inf*0 and
-        # raises numpy's invalid flag; a sample with a non-finite factor is
-        # left NaN instead, for the caller to reject.
-        finite = np.isfinite(hs) & np.isfinite(ks)
-        loop = np.full(finite.shape, np.nan, dtype=complex)
-        np.multiply(hs, ks, out=loop, where=finite)
-        den = 1.0 + loop * np.exp(-tau * s)
-        if np.any(np.abs(den) < 1e-300):
-            bad = np.asarray(s).ravel()[
-                int(np.argmin(np.abs(np.atleast_1d(den))))
-            ]
-            raise LoopSingularityError(
-                f"return difference vanished at s = {bad}"
-            )
-        # A non-finite sample leaves the return difference non-finite there
-        # (NaN slips past the test above); keep that value rather than
-        # divide by it, which would raise numpy's invalid flag.
-        out = np.array(den, dtype=complex)
-        return np.divide(loop, den, out=out, where=np.isfinite(den))
+        # A complex product with an infinite factor computes inf*0, which
+        # raises numpy's invalid flag; the NaN it leaves is the answer.
+        with np.errstate(invalid="ignore"):
+            loop = hs * ks
+            den = 1.0 + loop * np.exp(-tau * s)
+            vanished = np.abs(np.atleast_1d(den)) < 1e-300
+            if vanished.any():
+                bad = s.ravel()[int(np.argmax(vanished))]
+                raise LoopSingularityError(
+                    f"return difference vanished at s = {bad}"
+                )
+            return loop / den
 
     return TransferMap(
         fn=fn, label=f"closed_loop(h={h.label}, k={k.label}, tau={tau:g})"

@@ -51,6 +51,10 @@ __all__ = ["LoewnerPencil", "RankReport", "build_pencil", "detect_rank",
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+# Default absolute singular-value cutoff of the rank rule (see
+# ``detect_rank``); the CLI's --svd-tol and the MFSA subset fits read it.
+RANK_TOL = 1e-10
+
 
 def _pair_starts(points: np.ndarray) -> np.ndarray:
     """Indices of the first members of the conjugate pairs in ``points``.
@@ -261,7 +265,7 @@ def _count_above_cut(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s > max(tol, 100.0 * np.finfo(float).eps * s[0])))
 
 
-def detect_rank(pen: LoewnerPencil, tol: float = 1e-10) -> RankReport:
+def detect_rank(pen: LoewnerPencil, tol: float = RANK_TOL) -> RankReport:
     """Numerical rank of the pencil family under an SVD cutoff.
 
     This is the one rank rule of the package: ``approximate``, the LDDC

@@ -40,9 +40,9 @@ from .descriptor_ops import (
     linf_norm_grid,
     stable_antistable_split,
 )
-from .errors import BoundaryPoleError, LoewnerLabError, SingularityError, ZeroDataError
+from .errors import BoundaryPoleError, LoewnerLabError, ZeroDataError
 from .freq_data import FrequencyDataset, close_conjugate, partition_points
-from .loewner_core import _rank_report, build_pencil, detect_rank, reduce_to_realization
+from .loewner_core import RANK_TOL, _rank_report, build_pencil, detect_rank, reduce_to_realization
 
 __all__ = [
     "StabilityReport",
@@ -52,6 +52,9 @@ __all__ = [
     "delay_margin_sweep",
     "nyquist_curve",
 ]
+
+# Default threshold of the stability tag: a tag below it reads "stable".
+STABILITY_EPSILON = 1e-10
 
 # The band is [omega_min / INBAND_SLACK, omega_max * INBAND_SLACK]: the
 # slack only keeps a pole sitting on a band edge, up to rounding, inside.
@@ -165,7 +168,7 @@ def _fit_on_selected_points(
         used = int(np.count_nonzero(chosen))
         data = FrequencyDataset.from_arrays(1j * omega[chosen], vals[chosen])
         pencil = build_pencil(partition_points(close_conjugate(data)))
-        report = detect_rank(pencil) if used == last else _rank_report(pencil, tol=1e-10)
+        report = detect_rank(pencil) if used == last else _rank_report(pencil, tol=RANK_TOL)
         r = report.rank
         rlz = reduce_to_realization(pencil, r) if r else None
         held = np.flatnonzero(~chosen)
@@ -190,7 +193,7 @@ def _band_reason(p: complex, omega_min: float, omega_max: float) -> Optional[str
     return None
 
 
-def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityReport:
+def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> StabilityReport:
     """Measure the antistable content of a transfer from samples alone.
 
     Samples h at i*grid and fits a Loewner interpolant to the samples at
@@ -218,9 +221,11 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
     eigenvalue solve runs.
 
     A split blocked by poles inside the imaginary-axis guard band returns
-    verdict "inconclusive" with ``stab_tag`` NaN rather than guessing.  A
+    verdict "inconclusive" with ``stab_tag`` NaN rather than guessing.  The
+    samples are taken by the package's grid sampler (``_eval_on_axis``): a
     sample that is not finite raises :class:`SingularityError` naming the
-    first such frequency, and a one-frequency grid raises
+    first such frequency, and an evaluation that raises has that frequency
+    appended to its message.  A one-frequency grid raises
     :class:`ZeroDataError`.
     """
     if epsilon <= 0:
@@ -236,13 +241,7 @@ def stability_tag(h: TransferMap, grid, epsilon: float = 1e-10) -> StabilityRepo
             "needs at least 2 frequencies"
         )
 
-    vals = np.asarray(h(1j * omega), dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        k = bad[0]
-        raise SingularityError(
-            f"non-finite sample {complex(vals[k])} (at omega = {omega[k]:g} rad/s)"
-        )
+    vals = _eval_on_axis(h, omega)
     if np.all(vals == 0.0):
         return StabilityReport(
             stab_tag=0.0, epsilon=epsilon, verdict="stable", order=0
@@ -344,7 +343,7 @@ def delay_margin_sweep(
     k: TransferMap,
     taus: Sequence[float],
     grid,
-    epsilon: float = 1e-10,
+    epsilon: float = STABILITY_EPSILON,
     refine_bisect: int = 0,
 ) -> DelaySweepResult:
     """Run the stability tag on the delayed loop for each frozen delay.
@@ -352,7 +351,8 @@ def delay_margin_sweep(
     The loop transfer H*K/(1 + H*K*e^{-tau*s}) is sampled on the given
     grid, densified ``DELAY_DENSIFY`` times for tau > 0.  Rows never abort
     the sweep; a row whose evaluation fails is recorded as "inconclusive"
-    with the error text attached.
+    with the error text attached.  A bad ``epsilon`` is not such a failure:
+    the first row's :func:`stability_tag` raises its ``ValueError``.
 
     With ``refine_bisect`` > 0 and a stable row directly preceding the
     first unstable one, that bracket is bisected the requested number of
@@ -366,8 +366,6 @@ def delay_margin_sweep(
         raise ValueError("delays must be strictly ascending")
     if any(t < 0 for t in taus):
         raise ValueError("delays must be nonnegative")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     omega = np.asarray(grid, dtype=float).ravel()
 
     def run_tau(tau: float) -> DelayRow:

@@ -7,13 +7,16 @@ worst-case Euclidean norm of the weighted channel pair
 
 over a frequency grid; the score is the grid estimate of the H-infinity
 norm of the stacked performance channel.  H, We and Wu are fixed, so the
-tuner samples them once per grid and every score reuses those samples;
-only K changes from one score to the next.  The tuner minimizes that score
-over (kp, ki) with Nelder-Mead restarted from a logarithmic grid of seeds,
-and every returned candidate is screened for closed-loop stability through
-the descriptor poles of the actual feedback realization, since a pure grid
-score cannot see an internal instability that happens to have small gain
-on the sampled frequencies.
+tuner samples them once per grid, through the package's grid sampler,
+which rejects a sample that is not finite and names its frequency; every
+score reuses those samples and only K changes from one score to the next.
+The tuner minimizes that score over (kp, ki) with Nelder-Mead restarted
+from a logarithmic grid of seeds and ranks the candidates by the scores
+Nelder-Mead returns with them, so no candidate is scored twice.  Each
+distinct candidate with a finite score is screened once for closed-loop
+stability through the descriptor poles of the actual feedback
+realization, since a pure grid score cannot see an internal instability
+that happens to have small gain on the sampled frequencies.
 
 ``scipy.optimize`` is imported on the first :func:`optimize_pi` call, not
 with this module.  It is the only part of the package that runs
@@ -24,15 +27,16 @@ the Loewner fit, LDDC and MFSA -- would otherwise pay for at start-up.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
+    _eval_on_axis,
     feedback_unity,
     poles,
     series,
@@ -157,13 +161,12 @@ def _sample(plant: TransferMap, w: WeightingFilters, grid) -> _GridSamples:
             "grid must contain strictly positive frequencies only (the "
             "tracking weight has a pole at omega = 0)"
         )
-    s = 1j * omega
     return _GridSamples(
         omega=omega,
-        s=s,
-        h=np.asarray(plant(s), dtype=complex),
-        we=np.asarray(w.we(s), dtype=complex),
-        wu=np.asarray(w.wu(s), dtype=complex),
+        s=1j * omega,
+        h=_eval_on_axis(plant, omega),
+        we=_eval_on_axis(w.we, omega),
+        wu=_eval_on_axis(w.wu, omega),
     )
 
 
@@ -197,7 +200,9 @@ def eval_weighted_performance(
 
     Returns max over the grid of the Euclidean norm of
     (We*S, Wu*K*S) with S = 1/(1 + H*K).  Raises
-    :class:`LoopSingularityError` when 1 + H*K underflows at a grid point.
+    :class:`LoopSingularityError` when 1 + H*K underflows at a grid point,
+    and :class:`SingularityError` naming the frequency when a sample of
+    the plant or a weight is not finite.
     """
     return _score(_sample(plant, w, grid), k.kp, k.ki)
 
@@ -206,9 +211,14 @@ def eval_weighted_performance(
 class SynthesisResult:
     """Best controller found, its score, and the stability screen outcome.
 
-    ``stability_checked`` is False when the plant carried no realization
-    (or has an identically zero response), in which case descriptor poles
-    could not be formed and ``stable`` just echoes True.
+    ``stable`` is always True: a candidate that fails the screen is never
+    returned.  ``stability_checked`` is False when the plant carried no
+    realization (or has an identically zero response), in which case
+    descriptor poles could not be formed and nothing was screened.
+    ``feasible_candidates`` counts the candidates, of the polished seeds
+    and the start, that have a finite score and passed the screen.  It
+    depends on the last bits of the fit: one seed of the identified
+    transport plant ends stable or unstable with them.
     """
 
     controller: PIController
@@ -218,11 +228,7 @@ class SynthesisResult:
     feasible_candidates: int
 
 
-def _loop_is_stable(
-    plant_rlz: Optional[DescriptorRealization], ctrl: PIController
-) -> Optional[bool]:
-    if plant_rlz is None:
-        return None
+def _loop_is_stable(plant_rlz: DescriptorRealization, ctrl: PIController) -> bool:
     try:
         loop = feedback_unity(series(plant_rlz, ctrl.realization()))
         spectrum = poles(loop)
@@ -244,10 +250,14 @@ def optimize_pi(
     Runs Nelder-Mead in log10 gain space from ``extra_starts`` seeds laid
     out logarithmically over ``gain_box`` squared, plus the user's start.
     The start itself also competes, so the returned score never exceeds
-    the start's score when the start is feasible.  Every candidate must
-    have a finite score and, when the plant carries a realization with a
-    nonzero response, a strictly stable closed loop; if nothing qualifies
-    an :class:`OptimizationError` is raised.
+    the start's score when the start is feasible.  Each polished candidate
+    is ranked by the score Nelder-Mead returns with it (``res.fun``, the
+    objective at ``res.x``), so no candidate is scored a second time; of
+    equal scores the first candidate wins.  Every candidate must have a
+    finite score and, when the plant carries a realization with a nonzero
+    response, a strictly stable closed loop; each distinct gain pair is
+    screened once.  If nothing qualifies an :class:`OptimizationError` is
+    raised.
     """
     lo, hi = float(gain_box[0]), float(gain_box[1])
     if not (0.0 < lo < hi):
@@ -288,7 +298,7 @@ def optimize_pi(
 
     import scipy.optimize  # deferred; see the module docstring
 
-    def polish(seed) -> PIController:
+    def polish(seed) -> tuple[float, PIController]:
         res = scipy.optimize.minimize(
             objective,
             x0=np.array(seed, dtype=float),
@@ -296,37 +306,29 @@ def optimize_pi(
             bounds=[(llo, lhi), (llo, lhi)],
             options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400, "maxfev": 800},
         )
-        return PIController(kp=10.0 ** res.x[0], ki=10.0 ** res.x[1])
+        return float(res.fun), PIController(kp=10.0 ** res.x[0], ki=10.0 ** res.x[1])
 
     candidates = [polish(seed) for seed in seeds]
-    candidates.append(start)
+    candidates.append((start_gamma, start))
 
     # Several seeds often converge to the same gains; screen each pair once.
-    screened: dict[tuple[float, float], bool] = {}
-    best: Optional[tuple[float, PIController]] = None
-    feasible = 0
-    for ctrl in candidates:
-        gamma = score(ctrl.kp, ctrl.ki)
-        if not math.isfinite(gamma):
-            continue
-        if check_stability:
-            key = (ctrl.kp, ctrl.ki)
-            if key not in screened:
-                screened[key] = bool(_loop_is_stable(plant_rlz, ctrl))
-            if not screened[key]:
-                continue
-        feasible += 1
-        if best is None or gamma < best[0]:
-            best = (gamma, ctrl)
-    if best is None:
+    @functools.cache
+    def stable(ctrl: PIController) -> bool:
+        return _loop_is_stable(plant_rlz, ctrl)
+
+    feasible = [
+        (gamma, ctrl) for gamma, ctrl in candidates
+        if math.isfinite(gamma) and (not check_stability or stable(ctrl))
+    ]
+    if not feasible:
         raise OptimizationError(
             "no candidate achieved a finite score with a stable closed loop"
         )
-    gamma, ctrl = best
+    gamma, ctrl = min(feasible, key=lambda c: c[0])
     return SynthesisResult(
         controller=ctrl,
         gamma=gamma,
         stable=True,
         stability_checked=check_stability,
-        feasible_candidates=feasible,
+        feasible_candidates=len(feasible),
     )

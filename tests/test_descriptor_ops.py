@@ -40,7 +40,15 @@ from loewner_lab.errors import (
     LoopSingularityError,
     PoleHitError,
     SimulationError,
+    SingularityError,
     SingularPencilError,
+)
+from loewner_lab.mfsa import nyquist_curve, stability_tag
+from loewner_lab.pi_synth import (
+    PIController,
+    default_weights,
+    eval_weighted_performance,
+    optimize_pi,
 )
 
 GRID = 1j * np.geomspace(1e-2, 1e2, 60)
@@ -528,6 +536,14 @@ class TestClosedLoopDelay:
         with pytest.raises(LoopSingularityError):
             closed_loop_delay(h, k, 0.0)(1.0j)
 
+    def test_vanishing_return_difference_is_named_past_a_nan_sample(self):
+        h = TransferMap.from_callable(
+            lambda s: np.where(s.imag == 1.0, np.nan, -1.0 + 0.0j)
+        )
+        k = TransferMap.constant(1.0)
+        with pytest.raises(LoopSingularityError, match=re.escape("s = 2j")):
+            closed_loop_delay(h, k, 0.0)(np.array([1.0j, 2.0j]))
+
 
 class TestGridNorm:
     def test_first_order_peak_at_dc(self):
@@ -559,6 +575,50 @@ class TestGridNorm:
 
         with pytest.raises(ZeroDivisionError, match="omega = 2"):
             linf_norm_grid(TransferMap.from_callable(fn), [1.0, 2.0, 3.0])
+
+
+SAMPLER_GRID = np.geomspace(0.1, 10.0, 21)
+BAD_OMEGA = SAMPLER_GRID[7]
+
+
+def nan_at_bad_omega(s):
+    return np.where(s.imag == BAD_OMEGA, np.nan, 1.0 / (s + 1.0))
+
+
+def raises_at_bad_omega(s):
+    if np.any(s.imag == BAD_OMEGA):
+        raise SingularityError("model undefined")
+    return 1.0 / (s + 1.0)
+
+
+class TestGridSampler:
+    """Every grid consumer rejects a bad sample the same way: it names the
+    first frequency where the plant could not be sampled."""
+
+    CONSUMERS = {
+        "stability_tag": lambda h: stability_tag(h, SAMPLER_GRID),
+        "optimize_pi": lambda h: optimize_pi(
+            h, default_weights(), SAMPLER_GRID, start=PIController(0.1, 0.01)
+        ),
+        "eval_weighted_performance": lambda h: eval_weighted_performance(
+            h, PIController(0.1, 0.01), default_weights(), SAMPLER_GRID
+        ),
+        "linf_norm_grid": lambda h: linf_norm_grid(h, SAMPLER_GRID),
+        "nyquist_curve": lambda h: nyquist_curve(
+            h, TransferMap.constant(0.5), 0.0, SAMPLER_GRID
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "plant_fn, message",
+        [(nan_at_bad_omega, r"non-finite sample .*"), (raises_at_bad_omega, r"model undefined ")],
+        ids=["nan_sample", "raising_plant"],
+    )
+    @pytest.mark.parametrize("consumer", list(CONSUMERS))
+    def test_bad_sample_names_its_frequency(self, consumer, plant_fn, message):
+        where = re.escape(f"(at omega = {BAD_OMEGA:g} rad/s)")
+        with pytest.raises(SingularityError, match=message + where):
+            self.CONSUMERS[consumer](TransferMap.from_callable(plant_fn))
 
 
 class TestSimulateStep:

@@ -302,6 +302,33 @@ class TestOptimizePI:
         assert res.stability_checked
         assert res.stable
 
+    def test_candidates_are_ranked_by_nelder_mead_scores(self, monkeypatch):
+        # The start is scored once and each polished candidate carries the
+        # score Nelder-Mead returned with it, so the objective runs once
+        # for the start plus once per Nelder-Mead evaluation, and never
+        # again to rank the candidates.
+        plant = TransferMap.from_realization(
+            modal_realization([(-1.0 + 3.0j, 0.8)], [(-0.5, 1.0)])
+        )
+        nfev, scores = [], []
+        minimize, score = scipy.optimize.minimize, pi_synth._score
+
+        def minimize_spy(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        def score_spy(*args):
+            scores.append(args[1:])
+            return score(*args)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize_spy)
+        monkeypatch.setattr(pi_synth, "_score", score_spy)
+        res = optimize_pi(plant, default_weights(), GRID, start=PIController(0.05, 0.01))
+        assert len(nfev) == 21
+        assert len(scores) == 1 + sum(nfev)
+        assert res.stable
+
     def test_published_start_on_identified_plant(
         self, approximant_map, omega_grid, monkeypatch
     ):
