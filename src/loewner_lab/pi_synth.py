@@ -10,19 +10,16 @@ norm of the stacked performance channel.  H, We and Wu are fixed, so the
 tuner samples them once per grid, through the package's grid sampler,
 which rejects a sample that is not finite and names its frequency; every
 score reuses those samples and only K changes from one score to the next.
-The tuner minimizes that score over (kp, ki) with Nelder-Mead restarted
-from a logarithmic grid of seeds and ranks the candidates by the scores
-Nelder-Mead returns with them, so no candidate is scored twice.  Each
+The tuner minimizes that score over (kp, ki) with Nelder-Mead (Nelder and
+Mead, 1965) restarted from a logarithmic grid of seeds.  The runs advance
+in lock-step: each round scores the point every live run waits on in one
+broadcast over (candidates x grid), so the cost per round is one array
+pass rather than one pass per seed.  The candidates are ranked by the
+scores Nelder-Mead returns with them, so no candidate is scored twice.  Each
 distinct candidate with a finite score is screened once for closed-loop
 stability through the descriptor poles of the actual feedback
 realization, since a pure grid score cannot see an internal instability
 that happens to have small gain on the sampled frequencies.
-
-``scipy.optimize`` is imported on the first :func:`optimize_pi` call, not
-with this module.  It is the only part of the package that runs
-Nelder-Mead, and the import pulls in scipy.special, scipy.fft and
-scipy.sparse (about 0.3 s and 20 MB), which every other entry point --
-the Loewner fit, LDDC and MFSA -- would otherwise pay for at start-up.
 """
 
 from __future__ import annotations
@@ -170,27 +167,38 @@ def _sample(plant: TransferMap, w: WeightingFilters, grid) -> _GridSamples:
     )
 
 
-def _score(samples: _GridSamples, kp: float, ki: float) -> float:
+def _score(
+    samples: _GridSamples, kp: np.ndarray, ki: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the gain pairs (kp[i], ki[i]), one row per pair.
+
+    Returns the scores and, per row, the index of the first grid point
+    where 1 + H*K vanishes, or -1.  A row with such a point scores inf;
+    the other rows are computed as if it were not there, so each row has
+    the bits of a one-row call.
+    """
     # Same bits as PIController(kp, ki).frequency_response(samples.omega).
-    kvals = kp + ki / samples.s
+    kvals = kp[:, None] + ki[:, None] / samples.s
     loop = samples.h * kvals
     den = 1.0 + loop
+    absden = np.abs(den)
+    singular_at = np.full(kp.shape, -1)
     # A point is singular when |1+L| < 1e-12 * max(1, |L|).  If |L| <= 1
     # that bound is 1e-12.  If |L| > 1, then |L| - 1 <= |1+L| < 1e-12 |L|
     # gives |L| < 1 / (1 - 1e-12), so the bound is below 2e-12.  Every
     # singular point thus has |1+L| < 2e-12, and the full test runs only
     # when some point comes that close.
-    if np.min(np.abs(den)) <= 2e-12:
-        bad = np.abs(den) < 1e-12 * np.maximum(1.0, np.abs(loop))
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise LoopSingularityError(
-                f"1 + H*K vanishes at omega = {samples.omega[idx]:g} rad/s"
-            )
+    if absden.min() <= 2e-12:
+        bad = absden < 1e-12 * np.maximum(1.0, np.abs(loop))
+        rows = bad.any(axis=1)
+        singular_at[rows] = np.argmax(bad[rows], axis=1)
+        den[rows] = 1.0
     sens = 1.0 / den
     ch_e = np.abs(samples.we * sens)
     ch_u = np.abs(samples.wu * kvals * sens)
-    return float(np.max(np.hypot(ch_e, ch_u)))
+    gamma = np.hypot(ch_e, ch_u).max(axis=1)
+    gamma[singular_at >= 0] = math.inf
+    return gamma, singular_at
 
 
 def eval_weighted_performance(
@@ -204,7 +212,145 @@ def eval_weighted_performance(
     and :class:`SingularityError` naming the frequency when a sample of
     the plant or a weight is not finite.
     """
-    return _score(_sample(plant, w, grid), k.kp, k.ki)
+    samples = _sample(plant, w, grid)
+    gamma, singular_at = _score(samples, np.array([k.kp]), np.array([k.ki]))
+    if singular_at[0] >= 0:
+        raise LoopSingularityError(
+            f"1 + H*K vanishes at omega = {samples.omega[singular_at[0]]:g} rad/s"
+        )
+    return float(gamma[0])
+
+
+# Nelder-Mead (Nelder and Mead, Comput. J. 7, 1965) in scipy's bounded
+# variant: reflection, expansion, contraction and shrink coefficients, the
+# initial steps off the seed, and the stopping rules.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_XATOL, _FATOL, _MAXITER, _MAXFEV = 1e-6, 1e-9, 400, 800
+
+
+class _OutOfEvaluations(Exception):
+    """The Nelder-Mead run has spent its evaluations."""
+
+
+def _nelder_mead(x0, lo: float, hi: float):
+    """Bounded Nelder-Mead over two variables, one score at a time.
+
+    A generator: it yields each point it needs scored, as a pair of
+    floats, receives the score through ``send`` and finally returns
+    ``(x, fun, nfev)``.  Every step follows scipy's
+    ``minimize(method="Nelder-Mead", bounds=...)`` in the same float
+    operations, so it ends on the same bits: initial steps above ``hi``
+    are reflected into the box and every point is clipped to ``[lo, hi]``,
+    ``iterations`` starts at 1, vertices are sorted stably with NaN last,
+    a NaN score anywhere in the final simplex makes ``fun`` NaN, and a
+    shrink that runs out of evaluations leaves a vertex moved but unscored.
+    """
+    nfev = 0
+
+    def score(x):
+        nonlocal nfev
+        if nfev >= _MAXFEV:
+            raise _OutOfEvaluations
+        nfev += 1
+        return (yield x)
+
+    def clip(a, b):
+        return min(max(a, lo), hi), min(max(b, lo), hi)
+
+    def step_off(v):
+        v = (1 + _NONZDELT) * v if v != 0 else _ZDELT
+        return 2 * hi - v if v > hi else v
+
+    def move(c, d):
+        # c * xbar - d * worst: reflection, expansion, outside contraction.
+        return clip(c * m0 - d * w0, c * m1 - d * w1)
+
+    a, b = clip(float(x0[0]), float(x0[1]))
+    sim = [(a, b), clip(step_off(a), b), clip(a, step_off(b))]
+    fsim = [math.inf] * 3
+    try:
+        for k in range(3):
+            fsim[k] = yield from score(sim[k])
+    except _OutOfEvaluations:
+        pass
+
+    iterations = 1
+    while True:
+        if not fsim[0] <= fsim[1] <= fsim[2]:
+            idx = sorted(range(3), key=lambda j: (fsim[j] != fsim[j], fsim[j]))
+            sim, fsim = [sim[j] for j in idx], [fsim[j] for j in idx]
+        if not (nfev < _MAXFEV and iterations < _MAXITER):
+            break
+        (b0, b1), (s0, s1), (w0, w1) = sim
+        # Every comparison fails on NaN, as scipy's np.max(...) <= tol does.
+        if (
+            abs(s0 - b0) <= _XATOL and abs(s1 - b1) <= _XATOL
+            and abs(w0 - b0) <= _XATOL and abs(w1 - b1) <= _XATOL
+            and abs(fsim[0] - fsim[1]) <= _FATOL and abs(fsim[0] - fsim[2]) <= _FATOL
+        ):
+            break
+        m0, m1 = (b0 + s0) / 2, (b1 + s1) / 2
+        try:
+            xr = move(1 + _RHO, _RHO)
+            fxr = yield from score(xr)
+            if fxr < fsim[0]:
+                xe = move(1 + _RHO * _CHI, _RHO * _CHI)
+                fxe = yield from score(xe)
+                sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
+            else:
+                if fxr < fsim[2]:
+                    xc = move(1 + _PSI * _RHO, _PSI * _RHO)
+                    fxc = yield from score(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[2], fsim[2] = xc, fxc
+                else:
+                    xcc = clip((1 - _PSI) * m0 + _PSI * w0, (1 - _PSI) * m1 + _PSI * w1)
+                    fxcc = yield from score(xcc)
+                    shrink = not fxcc < fsim[2]
+                    if not shrink:
+                        sim[2], fsim[2] = xcc, fxcc
+                if shrink:
+                    for j in (1, 2):
+                        v0, v1 = sim[j]
+                        sim[j] = clip(b0 + _SIGMA * (v0 - b0), b1 + _SIGMA * (v1 - b1))
+                        fsim[j] = yield from score(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+
+    fun = math.nan if any(f != f for f in fsim) else fsim[0]
+    return sim[0], fun, nfev
+
+
+def _minimize_all(objective, seeds, lo: float, hi: float) -> list[tuple]:
+    """Run :func:`_nelder_mead` from every seed in lock-step.
+
+    Each round collects the point every live run waits on and scores them
+    all with one ``objective`` call, which maps a list of points to their
+    scores.  Returns each run's ``(x, fun, nfev)`` in seed order.
+    """
+    runs = [_nelder_mead(seed, lo, hi) for seed in seeds]
+    ends: list[tuple] = [()] * len(runs)
+    pending: dict[int, tuple] = {}
+
+    def step(i: int, value) -> None:
+        try:
+            pending[i] = runs[i].send(value)
+        except StopIteration as stop:
+            ends[i] = stop.value
+            pending.pop(i, None)
+
+    for i in range(len(runs)):
+        step(i, None)
+    while pending:
+        live = list(pending)
+        for i, f in zip(live, objective([pending[i] for i in live])):
+            step(i, float(f))
+    return ends
 
 
 @dataclass(frozen=True)
@@ -247,30 +393,31 @@ def optimize_pi(
 ) -> SynthesisResult:
     """Minimize the weighted performance score over PI gains.
 
-    Runs Nelder-Mead in log10 gain space from ``extra_starts`` seeds laid
-    out logarithmically over ``gain_box`` squared, plus the user's start.
-    The start itself also competes, so the returned score never exceeds
-    the start's score when the start is feasible.  Each polished candidate
-    is ranked by the score Nelder-Mead returns with it (``res.fun``, the
-    objective at ``res.x``), so no candidate is scored a second time; of
-    equal scores the first candidate wins.  Every candidate must have a
-    finite score and, when the plant carries a realization with a nonzero
-    response, a strictly stable closed loop; each distinct gain pair is
-    screened once.  If nothing qualifies an :class:`OptimizationError` is
-    raised.
+    Runs Nelder-Mead (Nelder and Mead, Comput. J. 7, 1965) in log10 gain
+    space from ``extra_starts`` seeds laid out logarithmically over
+    ``gain_box`` squared, plus the user's start.  The constants are fixed:
+    coefficients rho 1, chi 2, psi 0.5, sigma 0.5; initial steps of 5%
+    (0.00025 off a zero coordinate); xatol 1e-6, fatol 1e-9, at most 400
+    iterations and 800 evaluations per seed.  Each run reproduces scipy's
+    bounded ``minimize(method="Nelder-Mead")`` bit for bit; the runs go in
+    lock-step, and every point they wait on in a round is scored in one
+    broadcast call.  The start itself also competes, so the returned score
+    never exceeds the start's score when the start is feasible.  Each
+    polished candidate is ranked by the score Nelder-Mead returns with it
+    (the objective at its end point), so no candidate is scored a second
+    time; of equal scores the first candidate wins.  Every candidate must
+    have a finite score and, when the plant carries a realization with a
+    nonzero response, a strictly stable closed loop; each distinct gain
+    pair is screened once.  If nothing qualifies an
+    :class:`OptimizationError` is raised.
     """
     lo, hi = float(gain_box[0]), float(gain_box[1])
     if not (0.0 < lo < hi):
         raise ValueError(f"bad gain box {gain_box}")
     samples = _sample(plant, w, grid)
 
-    def score(kp: float, ki: float) -> float:
-        try:
-            return _score(samples, kp, ki)
-        except LoopSingularityError:
-            return math.inf
-
-    start_gamma = score(start.kp, start.ki)
+    gamma, _ = _score(samples, np.array([start.kp]), np.array([start.ki]))
+    start_gamma = float(gamma[0])
     if not math.isfinite(start_gamma):
         raise OptimizationError(
             f"start point kp={start.kp:g}, ki={start.ki:g} has no finite score"
@@ -280,8 +427,11 @@ def optimize_pi(
     zero_response = bool(np.all(samples.h == 0.0))
     check_stability = plant_rlz is not None and not zero_response
 
-    def objective(x) -> float:
-        return score(10.0 ** x[0], 10.0 ** x[1])
+    def objective(points) -> np.ndarray:
+        # Scalar powers: numpy's vectorized power can differ in the last bit.
+        kp = np.array([10.0 ** x for x, _ in points])
+        ki = np.array([10.0 ** y for _, y in points])
+        return _score(samples, kp, ki)[0]
 
     llo, lhi = math.log10(lo), math.log10(hi)
     n_kp = max(1, int(round(math.sqrt(extra_starts))))
@@ -296,19 +446,10 @@ def optimize_pi(
         )
     )
 
-    import scipy.optimize  # deferred; see the module docstring
-
-    def polish(seed) -> tuple[float, PIController]:
-        res = scipy.optimize.minimize(
-            objective,
-            x0=np.array(seed, dtype=float),
-            method="Nelder-Mead",
-            bounds=[(llo, lhi), (llo, lhi)],
-            options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400, "maxfev": 800},
-        )
-        return float(res.fun), PIController(kp=10.0 ** res.x[0], ki=10.0 ** res.x[1])
-
-    candidates = [polish(seed) for seed in seeds]
+    candidates = [
+        (fun, PIController(kp=10.0 ** x[0], ki=10.0 ** x[1]))
+        for x, fun, _ in _minimize_all(objective, seeds, llo, lhi)
+    ]
     candidates.append((start_gamma, start))
 
     # Several seeds often converge to the same gains; screen each pair once.

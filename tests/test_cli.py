@@ -58,21 +58,30 @@ class TestSample:
 
 
 class TestStartUp:
-    def test_only_the_tuner_loads_scipy_optimize(self, tmp_path):
+    def test_no_command_loads_scipy_optimize(self, tmp_path):
         # A fresh interpreter: this process has long since imported it.
+        out = str(tmp_path)
         code = f"""
 import sys
 import numpy as np
 from loewner_lab import cli
-assert cli.main(["sample", "--out", {str(tmp_path)!r}]) == 0
-assert "scipy.optimize" not in sys.modules
 from loewner_lab.descriptor_ops import DescriptorRealization, TransferMap
 from loewner_lab.pi_synth import PIController, default_weights, optimize_pi
+out = {out!r}
+assert cli.main(["sample", "--grid-n", "60", "--out", out]) == 0
+assert cli.main(["approximate", out + "/plant.csv", "--order", "8", "--out", out]) == 0
+assert cli.main(["synth", out + "/realization.json", "--grid-n", "40", "--out", out]) == 0
+assert cli.main(["lddc", out + "/plant.csv", "--reference", "m1", "--max-order", "3",
+                 "--out", out]) == 0
+assert cli.main(["mfsa", "--plant", out + "/realization.json", "--grid-n", "60",
+                 "--out", out]) == 0
+assert cli.main(["delay-sweep", "--controller", out + "/controller.json", "--tau-n", "2",
+                 "--grid-n", "60", "--out", out]) == 0
 one = np.array([[1.0]])
 plant = TransferMap.from_realization(DescriptorRealization(E=one, A=-one, B=one, C=one, D=0.0))
 res = optimize_pi(plant, default_weights(), np.geomspace(1e-2, 1e2, 30), PIController(0.5, 0.1))
 assert res.stable and res.feasible_candidates > 0
-assert "scipy.optimize" in sys.modules
+assert "scipy.optimize" not in sys.modules
 """
         src = str(Path(loewner_lab.__file__).resolve().parent.parent)
         proc = subprocess.run(
@@ -80,7 +89,7 @@ assert "scipy.optimize" in sys.modules
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "plant.csv").exists()
+        assert (tmp_path / "pi.json").exists()
 
 
 class TestApproximate:

@@ -3,7 +3,8 @@
 Closed-form references: the weights are checked against their rational
 formulas, the degenerate plants (zero, constant) against hand-computed
 channel norms, and the tuner against a brute-force grid evaluation of its
-own objective.
+own objective.  The tuner's Nelder-Mead is checked against
+``scipy.optimize.minimize``, which the package itself does not import.
 """
 
 from __future__ import annotations
@@ -42,29 +43,104 @@ def wu_formula(omega):
     return (s + 10.0) / (s + 1000.0)
 
 
+def spy_nelder_mead(monkeypatch):
+    """Record every Nelder-Mead run's arguments and ``(x, fun, nfev)``.
+
+    Runs are recorded in the order they finish.
+    """
+    runs = []
+    nelder_mead = pi_synth._nelder_mead
+
+    def spy(*args):
+        end = yield from nelder_mead(*args)
+        runs.append((args, end))
+        return end
+
+    monkeypatch.setattr(pi_synth, "_nelder_mead", spy)
+    return runs
+
+
+def spy_score_rows(monkeypatch):
+    """Record the number of gain pairs of each scoring call."""
+    rows = []
+    score = pi_synth._score
+
+    def spy(samples, kp, ki):
+        rows.append(kp.size)
+        return score(samples, kp, ki)
+
+    monkeypatch.setattr(pi_synth, "_score", spy)
+    return rows
+
+
+def drive(f, x0, lo, hi):
+    """Run the Nelder-Mead generator on a scalar objective.
+
+    Returns its ``(x, fun, nfev)`` and the points it asked for, in order.
+    """
+    run, points = pi_synth._nelder_mead(x0, lo, hi), []
+    try:
+        x = next(run)
+        while True:
+            points.append(x)
+            x = run.send(f(x))
+    except StopIteration as stop:
+        return stop.value, points
+
+
+def oracle(f, x0, lo, hi):
+    """scipy's bounded Nelder-Mead with the tuner's options, and its calls."""
+    points = []
+
+    def g(v):
+        points.append((float(v[0]), float(v[1])))
+        return f(points[-1])
+
+    # An inf or NaN plateau makes scipy's own convergence test subtract
+    # inf from inf, which numpy flags.
+    with np.errstate(invalid="ignore"):
+        res = scipy.optimize.minimize(
+            g, np.array(x0, dtype=float), method="Nelder-Mead",
+            bounds=[(lo, hi), (lo, hi)],
+            options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400, "maxfev": 800},
+        )
+    return res, points
+
+
+def same_bits(a, b) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def assert_matches_scipy(f, x0, lo, hi):
+    """Same evaluated points, end, score and evaluation count as scipy."""
+    (x, fun, nfev), points = drive(f, x0, lo, hi)
+    res, want = oracle(f, x0, lo, hi)
+    assert points == want
+    assert x == (res.x[0], res.x[1])
+    assert same_bits(fun, float(res.fun))
+    assert nfev == res.nfev == len(points)
+    return res
+
+
 def run_spied(plant, w, grid, start, monkeypatch):
     """optimize_pi with its polished ends and stability screens recorded.
 
     Returns the result, the 22 candidates (each Nelder-Mead end, then the
     start) and the screen calls as ((kp, ki), stable) in call order.
     """
-    ends, verdicts = [], []
-    minimize, screen = scipy.optimize.minimize, pi_synth._loop_is_stable
-
-    def minimize_spy(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        ends.append(res.x)
-        return res
+    verdicts = []
+    runs, screen = spy_nelder_mead(monkeypatch), pi_synth._loop_is_stable
 
     def screen_spy(rlz, ctrl):
         stable = screen(rlz, ctrl)
         verdicts.append(((ctrl.kp, ctrl.ki), stable))
         return stable
 
-    monkeypatch.setattr(scipy.optimize, "minimize", minimize_spy)
     monkeypatch.setattr(pi_synth, "_loop_is_stable", screen_spy)
     res = optimize_pi(plant, w, grid, start=start)
-    candidates = [PIController(10.0 ** x[0], 10.0 ** x[1]) for x in ends]
+    candidates = [PIController(10.0 ** x[0], 10.0 ** x[1]) for _, (x, _, _) in runs]
     candidates.append(start)
     return res, candidates, verdicts
 
@@ -304,30 +380,39 @@ class TestOptimizePI:
 
     def test_candidates_are_ranked_by_nelder_mead_scores(self, monkeypatch):
         # The start is scored once and each polished candidate carries the
-        # score Nelder-Mead returned with it, so the objective runs once
-        # for the start plus once per Nelder-Mead evaluation, and never
-        # again to rank the candidates.
+        # score Nelder-Mead returned with it, so the kernel scores one row
+        # for the start plus one per Nelder-Mead evaluation, and never
+        # again to rank the candidates.  The runs go in lock-step, one
+        # kernel call per round, so the longest run sets the call count.
         plant = TransferMap.from_realization(
             modal_realization([(-1.0 + 3.0j, 0.8)], [(-0.5, 1.0)])
         )
-        nfev, scores = [], []
-        minimize, score = scipy.optimize.minimize, pi_synth._score
-
-        def minimize_spy(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            nfev.append(res.nfev)
-            return res
-
-        def score_spy(*args):
-            scores.append(args[1:])
-            return score(*args)
-
-        monkeypatch.setattr(scipy.optimize, "minimize", minimize_spy)
-        monkeypatch.setattr(pi_synth, "_score", score_spy)
+        runs, rows = spy_nelder_mead(monkeypatch), spy_score_rows(monkeypatch)
         res = optimize_pi(plant, default_weights(), GRID, start=PIController(0.05, 0.01))
+        nfev = [end[2] for _, end in runs]
         assert len(nfev) == 21
-        assert len(scores) == 1 + sum(nfev)
+        assert sum(rows) == 1 + sum(nfev)
+        assert len(rows) == 1 + max(nfev)
         assert res.stable
+
+    def test_every_seed_ends_where_scipy_ends(self, approximant_map, omega_grid, monkeypatch):
+        # The 21 seeds of the tuner on the order-33 fit, each replayed
+        # through scipy's bounded Nelder-Mead on the same objective.
+        w = default_weights()
+        runs = spy_nelder_mead(monkeypatch)
+        optimize_pi(approximant_map, w, omega_grid, start=PIController(0.191, 0.0252))
+        samples = pi_synth._sample(approximant_map, w, omega_grid)
+
+        def objective(x):
+            gamma, _ = pi_synth._score(
+                samples, np.array([10.0 ** x[0]]), np.array([10.0 ** x[1]])
+            )
+            return float(gamma[0])
+
+        assert len(runs) == 21
+        for (x0, lo, hi), end in runs:
+            res, _ = oracle(objective, x0, lo, hi)
+            assert end == ((res.x[0], res.x[1]), res.fun, res.nfev)
 
     def test_published_start_on_identified_plant(
         self, approximant_map, omega_grid, monkeypatch
@@ -380,6 +465,120 @@ class TestOptimizePI:
             optimize_pi(plant, w, GRID, PIController(1, 1), gain_box=(0.0, 1.0))
         with pytest.raises(ValueError):
             optimize_pi(plant, w, GRID, PIController(1, 1), gain_box=(2.0, 1.0))
+
+
+class TestScoreKernel:
+    @pytest.fixture()
+    def samples(self):
+        plant = TransferMap.from_realization(
+            modal_realization([(-1.0 + 3.0j, 0.8)], [(-0.5, 1.0)])
+        )
+        return pi_synth._sample(plant, default_weights(), GRID)
+
+    @staticmethod
+    def one_pair(samples, kp, ki):
+        # The score of one gain pair written out with scalar gains.
+        k = kp + ki / samples.s
+        sens = 1.0 / (1.0 + samples.h * k)
+        return float(np.max(np.hypot(
+            np.abs(samples.we * sens), np.abs(samples.wu * k * sens)
+        )))
+
+    def test_each_row_has_the_bits_of_its_one_pair_score(self, samples):
+        rng = np.random.default_rng(0)
+        kp, ki = 10.0 ** rng.uniform(-3.0, 1.0, (2, 64))
+        gamma, singular_at = pi_synth._score(samples, kp, ki)
+        assert np.all(singular_at == -1)
+        for row, (p, i) in enumerate(zip(kp, ki)):
+            assert gamma[row] == self.one_pair(samples, p, i)
+            alone, _ = pi_synth._score(samples, kp[row:row + 1], ki[row:row + 1])
+            assert alone[0] == gamma[row]
+
+    def test_a_singular_row_scores_inf_and_leaves_the_others_alone(self):
+        # H = -1 and K = 1 make 1 + H*K vanish at every grid point.
+        samples = pi_synth._sample(TransferMap.constant(-1.0), default_weights(), GRID)
+        kp = np.array([0.3, 1.0, 0.05])
+        ki = np.array([0.05, 0.0, 0.2])
+        gamma, singular_at = pi_synth._score(samples, kp, ki)
+        assert gamma[1] == math.inf
+        assert singular_at.tolist() == [-1, 0, -1]
+        for row in (0, 2):
+            assert gamma[row] == self.one_pair(samples, kp[row], ki[row])
+
+    def test_evaluation_names_the_singular_frequency(self):
+        plant = TransferMap.constant(-1.0 + 0.5e-12)
+        with pytest.raises(LoopSingularityError) as err:
+            eval_weighted_performance(plant, PIController(1.0, 0.0), default_weights(), GRID)
+        assert str(err.value) == "1 + H*K vanishes at omega = 0.01 rad/s"
+
+
+def tied_plateau(x):
+    # inf on one side of a line; elsewhere a staircase of tied scores.
+    if x[0] + x[1] > -1.0:
+        return math.inf
+    return math.floor(4.0 * ((x[0] + 2.0) ** 2 + (x[1] + 1.5) ** 2)) / 4.0
+
+
+def ridge(x):
+    # A steep ridge with fine ripple: Nelder-Mead creeps along it.
+    return 100.0 * abs(x[0] - x[1]) + 1e-3 * math.sin(1e5 * x[0])
+
+
+def bowl(x):
+    return (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.7) ** 2
+
+
+class TestNelderMeadMatchesScipy:
+    # Every case compares the whole run: the points asked for, the end,
+    # its score and the evaluation count.
+
+    def test_seed_at_the_upper_bound_reflects_its_steps(self):
+        # 1.05 * 1.0 lies above the box, so both steps reflect to 0.95.
+        res = assert_matches_scipy(bowl, (1.0, 1.0), -3.0, 1.0)
+        assert res.status == 0
+
+    def test_seed_at_the_lower_bound_clips_its_steps(self):
+        assert_matches_scipy(bowl, (-3.0, -2.0), -3.0, 1.0)
+        assert_matches_scipy(bowl, (-3.0, -3.0), -3.0, 1.0)
+
+    def test_zero_coordinate_takes_the_small_step(self):
+        assert_matches_scipy(bowl, (0.0, 0.0), -3.0, 1.0)
+
+    @pytest.mark.parametrize("x0", [(-2.5, -2.5), (-2.9, -1.6), (-1.0, -0.4), (0.5, -2.9)])
+    def test_inf_plateau_and_tied_scores(self, x0):
+        assert_matches_scipy(tied_plateau, x0, -3.0, 1.0)
+
+    def test_nan_scores_never_converge(self):
+        res = assert_matches_scipy(lambda x: math.nan, (-1.0, -0.5), -3.0, 1.0)
+        assert res.status == 1 and math.isnan(res.fun)
+
+    def test_a_nan_vertex_makes_the_end_score_nan(self):
+        # Only the seed has a finite score.  Shrinking toward it, the other
+        # vertices stop one ulp short of it and keep their NaN, so the
+        # run spends its evaluations and reports NaN beside a finite best.
+        x0 = (-1.3, -0.3)
+        res = assert_matches_scipy(lambda x: 1.0 if x == x0 else math.nan, x0, -3.0, 1.0)
+        assert tuple(res.x) == x0 and res.final_simplex[1][0] == 1.0
+        assert res.status == 1 and math.isnan(res.fun)
+
+    def test_stop_on_maxiter(self):
+        res = assert_matches_scipy(ridge, (-1.0, 0.5), -3.0, 1.0)
+        assert res.status == 2 and res.nit == 400
+
+    def test_stop_on_maxfev_in_the_middle_of_a_shrink(self):
+        # Scores 1, 2, 3 on the simplex, then a reflection at 0.5 and an
+        # accepted expansion at -inf: 5 evaluations.  Every other point
+        # scores NaN, which compares less than nothing, so each later
+        # iteration reflects, contracts inside and shrinks both vertices:
+        # 4 evaluations.  Evaluation 800 = 5 + 4*198 + 3 is the first
+        # shrink point, and the second is never scored.
+        x0 = (-1.0, -0.5)
+        run = pi_synth._nelder_mead(x0, -3.0, 1.0)
+        first = [next(run)] + [run.send(f) for f in (1.0, 2.0, 3.0, 0.5)]
+        table = dict(zip(first, (1.0, 2.0, 3.0, 0.5, -math.inf)))
+        res = assert_matches_scipy(lambda x: table.get(x, math.nan), x0, -3.0, 1.0)
+        assert res.status == 1 and res.nfev == 800
+        assert res.nit == 1 + 1 + 198
 
 
 class TestRoundingRobustness:
