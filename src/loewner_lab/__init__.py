@@ -33,11 +33,9 @@ from .freq_data import (
     save_csv,
 )
 from .lddc import (
-    AchievabilityReport,
     ReductionSweep,
     ReferenceModelSpec,
     SweepRow,
-    check_achievability,
     closed_loop_reference,
     ideal_controller_response,
     reduce_controller,

@@ -12,11 +12,14 @@ forms delayed closed loops at the evaluator level, and integrates step
 responses.
 
 Evaluation reduces (A, E) once per call to its real generalized Schur form
-and then back-substitutes over the 1x1 and 2x2 diagonal blocks, vectorized
-over the points (Laub, IEEE TAC 1981).  The form is real, not complex, so
-that H(conj s) = conj H(s) holds exactly, and the block updates are
-elementwise over the points, so that no value depends on the other points
-evaluated with it.
+and then back-substitutes over the 1x1 and 2x2 diagonal blocks from the
+bottom up, vectorized over the points (Laub, IEEE TAC 1981).  The
+substitution is left-looking: each block reads the rows already solved
+through one real contraction of its rows of the form.  The form is real,
+not complex, so that H(conj s) = conj H(s) holds exactly.  Every
+contraction runs over the realization index only, is elementwise over the
+points and uses no BLAS product across points, so that no value depends
+on the other points evaluated with it.
 
 The :class:`TransferMap` wrapper lets rational realizations and irrational
 closed-form models (square roots, delays) flow through the same analysis
@@ -236,10 +239,11 @@ def eval_transfer(rlz: DescriptorRealization, s):
     with Im s < 0 are mapped to their conjugates, each distinct point of
     that set is solved once by :func:`_schur_values`, and the mirrored
     values are conjugated, so H(conj s) = conj H(s) holds bit for bit.  A
-    point's value does not depend on the other points of the call, so each
-    value equals the one a separate call at that point gives.  A pole hit
-    raises :class:`PoleHitError` naming the point as the caller gave it,
-    not its conjugate.
+    point's value does not depend on the other points of the call (the
+    solve's contractions run over the realization index only and are
+    elementwise over the points), so each value equals the one a separate
+    call at that point gives.  A pole hit raises :class:`PoleHitError`
+    naming the point as the caller gave it, not its conjugate.
     """
     s_arr = np.asarray(s, dtype=complex)
     scalar = s_arr.ndim == 0
@@ -267,44 +271,62 @@ def _schur_values(
     block upper triangular with 1x1 and 2x2 diagonal blocks: O(n^2) work
     per point after one O(n^3) factorization.  The real form keeps the
     arithmetic at conj(s) the conjugate of that at s; a complex QZ would
-    not, and H(conj s) = conj H(s) would hold only to rounding.  The
-    updates are right-looking and elementwise over the points: after a
-    block is solved, its columns are subtracted from the right-hand sides
-    above it, so no reduction runs across points and no value depends on
-    its batch.  A diagonal block that is exactly singular at a point is a
-    pole hit, reported as the matching entry of ``asked``.
+    not, and H(conj s) = conj H(s) would hold only to rounding.
+
+    The substitution is left-looking.  Every diagonal entry s T_ii - S_ii
+    is formed in one broadcast; the blocks are then walked bottom-up, and
+    each block's right-hand side r = Q^T B - s (T y) + S y over the rows
+    already solved comes from one contraction of its rows of [T; S],
+    stored interleaved so that they are one slice, against the real view
+    of y.  The block is solved by Cramer's rule, and H = D + (C Z) y is
+    one more contraction at the end.  The contractions use ``einsum``,
+    which sums over the realization index in a fixed order for each point
+    and is elementwise over the points; a BLAS product may block the
+    points and change a value's last bit with its batch.  So no value
+    depends on its batch.  A diagonal block that is exactly singular at a
+    point is a pole hit, reported as the matching entry of ``asked``.
     """
     S, T, Q, Z = scipy.linalg.qz(rlz.A, rlz.E, output="real")
-    y = np.empty((rlz.order, s.size), dtype=complex)
+    n = rlz.order
+    # Rows T_0, S_0, T_1, S_1, ...: a block's rows of [T; S] are one slice.
+    TS = np.stack([T, S], axis=1).reshape(2 * n, n)
+    diag = np.multiply.outer(np.diag(T), s)
+    diag -= np.diag(S)[:, None]
+    y = np.empty((n, s.size), dtype=complex)
     y[:] = Q.T @ rlz.B
-    work = np.empty_like(y)
-    c = (rlz.C @ Z)[0]
-    h = np.full(s.size, complex(rlz.D))
-    hi = rlz.order
+    y_re = y.view(float)
+    hi = n
     while hi > 0:
         lo = hi - 2 if hi > 1 and S[hi - 1, hi - 2] != 0.0 else hi - 1
-        blk = [[s * T[i, j] - S[i, j] for j in range(lo, hi)] for i in range(lo, hi)]
-        det = blk[0][0] if hi - lo == 1 else blk[0][0] * blk[1][1] - blk[0][1] * blk[1][0]
-        hit = det == 0.0
-        if hit.any():
+        if hi < n:
+            # r = rhs - s (T y) + S y over the rows already solved.
+            w = np.einsum("ik,kp->ip", TS[2 * lo:2 * hi, hi:], y_re[hi:]).view(complex)
+            # Row by row: on a single point a (rows, points) product would
+            # run numpy's strided complex loop, which rounds unlike the
+            # contiguous one and would make the value depend on its batch.
+            for i in range(hi - lo):
+                y[lo + i] -= s * w[2 * i]
+                y[lo + i] += w[2 * i + 1]
+        if hi - lo == 1:
+            det = diag[lo]
+        else:
+            # T is upper triangular, so the lower corner is -S alone.
+            b01 = s * T[lo, lo + 1] - S[lo, lo + 1]
+            b10 = -S[lo + 1, lo]
+            det = diag[lo] * diag[lo + 1] - b01 * b10
+        if not det.all():
             raise PoleHitError(
-                f"transfer evaluation hit a pole at s = {complex(asked[hit][0])}"
+                f"transfer evaluation hit a pole at s = {complex(asked[det == 0.0][0])}"
             )
         if hi - lo == 1:
             y[lo] /= det
         else:
             y0, y1 = y[lo].copy(), y[lo + 1]
-            y[lo] = (blk[1][1] * y0 - blk[0][1] * y1) / det
-            y[lo + 1] = (blk[0][0] * y1 - blk[1][0] * y0) / det
-        for j in range(lo, hi):
-            # y[:lo] -= (s T[:lo, j] - S[:lo, j]) y[j], formed in one buffer.
-            col = work[:lo]
-            np.multiply(T[:lo, j, None], s, out=col)
-            col -= S[:lo, j, None]
-            col *= y[j]
-            y[:lo] -= col
-            h += c[j] * y[j]
+            y[lo] = (diag[lo + 1] * y0 - b01 * y1) / det
+            y[lo + 1] = (diag[lo] * y1 - b10 * y0) / det
         hi = lo
+    h = np.einsum("k,kp->p", (rlz.C @ Z)[0], y_re).view(complex)
+    h += rlz.D
     return h
 
 

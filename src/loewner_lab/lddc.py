@@ -44,8 +44,6 @@ from .loewner_core import build_pencil, reduce_to_realization
 
 __all__ = [
     "ReferenceModelSpec",
-    "ConstraintCheck",
-    "AchievabilityReport",
     "SweepRow",
     "ReductionSweep",
     "DEFAULT_ORDERS",
@@ -53,16 +51,11 @@ __all__ = [
     "closed_loop_reference",
     "reference_from_dataset",
     "ideal_controller_response",
-    "check_achievability",
     "small_gain_bound",
     "reduce_controller",
 ]
 
 DEFAULT_ORDERS = tuple(range(1, 21))
-
-# A constraint at omega = infinity is probed at this finite frequency,
-# since a limit cannot be evaluated directly.
-INFINITY_PROBE_OMEGA = 1e6
 
 # Poles this many times above the top data frequency are treated as
 # parasitic interpolation artifacts rather than controller dynamics.
@@ -75,8 +68,8 @@ class ReferenceModelSpec:
 
     ``vanish_at`` lists frequencies (rad/s, ``math.inf`` allowed) where M
     must be zero, ``unity_at`` lists frequencies where M must equal one.
-    The constraint sets record what the designer demanded of M; they are
-    checked by :func:`check_achievability`, not enforced on construction.
+    The constraint sets record what the designer demanded of M; nothing
+    checks M against them, and construction only rejects a NaN frequency.
     """
 
     transfer: TransferMap
@@ -89,26 +82,6 @@ class ReferenceModelSpec:
         for w in self.vanish_at + self.unity_at:
             if math.isnan(w):
                 raise ValueError("constraint frequency is NaN")
-
-
-@dataclass(frozen=True)
-class ConstraintCheck:
-    """Outcome of one reference-model constraint evaluation."""
-
-    kind: str  # "vanish" or "unity"
-    omega: float
-    value: complex
-    residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class AchievabilityReport:
-    """Per-constraint residuals and the combined verdict."""
-
-    checks: tuple[ConstraintCheck, ...]
-    achievable: bool
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -254,47 +227,6 @@ def ideal_controller_response(
         )
     kstar = mvals / (phi * (1.0 - mvals))
     return close_conjugate(FrequencyDataset.from_arrays(z, kstar))
-
-
-def check_achievability(
-    m_ref: ReferenceModelSpec, tol: float = 1e-6
-) -> AchievabilityReport:
-    """Evaluate M at every declared constraint point and compare.
-
-    Finite constraint frequencies are probed at s = i*omega; the point at
-    infinity is probed at s = i*INFINITY_PROBE_OMEGA.  A constraint passes
-    when |M - target| <= tol.
-    """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    checks: list[ConstraintCheck] = []
-    for kind, target, omegas in (
-        ("vanish", 0.0, m_ref.vanish_at),
-        ("unity", 1.0, m_ref.unity_at),
-    ):
-        for w in omegas:
-            probe = INFINITY_PROBE_OMEGA if math.isinf(w) else w
-            try:
-                value = complex(m_ref.transfer(1j * probe))
-            except LoewnerLabError as exc:
-                raise type(exc)(
-                    f"{exc} (while checking the {kind} constraint at "
-                    f"omega = {w:g} rad/s)"
-                ) from exc
-            residual = abs(value - target)
-            checks.append(
-                ConstraintCheck(
-                    kind=kind,
-                    omega=w,
-                    value=value,
-                    residual=float(residual),
-                    passed=bool(residual <= tol),
-                )
-            )
-    achievable = all(c.passed for c in checks)
-    return AchievabilityReport(
-        checks=tuple(checks), achievable=achievable, tolerance=float(tol)
-    )
 
 
 def small_gain_bound(

@@ -63,22 +63,22 @@ def _pair_starts(points: np.ndarray) -> np.ndarray:
     real-axis points belong to no pair and pass through the transform
     unchanged.
     """
-    starts = []
-    i = 0
-    m = points.size
-    while i < m:
-        z = points[i]
-        if z.imag == 0.0:
-            i += 1
-            continue
-        if i + 1 >= m or points[i + 1] != np.conj(z):
-            raise LoewnerLabError(
-                f"point {z} is not followed by its conjugate; the realness "
-                "transform needs adjacent conjugate pairs"
-            )
-        starts.append(i)
-        i += 2
-    return np.asarray(starts, dtype=np.intp)
+    # A run of non-real points pairs up from its first point on, so a pair
+    # starts at every even offset into its run; a run starts one past the
+    # last real point before it.
+    idx = np.arange(points.size)
+    cplx = points.imag != 0.0
+    run_start = np.maximum.accumulate(np.where(cplx, 0, idx + 1))
+    starts = np.flatnonzero(cplx & ((idx - run_start) % 2 == 0))
+    partner = points[np.minimum(starts + 1, points.size - 1)]
+    unpaired = (starts + 1 == points.size) | (partner != points[starts].conj())
+    if unpaired.any():
+        z = points[starts[np.argmax(unpaired)]]
+        raise LoewnerLabError(
+            f"point {z} is not followed by its conjugate; the realness "
+            "transform needs adjacent conjugate pairs"
+        )
+    return starts
 
 
 def _pair_rows(M: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -256,6 +256,79 @@ class TestEvalTransfer:
         with pytest.raises(PoleHitError, match=want):
             eval_transfer(rlz, np.array([1.0j, -0.5 - 2.0j, 4.0j]))
 
+    @staticmethod
+    def layered_realization():
+        # Already in real Schur form: the pair -0.5 +- 2j on top, the real
+        # mode -2 and an infinite eigenvalue below it, the pair -1 +- 1j at
+        # the bottom, each block coupled to every block below it.
+        A = scipy.linalg.block_diag(
+            [[-0.5, 2.0], [-2.0, -0.5]], [[-2.0]], [[1.0]], [[-1.0, 1.0], [-1.0, -1.0]]
+        )
+        E = np.diag([1.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        above = np.triu(np.ones((6, 6)), 1)
+        above[0, 1] = above[4, 5] = 0.0
+        return DescriptorRealization(
+            E=E + above * np.linspace(0.5, 0.1, 36).reshape(6, 6),
+            A=A + above * np.linspace(0.1, 0.5, 36).reshape(6, 6),
+            B=np.arange(1.0, 7.0).reshape(6, 1),
+            C=np.linspace(1.0, -0.5, 6).reshape(1, 6), D=0.25,
+        )
+
+    @staticmethod
+    def schur_layout(rlz):
+        """Diagonal blocks of the real QZ from the top: 'P'air, 'R'eal, 'I'nfinite."""
+        S, T, _, _ = scipy.linalg.qz(rlz.A, rlz.E, output="real")
+        layout, i = "", 0
+        while i < rlz.order:
+            if i + 1 < rlz.order and S[i + 1, i] != 0.0:
+                layout, i = layout + "P", i + 2
+            else:
+                layout, i = layout + ("I" if T[i, i] == 0.0 else "R"), i + 1
+        return layout
+
+    @pytest.mark.parametrize(
+        "shape", [(0,), (2, 0), (1,), (2,), (3,), (7,), (149,), (4, 190)]
+    )
+    def test_values_are_batch_invariant_across_block_layout(self, shape):
+        rlz = self.layered_realization()
+        assert self.schur_layout(rlz) == "PRIP"
+        size = int(np.prod(shape))
+        omega = np.geomspace(1e-2, 1e2, size) * np.where(np.arange(size) % 3, 1.0, -1.0)
+        s = (1j * omega).reshape(shape)
+        out = eval_transfer(rlz, s)
+        assert out.shape == shape
+        for idx, p in np.ndenumerate(s):
+            assert out[idx] == eval_transfer(rlz, p), (idx, p)
+        assert np.array_equal(eval_transfer(rlz, s.conj()), out.conj())
+
+    @pytest.mark.parametrize(
+        "pole", [-0.5 - 2.0j, -2.0 + 0.0j, -1.0 - 1.0j], ids=["top", "middle", "bottom"]
+    )
+    def test_pole_hit_in_any_block_names_the_requested_point(self, pole):
+        rlz = self.layered_realization()
+        assert self.schur_layout(rlz) == "PRIP"
+        with pytest.raises(PoleHitError, match=re.escape(f"at s = {complex(pole)}")):
+            eval_transfer(rlz, np.array([1.0j, pole, 3.0j]))
+
+    def test_clustered_lightly_damped_order_forty(self):
+        # Twenty pairs at 1 to 1.5 rad/s with damping 0.01, behind dense
+        # transforms, on the 750 points of a hold-out check.
+        omega = np.linspace(1.0, 1.5, 20)
+        pairs = [
+            (complex(-0.01 * w, w), complex(np.cos(k), np.sin(k)))
+            for k, w in enumerate(omega)
+        ]
+        modal = modal_realization(pairs, [], feedthrough=0.1)
+        rng = np.random.default_rng(40)
+        n = modal.order
+        Tl = rng.standard_normal((n, n)) + n * np.eye(n)
+        Tr = rng.standard_normal((n, n)) + n * np.eye(n)
+        rlz = DescriptorRealization(
+            Tl @ modal.E @ Tr, Tl @ modal.A @ Tr, Tl @ modal.B, modal.C @ Tr, modal.D
+        )
+        s = 1j * np.geomspace(0.1, 10.0, 750)
+        assert rel_err(eval_transfer(rlz, s), self.dense_reference(rlz, s)) < 1e-12
+
 
 class TestRealizationValidation:
     def test_singular_pencil_rejected(self):

@@ -22,7 +22,6 @@ from loewner_lab.lddc import (
     ReductionSweep,
     ReferenceModelSpec,
     SweepRow,
-    check_achievability,
     closed_loop_reference,
     ideal_controller_response,
     reduce_controller,
@@ -72,46 +71,6 @@ class TestReferenceModels:
         assert complex(m.transfer(1j)) == 0.5 + 0j
         with pytest.raises(GridMismatchError):
             m.transfer(0.123j)
-
-
-class TestAchievability:
-    def test_tracking_target_is_achievable(self):
-        rep = check_achievability(second_order_reference(0.5))
-        assert rep.achievable
-        assert len(rep.checks) == 2
-        assert all(c.passed for c in rep.checks)
-        assert {c.kind for c in rep.checks} == {"vanish", "unity"}
-
-    def test_constant_one_fails_rolloff(self):
-        m = constant_reference(1.0, vanish_at=(math.inf,), unity_at=(0.0,))
-        rep = check_achievability(m)
-        assert not rep.achievable
-        vanish = next(c for c in rep.checks if c.kind == "vanish")
-        unity = next(c for c in rep.checks if c.kind == "unity")
-        assert not vanish.passed
-        assert vanish.residual == pytest.approx(1.0)
-        assert unity.passed
-
-    def test_constant_zero_fails_tracking(self):
-        m = constant_reference(0.0, vanish_at=(math.inf,), unity_at=(0.0,))
-        rep = check_achievability(m)
-        assert not rep.achievable
-        unity = next(c for c in rep.checks if c.kind == "unity")
-        assert not unity.passed
-        assert unity.residual == pytest.approx(1.0)
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            check_achievability(second_order_reference(), tol=0.0)
-
-    def test_probe_failure_names_the_constraint(self):
-        z = 1j * np.array([1.0, 2.0])
-        ds = FrequencyDataset.from_arrays(z, np.array([1.0 + 0j, 1.0 + 0j]))
-        m = ReferenceModelSpec(
-            transfer=reference_from_dataset(ds).transfer, vanish_at=(math.inf,)
-        )
-        with pytest.raises(GridMismatchError, match="vanish constraint"):
-            check_achievability(m)
 
 
 class TestIdealController:

@@ -8,6 +8,7 @@ computed by an independent partial-fraction evaluator.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -336,6 +337,52 @@ class TestRealnessTransform:
                 PointPartition(left_points=mu, left_values=biquad(mu),
                                right_points=lam, right_values=biquad(lam))
             )
+
+    @staticmethod
+    def walked_pair_starts(points):
+        """Reference: walk the points, pairing each non-real one with the next."""
+        starts, i = [], 0
+        while i < points.size:
+            if points[i].imag == 0.0:
+                i += 1
+                continue
+            if i + 1 == points.size or points[i + 1] != np.conj(points[i]):
+                return f"point {points[i]} is not followed by its conjugate"
+            starts.append(i)
+            i += 2
+        return starts
+
+    def test_lone_real_point_between_pairs(self):
+        points = np.array([1j, -1j, 0.5 + 0j, 2j, -2j, -3.0 + 0j, 0.25 + 0j, 4j, -4j])
+        assert _pair_starts(points).tolist() == [0, 3, 7]
+
+    def test_odd_run_names_its_unpaired_point(self):
+        # 3j closes a run of five non-real points; its partner slot holds 0.5.
+        points = np.array([0.5 + 0j, 1j, -1j, 2j, -2j, 3j, 0.5 + 0j, 4j, -4j])
+        want = re.escape(f"point {points[5]} is not followed")
+        with pytest.raises(LoewnerLabError, match=want):
+            _pair_starts(points)
+
+    def test_layouts_match_the_pointwise_walk(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            points, size = [], rng.integers(0, 12)
+            while len(points) < size:
+                z = complex(rng.integers(-2, 3), rng.integers(1, 3))
+                kind = rng.integers(0, 4)
+                if kind == 0:
+                    points.append(complex(rng.integers(-2, 3), 0.0))
+                elif kind == 1:
+                    points.append(z)
+                else:
+                    points += [z, z.conjugate()]
+            points = np.array(points, dtype=complex)
+            want = self.walked_pair_starts(points)
+            if isinstance(want, str):
+                with pytest.raises(LoewnerLabError, match=re.escape(want)):
+                    _pair_starts(points)
+            else:
+                assert _pair_starts(points).tolist() == want, points
 
 
 class TestHalfSizeStackFactors:
