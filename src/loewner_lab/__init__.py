@@ -8,9 +8,7 @@ from .descriptor_ops import (
     GridNorm,
     SpectrumReport,
     StableSplit,
-    StepResponse,
     TransferMap,
-    add,
     closed_loop_delay,
     densify_log_grid,
     eval_transfer,
@@ -19,9 +17,7 @@ from .descriptor_ops import (
     load_realization,
     poles,
     save_realization,
-    scale,
     series,
-    simulate_step,
     stable_antistable_split,
 )
 from .freq_data import (

@@ -7,9 +7,8 @@ A descriptor realization is the implicit state-space form
 with possibly singular E; its transfer function is H(s) = C (sE - A)^{-1} B + D.
 This module evaluates such realizations, computes their generalized pole
 spectrum, splits them additively into stable and antistable parts, composes
-them (series, summation, unity feedback), estimates grid L-infinity norms,
-forms delayed closed loops at the evaluator level, and integrates step
-responses.
+them (series, unity feedback), estimates grid L-infinity norms and forms
+delayed closed loops at the evaluator level.
 
 Evaluation reduces (A, E) once per call to its real generalized Schur form
 and then back-substitutes over the 1x1 and 2x2 diagonal blocks from the
@@ -29,7 +28,7 @@ code paths.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -40,7 +39,6 @@ from .errors import (
     BoundaryPoleError,
     LoopSingularityError,
     PoleHitError,
-    SimulationError,
     SingularityError,
     SingularPencilError,
 )
@@ -51,17 +49,13 @@ __all__ = [
     "SpectrumReport",
     "StableSplit",
     "GridNorm",
-    "StepResponse",
     "eval_transfer",
     "poles",
     "stable_antistable_split",
     "linf_norm_grid",
     "closed_loop_delay",
-    "simulate_step",
     "series",
     "feedback_unity",
-    "add",
-    "scale",
     "densify_log_grid",
     "realization_to_json",
     "realization_from_json",
@@ -172,12 +166,6 @@ class GridNorm:
 
 
 @dataclass(frozen=True)
-class StepResponse:
-    t: np.ndarray
-    y: np.ndarray
-
-
-@dataclass(frozen=True)
 class TransferMap:
     """Evaluator abstraction s -> complex value.
 
@@ -214,19 +202,6 @@ class TransferMap:
         return TransferMap(
             fn=lambda s, v=value: np.full(np.shape(s), v, dtype=complex),
             label=label or str(value),
-            realization=rlz,
-        )
-
-    def __mul__(self, other: "TransferMap") -> "TransferMap":
-        if not isinstance(other, TransferMap):
-            return NotImplemented
-        rlz = None
-        if self.realization is not None and other.realization is not None:
-            rlz = series(self.realization, other.realization)
-        return TransferMap(
-            fn=lambda s: self.fn(np.asarray(s, dtype=complex))
-            * other.fn(np.asarray(s, dtype=complex)),
-            label=f"({self.label})*({other.label})",
             realization=rlz,
         )
 
@@ -534,51 +509,6 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
     )
 
 
-def simulate_step(
-    rlz: DescriptorRealization,
-    t_end: float,
-    dt: float,
-    origin_guard: float = 1e-3,
-) -> StepResponse:
-    """Unit-step response by fixed-step trapezoidal integration.
-
-    Requires an invertible E (index-0 descriptor); models carrying a pole
-    within ``origin_guard`` of the origin are rejected, since their step
-    response diverges (or settles only past any finite horizon) and the
-    result would be noise.
-    """
-    if dt <= 0:
-        raise SimulationError(f"step size must be positive, got {dt}")
-    if t_end <= dt:
-        raise SimulationError(f"horizon {t_end} must exceed the step {dt}")
-    n = rlz.order
-    t = np.arange(0.0, t_end + dt / 2, dt)
-    if n == 0:
-        return StepResponse(t=t, y=np.full(t.shape, rlz.D))
-    spec = poles(rlz)
-    if spec.infinite_count:
-        raise SimulationError(
-            "E is singular (impulsive modes present); reduce the index first"
-        )
-    if spec.finite.size and np.min(np.abs(spec.finite)) < origin_guard:
-        worst = spec.finite[int(np.argmin(np.abs(spec.finite)))]
-        raise SimulationError(
-            f"pole at the origin (|{worst:.3g}| < {origin_guard:g}): "
-            "step response does not settle"
-        )
-    M_left = rlz.E - (dt / 2) * rlz.A
-    M_right = rlz.E + (dt / 2) * rlz.A
-    lu = scipy.linalg.lu_factor(M_left)
-    b = dt * rlz.B[:, 0]
-    x = np.zeros(n)
-    y = np.empty(t.shape)
-    y[0] = rlz.D
-    for i in range(1, t.size):
-        x = scipy.linalg.lu_solve(lu, M_right @ x + b)
-        y[i] = float(rlz.C[0] @ x) + rlz.D
-    return StepResponse(t=t, y=y)
-
-
 def series(g: DescriptorRealization, k: DescriptorRealization) -> DescriptorRealization:
     """Realization of the product transfer g(s) * k(s) (k feeds g)."""
     ng, nk = g.order, k.order
@@ -608,28 +538,6 @@ def feedback_unity(loop: DescriptorRealization) -> DescriptorRealization:
         B=loop.B / den,
         C=loop.C / den,
         D=loop.D / den,
-    )
-
-
-def add(a: DescriptorRealization, b: DescriptorRealization) -> DescriptorRealization:
-    """Realization of the sum transfer a(s) + b(s)."""
-    na, nb = a.order, b.order
-    E = np.block([
-        [a.E, np.zeros((na, nb))],
-        [np.zeros((nb, na)), b.E],
-    ])
-    A = np.block([
-        [a.A, np.zeros((na, nb))],
-        [np.zeros((nb, na)), b.A],
-    ])
-    B = np.vstack([a.B, b.B])
-    C = np.hstack([a.C, b.C])
-    return DescriptorRealization(E, A, B, C, a.D + b.D)
-
-
-def scale(rlz: DescriptorRealization, factor: float) -> DescriptorRealization:
-    return DescriptorRealization(
-        rlz.E, rlz.A, rlz.B, factor * rlz.C, factor * rlz.D
     )
 
 

@@ -58,9 +58,5 @@ class GridMismatchError(LoewnerLabError):
     """Two operands were expected to share a frequency grid but do not."""
 
 
-class SimulationError(LoewnerLabError):
-    """Time-domain simulation rejected the model or the step size."""
-
-
 class OptimizationError(LoewnerLabError):
     """No feasible point was found by a numerical search."""

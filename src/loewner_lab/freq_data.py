@@ -17,7 +17,6 @@ arrays as a whole and keep the dataset's point order.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +34,6 @@ __all__ = [
     "PointPartition",
     "load_csv",
     "save_csv",
-    "load_json",
-    "save_json",
     "close_conjugate",
     "partition_points",
 ]
@@ -157,13 +154,14 @@ def _axis_dataset(rows) -> FrequencyDataset:
     return FrequencyDataset(1j * omega, phi)
 
 
-def _axis_rows(dataset: FrequencyDataset, note: str = "") -> list[tuple]:
+def _axis_rows(dataset: FrequencyDataset) -> list[tuple]:
     """(omega, re, im) of every sample as Python floats; on-axis data only."""
     off = np.flatnonzero(dataset.z.real != 0.0)
     if off.size:
         k = int(off[0])
         raise DataFormatError(
-            f"sample {k}: point {complex(dataset.z[k])} is off the imaginary axis{note}"
+            f"sample {k}: point {complex(dataset.z[k])} is off the imaginary "
+            "axis, cannot be stored in the CSV schema"
         )
     return [(w, p.real, p.imag)
             for w, p in zip(dataset.z.imag.tolist(), dataset.phi.tolist())]
@@ -210,32 +208,9 @@ def save_csv(dataset: FrequencyDataset, path) -> None:
     Only imaginary-axis data can be stored on disk; points with a nonzero
     real part are rejected.
     """
-    rows = _axis_rows(dataset, ", cannot be stored in the CSV schema")
+    rows = _axis_rows(dataset)
     body = "".join(f"{w:.17g},{re:.17g},{im:.17g}\n" for w, re, im in rows)
     Path(path).write_text(",".join(CSV_HEADER) + "\n" + body)
-
-
-def load_json(path) -> FrequencyDataset:
-    """Read the JSON mirror of the CSV schema (array of field objects)."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, list):
-        raise DataFormatError(f"{path}: expected a JSON array of samples")
-    rows = []
-    for k, item in enumerate(raw):
-        try:
-            rows.append([float(item[col]) for col in CSV_HEADER])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}: sample {k}: {exc}") from None
-    return _axis_dataset(rows)
-
-
-def save_json(dataset: FrequencyDataset, path) -> None:
-    items = [dict(zip(CSV_HEADER, row)) for row in _axis_rows(dataset)]
-    Path(path).write_text(json.dumps(items, indent=1) + "\n")
 
 
 def _conjugate_index(z: np.ndarray) -> np.ndarray:

@@ -66,20 +66,17 @@ PARASITIC_POLE_FACTOR = 1e3
 class ReferenceModelSpec:
     """A target closed-loop map M plus its declared design constraints.
 
-    ``vanish_at`` lists frequencies (rad/s, ``math.inf`` allowed) where M
-    must be zero, ``unity_at`` lists frequencies where M must equal one.
-    The constraint sets record what the designer demanded of M; nothing
-    checks M against them, and construction only rejects a NaN frequency.
+    ``unity_at`` lists frequencies (rad/s) where M must equal one.  The
+    constraint records what the designer demanded of M; nothing checks M
+    against it, and construction only rejects a NaN frequency.
     """
 
     transfer: TransferMap
-    vanish_at: tuple[float, ...] = ()
     unity_at: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vanish_at", tuple(float(w) for w in self.vanish_at))
         object.__setattr__(self, "unity_at", tuple(float(w) for w in self.unity_at))
-        for w in self.vanish_at + self.unity_at:
+        for w in self.unity_at:
             if math.isnan(w):
                 raise ValueError("constraint frequency is NaN")
 
@@ -125,9 +122,8 @@ class ReductionSweep:
 def second_order_reference(omega0: float = 0.5) -> ReferenceModelSpec:
     """Unit-DC-gain critically-damped-ish second-order target.
 
-    M(s) = 1 / (s^2/omega0^2 + 2 s/omega0 + 1), which is one at s = 0 and
-    rolls off to zero at infinity, so both classical tracking constraints
-    are declared.
+    M(s) = 1 / (s^2/omega0^2 + 2 s/omega0 + 1), which is one at s = 0
+    (declared in ``unity_at``) and rolls off to zero at infinity.
     """
     if omega0 <= 0:
         raise ValueError(f"omega0 must be positive, got {omega0}")
@@ -142,7 +138,6 @@ def second_order_reference(omega0: float = 0.5) -> ReferenceModelSpec:
     label = f"second-order target (omega0={omega0:g})"
     return ReferenceModelSpec(
         transfer=TransferMap.from_realization(rlz, label=label),
-        vanish_at=(math.inf,),
         unity_at=(0.0,),
     )
 
@@ -159,7 +154,6 @@ def closed_loop_reference(
     loop = feedback_unity(series(plant, controller))
     return ReferenceModelSpec(
         transfer=TransferMap.from_realization(loop, label="closed-loop target"),
-        vanish_at=(math.inf,),
         unity_at=(0.0,),
     )
 
