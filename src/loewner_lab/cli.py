@@ -107,6 +107,19 @@ def _add_plant_flags(sp) -> None:
                     help="measurement position along the domain")
 
 
+def _add_svd_tol_flag(sp) -> None:
+    sp.add_argument("--svd-tol", type=float, default=RANK_TOL,
+                    help="absolute singular-value cutoff for rank detection; "
+                    "a relative floor of 100*eps*sigma_1 also applies")
+
+
+def _add_verdict_flags(sp) -> None:
+    sp.add_argument("--plant", default="builtin",
+                    help="'builtin' or a realization JSON path")
+    sp.add_argument("--epsilon", type=float, default=STABILITY_EPSILON,
+                    help="stability-tag threshold")
+
+
 def _add_out_flag(sp) -> None:
     sp.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -305,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("approximate", help="fit a rational realization to CSV data")
     sp.add_argument("data", help="input CSV (omega_rad_s,re,im)")
-    sp.add_argument("--svd-tol", type=float, default=RANK_TOL,
-                    help="absolute singular-value cutoff for rank detection; "
-                    "a relative floor of 100*eps*sigma_1 also applies")
+    _add_svd_tol_flag(sp)
     sp.add_argument("--order", type=int, default=None,
                     help="force the realization order (default: detected rank)")
     _add_out_flag(sp)
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("data", help="plant frequency data CSV")
     sp.add_argument("--reference", required=True,
                     help="reference model: 'm1', 'm2', or a CSV path on the same grid")
-    sp.add_argument("--svd-tol", type=float, default=RANK_TOL)
+    _add_svd_tol_flag(sp)
     sp.add_argument("--order", type=int, default=33,
                     help="approximant order used when --reference m2 (default 33)")
     sp.add_argument("--kp", type=float, default=0.191,
@@ -338,26 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_synth)
 
     sp = sub.add_parser("mfsa", help="stability verdict for a (delayed) transfer")
-    sp.add_argument("--plant", default="builtin",
-                    help="'builtin' or a realization JSON path")
+    _add_verdict_flags(sp)
     sp.add_argument("--controller", default=None,
                     help="controller realization JSON; omit to analyse the plant alone")
     sp.add_argument("--tau", type=float, default=0.0, help="loop delay, seconds")
-    sp.add_argument("--epsilon", type=float, default=STABILITY_EPSILON,
-                    help="stability-tag threshold")
     _add_grid_flags(sp)
     _add_plant_flags(sp)
     _add_out_flag(sp)
     sp.set_defaults(fn=cmd_mfsa)
 
     sp = sub.add_parser("delay-sweep", help="stability tags over a range of delays")
-    sp.add_argument("--plant", default="builtin",
-                    help="'builtin' or a realization JSON path")
+    _add_verdict_flags(sp)
     sp.add_argument("--controller", required=True, help="controller realization JSON")
     sp.add_argument("--tau-min", type=float, default=4.6)
     sp.add_argument("--tau-max", type=float, default=5.5)
     sp.add_argument("--tau-n", type=int, default=20)
-    sp.add_argument("--epsilon", type=float, default=STABILITY_EPSILON)
     _add_grid_flags(sp)
     _add_plant_flags(sp)
     _add_out_flag(sp)

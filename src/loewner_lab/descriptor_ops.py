@@ -196,12 +196,12 @@ class TransferMap:
         return TransferMap(fn=fn, label=label, realization=None)
 
     @staticmethod
-    def constant(value: complex, label: str = "") -> "TransferMap":
+    def constant(value: complex) -> "TransferMap":
         value = complex(value)
         rlz = _empty_realization(value.real) if value.imag == 0.0 else None
         return TransferMap(
             fn=lambda s, v=value: np.full(np.shape(s), v, dtype=complex),
-            label=label or str(value),
+            label=str(value),
             realization=rlz,
         )
 
@@ -340,6 +340,11 @@ def _empty_realization(d: float = 0.0) -> DescriptorRealization:
     )
 
 
+# Half-width of the band around the imaginary axis in which a finite pole
+# aborts stable_antistable_split: such a pole has no reliable side.
+SPLIT_GUARD = 1e-8
+
+
 def _sylvester_residual(A11, R, L, A22, A12):
     num = np.linalg.norm(A11 @ R + L @ A22 + A12)
     den = (
@@ -350,9 +355,7 @@ def _sylvester_residual(A11, R, L, A22, A12):
     return num / max(den, np.finfo(float).tiny)
 
 
-def stable_antistable_split(
-    rlz: DescriptorRealization, guard: float = 1e-8
-) -> StableSplit:
+def stable_antistable_split(rlz: DescriptorRealization) -> StableSplit:
     """Split a realization into stable and antistable additive parts.
 
     One ordered real QZ of (A, E) brings the eigenvalues selected as
@@ -362,8 +365,8 @@ def stable_antistable_split(
     annihilated with a generalized Sylvester solve, yielding two decoupled
     descriptor systems whose transfers sum to the original.  The guard
     check and the antistable eigenvalues are read off the same Schur form:
-    any finite pole whose real part lies within ``guard`` of the imaginary
-    axis aborts the split before anything is reordered.
+    any finite pole whose real part lies within ``SPLIT_GUARD`` of the
+    imaginary axis aborts the split before anything is reordered.
     """
     n = rlz.order
     if n == 0:
@@ -375,10 +378,10 @@ def stable_antistable_split(
         fin = _finite(beta, rlz.E)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = alpha / beta
-        near = fin & (np.abs(lam.real) < guard)
+        near = fin & (np.abs(lam.real) < SPLIT_GUARD)
         if near.any():
             raise BoundaryPoleError(
-                f"poles within {guard:g} of the imaginary axis: {lam[near]}"
+                f"poles within {SPLIT_GUARD:g} of the imaginary axis: {lam[near]}"
             )
         return fin & (lam.real < 0.0)
 

@@ -46,7 +46,6 @@ __all__ = [
     "ReferenceModelSpec",
     "SweepRow",
     "ReductionSweep",
-    "DEFAULT_ORDERS",
     "second_order_reference",
     "closed_loop_reference",
     "reference_from_dataset",
@@ -55,7 +54,8 @@ __all__ = [
     "reduce_controller",
 ]
 
-DEFAULT_ORDERS = tuple(range(1, 21))
+# Corner frequency of the m1 target, rad/s (see second_order_reference).
+M1_OMEGA0 = 0.5
 
 # Poles this many times above the top data frequency are treated as
 # parasitic interpolation artifacts rather than controller dynamics.
@@ -119,14 +119,14 @@ class ReductionSweep:
         return None
 
 
-def second_order_reference(omega0: float = 0.5) -> ReferenceModelSpec:
-    """Unit-DC-gain critically-damped-ish second-order target.
+def second_order_reference() -> ReferenceModelSpec:
+    """The m1 target: a unit-DC-gain, critically damped second-order map.
 
-    M(s) = 1 / (s^2/omega0^2 + 2 s/omega0 + 1), which is one at s = 0
-    (declared in ``unity_at``) and rolls off to zero at infinity.
+    M(s) = 1 / (s^2/omega0^2 + 2 s/omega0 + 1) with omega0 =
+    ``M1_OMEGA0``, which is one at s = 0 (declared in ``unity_at``) and
+    rolls off to zero at infinity.
     """
-    if omega0 <= 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
+    omega0 = M1_OMEGA0
     w2 = omega0 * omega0
     rlz = DescriptorRealization(
         E=np.eye(2),
@@ -256,7 +256,7 @@ def _grid_errors(rlz, z, kstar):
 
 def reduce_controller(
     kstar_data: FrequencyDataset,
-    orders: Iterable[int] = DEFAULT_ORDERS,
+    orders: Iterable[int],
     gamma_bound: Optional[float] = None,
 ) -> ReductionSweep:
     """Reduce the ideal-controller data across orders and certify each row.

@@ -140,7 +140,7 @@ def _loewner_matrix(p: PointPartition) -> np.ndarray:
 
 
 def _row_factor(Lw_r: np.ndarray, v_r: np.ndarray, right_points: np.ndarray,
-                right_pairs: np.ndarray) -> np.ndarray:
+                pairs: np.ndarray) -> np.ndarray:
     """N_row = [y v, Lw D + v c^T] in real coordinates, m x (n+1).
 
     For an m x n pencil the row stack [Lw  Ls] (m x 2n) is never formed.
@@ -154,12 +154,12 @@ def _row_factor(Lw_r: np.ndarray, v_r: np.ndarray, right_points: np.ndarray,
     commutes with it, and c transforms like w.
     """
     d, c, y = _stack_weights(right_points)
-    c_r = _drop_imag("row-stack weights", _pair_cols(c, right_pairs))
+    c_r = _drop_imag("row-stack weights", _pair_cols(c, pairs))
     return np.hstack([(y * v_r)[:, None], Lw_r * d + np.outer(v_r, c_r)])
 
 
 def _col_factor(Lw_r: np.ndarray, w_r: np.ndarray, left_points: np.ndarray,
-                left_pairs: np.ndarray) -> np.ndarray:
+                pairs: np.ndarray) -> np.ndarray:
     """N_col = [y w^T; D Lw + c w^T] in real coordinates, (m+1) x n.
 
     The mirror of ``_row_factor`` with (d, c, y) from the left points:
@@ -167,7 +167,7 @@ def _col_factor(Lw_r: np.ndarray, w_r: np.ndarray, left_points: np.ndarray,
     singular values and right singular vectors exactly.
     """
     d, c, y = _stack_weights(left_points)
-    c_r = _drop_imag("column-stack weights", _pair_rows(c, left_pairs))
+    c_r = _drop_imag("column-stack weights", _pair_rows(c, pairs))
     return np.vstack([y * w_r, d[:, None] * Lw_r + np.outer(c_r, w_r)])
 
 
@@ -178,8 +178,8 @@ class LoewnerPencil:
     ``build_pencil`` fills every field and nothing is computed later:
 
     - ``partition``: the data the pencil was built from;
-    - ``left_pairs``, ``right_pairs``: first indices of the conjugate
-      pairs on each side (the realness transform's layout);
+    - ``right_pairs``: first indices of the conjugate pairs among the
+      right points (the realness transform's column layout);
     - ``Lw_r``, ``v_r``, ``w_r``: the Loewner matrix and the boundary
       vectors under the unitary conjugate-pair transform (T_l^H on the
       left, T_r on the right), with the numerically negligible imaginary
@@ -197,7 +197,6 @@ class LoewnerPencil:
     """
 
     partition: PointPartition
-    left_pairs: np.ndarray
     right_pairs: np.ndarray
     Lw_r: np.ndarray
     v_r: np.ndarray
@@ -254,7 +253,7 @@ def build_pencil(p: PointPartition) -> LoewnerPencil:
                                     full_matrices=False)
     _, s_col, Vt_col = np.linalg.svd(_col_factor(Lw_r, w_r, p.left_points, left),
                                      full_matrices=False)
-    arrays = (left, right, Lw_r, v_r, w_r, U_row, s_row, s_col, Vt_col)
+    arrays = (right, Lw_r, v_r, w_r, U_row, s_row, s_col, Vt_col)
     for a in arrays:
         a.flags.writeable = False
     return LoewnerPencil(p, *arrays)

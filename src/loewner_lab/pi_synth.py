@@ -34,6 +34,7 @@ from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
     _eval_on_axis,
+    eval_transfer,
     feedback_unity,
     poles,
     series,
@@ -117,24 +118,22 @@ def default_weights() -> WeightingFilters:
     )
 
 
-def fit_pi_gains(
-    controller,
-    omega_low: float = 1e-4,
-    omega_high: float = 1e3,
-) -> PIController:
-    """Read PI gains off a controller's frequency response.
+# Probe frequencies of fit_pi_gains, in rad/s: above and below the band
+# where a PI controller fitted to data around 1 rad/s has its dynamics.
+GAIN_PROBE_LOW = 1e-4
+GAIN_PROBE_HIGH = 1e3
+
+
+def fit_pi_gains(controller: DescriptorRealization) -> PIController:
+    """Read PI gains off a controller realization's frequency response.
 
     For K = kp + ki/s the response tends to kp at high frequency while
-    s*K(s) tends to ki at low frequency, so two probes recover the gains.
-    The probe frequencies should sit above and below the band where the
-    controller actually has dynamics; the defaults suit data bands around
-    1 rad/s.
+    s*K(s) tends to ki at low frequency, so two probes recover the gains:
+    kp at ``GAIN_PROBE_HIGH`` and ki at ``GAIN_PROBE_LOW``.
     """
-    if isinstance(controller, DescriptorRealization):
-        controller = TransferMap.from_realization(controller)
-    kp = float(np.real(controller(1j * omega_high)))
-    s_low = 1j * omega_low
-    ki = float(np.real(s_low * controller(s_low)))
+    kp = float(np.real(eval_transfer(controller, 1j * GAIN_PROBE_HIGH)))
+    s_low = 1j * GAIN_PROBE_LOW
+    ki = float(np.real(s_low * eval_transfer(controller, s_low)))
     return PIController(kp=kp, ki=ki)
 
 
@@ -220,6 +219,9 @@ def eval_weighted_performance(
         )
     return float(gamma[0])
 
+
+# Range of both PI gains searched by optimize_pi.
+GAIN_BOX = (1e-3, 10.0)
 
 # Nelder-Mead (Nelder and Mead, Comput. J. 7, 1965) in scipy's bounded
 # variant: reflection, expansion, contraction and shrink coefficients, the
@@ -388,14 +390,12 @@ def optimize_pi(
     w: WeightingFilters,
     grid,
     start: PIController,
-    gain_box: tuple[float, float] = (1e-3, 10.0),
-    extra_starts: int = 20,
 ) -> SynthesisResult:
     """Minimize the weighted performance score over PI gains.
 
     Runs Nelder-Mead (Nelder and Mead, Comput. J. 7, 1965) in log10 gain
-    space from ``extra_starts`` seeds laid out logarithmically over
-    ``gain_box`` squared, plus the user's start.  The constants are fixed:
+    space from 20 seeds, a 4 x 5 (kp x ki) logarithmic grid over
+    ``GAIN_BOX`` squared, plus the user's start.  The constants are fixed:
     coefficients rho 1, chi 2, psi 0.5, sigma 0.5; initial steps of 5%
     (0.00025 off a zero coordinate); xatol 1e-6, fatol 1e-9, at most 400
     iterations and 800 evaluations per seed.  Each run reproduces scipy's
@@ -411,9 +411,6 @@ def optimize_pi(
     pair is screened once.  If nothing qualifies an
     :class:`OptimizationError` is raised.
     """
-    lo, hi = float(gain_box[0]), float(gain_box[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bad gain box {gain_box}")
     samples = _sample(plant, w, grid)
 
     gamma, _ = _score(samples, np.array([start.kp]), np.array([start.ki]))
@@ -433,12 +430,8 @@ def optimize_pi(
         ki = np.array([10.0 ** y for _, y in points])
         return _score(samples, kp, ki)[0]
 
-    llo, lhi = math.log10(lo), math.log10(hi)
-    n_kp = max(1, int(round(math.sqrt(extra_starts))))
-    n_ki = max(1, extra_starts // n_kp)
-    seed_kp = np.linspace(llo, lhi, n_kp)
-    seed_ki = np.linspace(llo, lhi, n_ki)
-    seeds = [(a, b) for a in seed_kp for b in seed_ki]
+    llo, lhi = math.log10(GAIN_BOX[0]), math.log10(GAIN_BOX[1])
+    seeds = [(a, b) for a in np.linspace(llo, lhi, 4) for b in np.linspace(llo, lhi, 5)]
     seeds.append(
         (
             min(max(math.log10(abs(start.kp)) if start.kp > 0 else llo, llo), lhi),

@@ -24,14 +24,18 @@ from .errors import PoleHitError, SingularityError
 __all__ = ["PlantParameters", "eval_actuator", "eval_plant", "sample_grid"]
 
 
+# Extent of the spatial domain (dimensionless).
+DOMAIN_LENGTH = 3.0
+
+
 @dataclass(frozen=True)
 class PlantParameters:
     """Physical parameters of the transport plant and its actuator.
 
+    The spatial domain is [0, ``DOMAIN_LENGTH``].
+
     Parameters
     ----------
-    length : float
-        Extent of the spatial domain (dimensionless).
     omega0 : float
         Natural frequency of the actuator (rad/s).
     damping : float
@@ -42,21 +46,18 @@ class PlantParameters:
         entry, so results stay bit-comparable across grid changes.
     """
 
-    length: float = 3.0
     omega0: float = 3.0
     damping: float = 0.5
     x_m: float = 1.9592
 
     def __post_init__(self) -> None:
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
         if not self.omega0 > 0:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not self.damping > 0:
             raise ValueError(f"damping must be positive, got {self.damping}")
-        if not 0.0 <= self.x_m <= self.length:
+        if not 0.0 <= self.x_m <= DOMAIN_LENGTH:
             raise ValueError(
-                f"x_m must lie in [0, {self.length}], got {self.x_m}"
+                f"x_m must lie in [0, {DOMAIN_LENGTH}], got {self.x_m}"
             )
 
 
@@ -87,12 +88,12 @@ def eval_plant(p: PlantParameters, x: float, s):
     ----------
     p : PlantParameters
     x : float
-        Space coordinate in [0, length].
+        Space coordinate in [0, DOMAIN_LENGTH].
     s : complex scalar or ndarray
         Evaluation point(s); must be nonzero.
     """
-    if not 0.0 <= x <= p.length:
-        raise ValueError(f"x must lie in [0, {p.length}], got {x}")
+    if not 0.0 <= x <= DOMAIN_LENGTH:
+        raise ValueError(f"x must lie in [0, {DOMAIN_LENGTH}], got {x}")
     s = np.asarray(s, dtype=complex)
     if np.any(s == 0):
         raise SingularityError("plant transfer is singular at s = 0")

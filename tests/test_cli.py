@@ -21,7 +21,8 @@ from loewner_lab import cli
 from loewner_lab.cli import main
 from loewner_lab.descriptor_ops import TransferMap, load_realization, save_realization
 from loewner_lab.freq_data import CSV_HEADER, FrequencyDataset, save_csv
-from loewner_lab.mfsa import delay_margin_sweep, nyquist_curve
+from loewner_lab.loewner_core import RANK_TOL
+from loewner_lab.mfsa import STABILITY_EPSILON, delay_margin_sweep, nyquist_curve
 from loewner_lab.pi_synth import PIController
 from loewner_lab.plant_oracle import PlantParameters, eval_plant, sample_grid
 
@@ -289,6 +290,23 @@ class TestDelaySweep:
             assert np.array_equal(rows[:, 0], grid)
             assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], curve)
             assert np.all(rows[:, 3] == tau)
+
+
+class TestSharedFlags:
+    def test_commands_sharing_a_flag_parse_the_same_default(self):
+        parser = cli.build_parser()
+        fits = [
+            parser.parse_args(["approximate", "plant.csv"]),
+            parser.parse_args(["lddc", "plant.csv", "--reference", "m1"]),
+        ]
+        verdicts = [
+            parser.parse_args(["mfsa"]),
+            parser.parse_args(["delay-sweep", "--controller", "k.json"]),
+        ]
+        assert [a.svd_tol for a in fits] == [RANK_TOL, RANK_TOL]
+        assert [(a.plant, a.epsilon) for a in verdicts] == [
+            ("builtin", STABILITY_EPSILON), ("builtin", STABILITY_EPSILON)
+        ]
 
 
 class TestExitCodes:

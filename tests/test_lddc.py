@@ -17,7 +17,6 @@ from loewner_lab.descriptor_ops import TransferMap, eval_transfer
 from loewner_lab.errors import GridMismatchError, PartitionSizeError, SingularityError
 from loewner_lab.freq_data import FrequencyDataset, close_conjugate
 from loewner_lab.lddc import (
-    DEFAULT_ORDERS,
     ReductionSweep,
     ReferenceModelSpec,
     SweepRow,
@@ -47,16 +46,12 @@ def constant_reference(value, **kw):
 
 class TestReferenceModels:
     def test_second_order_target_values(self):
-        m = second_order_reference(0.5)
+        m = second_order_reference()
         assert complex(m.transfer(0.0)) == pytest.approx(1.0)
         # Critically damped: denominator (s/w0 + 1)^2, so M(i*w0) = -i/2.
         assert complex(m.transfer(0.5j)) == pytest.approx(-0.5j)
         assert abs(complex(m.transfer(1j * 1e6))) < 1e-9
         assert m.unity_at == (0.0,)
-
-    def test_second_order_target_validation(self):
-        with pytest.raises(ValueError):
-            second_order_reference(0.0)
 
     def test_nan_constraint_rejected(self):
         with pytest.raises(ValueError):
@@ -195,9 +190,6 @@ class TestReduceController:
         )
         with pytest.raises(PartitionSizeError):
             reduce_controller(small, orders=(6,))
-
-    def test_default_order_range(self):
-        assert DEFAULT_ORDERS == tuple(range(1, 21))
 
     def test_sweep_requires_increasing_orders(self):
         row = SweepRow(order=2, realization=None, error=math.inf,
