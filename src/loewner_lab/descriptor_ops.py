@@ -11,14 +11,18 @@ them (series, unity feedback), estimates grid L-infinity norms and forms
 delayed closed loops at the evaluator level.
 
 Evaluation reduces (A, E) once per call to its real generalized Schur form
-and then back-substitutes over the 1x1 and 2x2 diagonal blocks from the
-bottom up, vectorized over the points (Laub, IEEE TAC 1981).  The
-substitution is left-looking: each block reads the rows already solved
-through one real contraction of its rows of the form.  The form is real,
-not complex, so that H(conj s) = conj H(s) holds exactly.  Every
-contraction runs over the realization index only, is elementwise over the
-points and uses no BLAS product across points, so that no value depends
-on the other points evaluated with it.
+(one LAPACK ``gges`` call, see ``_real_schur``) and then back-substitutes
+over the 1x1 and 2x2 diagonal blocks from the bottom up, vectorized over
+the points (Laub, IEEE TAC 1981).  The substitution is left-looking: each
+block reads the rows already solved through one real contraction of its
+rows of the form.  The form is real, not complex, so that
+H(conj s) = conj H(s) holds exactly.  Every contraction runs over the
+realization index only, is elementwise over the points and uses no BLAS
+product across points, so that no value depends on the other points
+evaluated with it.  The same ``gges`` call also gives the generalized
+eigenvalues, so a caller that needs both a realization's grid values and
+its finite poles (the LDDC order sweep) reads both from one real QZ; see
+``_values_and_poles``.
 
 The :class:`TransferMap` wrapper lets rational realizations and irrational
 closed-form models (square roots, delays) flow through the same analysis
@@ -28,9 +32,10 @@ code paths.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -226,25 +231,117 @@ def eval_transfer(rlz: DescriptorRealization, s):
     if rlz.order == 0:
         vals = np.full(pts.shape, complex(rlz.D))
     else:
-        mirror = pts.imag < 0
-        upper, first, back = np.unique(
-            np.where(mirror, pts.conj(), pts), return_index=True, return_inverse=True
-        )
-        vals = _schur_values(rlz, upper, pts[first])[back]
-        np.conjugate(vals, out=vals, where=mirror)
+        fold = _fold_conjugates(pts)
+        vals = fold.unfold(_schur_values(rlz, _real_schur(rlz), fold.upper, fold.asked))
     vals = vals.reshape(s_arr.shape) if not scalar else vals[0]
     return complex(vals) if scalar else vals
 
 
+class _Fold(NamedTuple):
+    """Points mapped to Im s >= 0, each distinct one kept once.
+
+    ``upper`` holds the distinct folded points, ``asked`` the caller's own
+    point for each of them (a pole hit names it), ``back`` the index into
+    ``upper`` of every original point and ``mirror`` the original points
+    that were conjugated.
+    """
+
+    upper: np.ndarray
+    asked: np.ndarray
+    back: np.ndarray
+    mirror: np.ndarray
+
+    def unfold(self, vals: np.ndarray) -> np.ndarray:
+        """Values at the original points from values at ``upper``."""
+        out = vals[self.back]
+        np.conjugate(out, out=out, where=self.mirror)
+        return out
+
+
+def _fold_conjugates(pts: np.ndarray) -> _Fold:
+    """Fold a flat array of points onto the closed upper half-plane."""
+    mirror = pts.imag < 0
+    upper, first, back = np.unique(
+        np.where(mirror, pts.conj(), pts), return_index=True, return_inverse=True
+    )
+    return _Fold(upper, pts[first], back, mirror)
+
+
+class _SchurForm(NamedTuple):
+    """Real generalized Schur form Q^T (A, E) Z = (S, T) and its eigenvalues.
+
+    The generalized eigenvalues are (alphar + i alphai) / beta, as LAPACK
+    ``gges`` returns them; beta = 0 is an infinite eigenvalue.
+    """
+
+    S: np.ndarray
+    T: np.ndarray
+    Q: np.ndarray
+    Z: np.ndarray
+    alphar: np.ndarray
+    alphai: np.ndarray
+    beta: np.ndarray
+
+
+def _no_sort(*_args):
+    return None
+
+
+def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
+    """One real QZ of (A, E): the ``gges`` call ``scipy.linalg.qz`` makes.
+
+    Same finiteness check, workspace query and arguments, so S, T, Q and Z
+    are qz's bit for bit; qz drops the eigenvalues that the same call
+    returns, and this keeps them.  A non-finite entry raises qz's
+    ``ValueError``; a failed QZ iteration warns with qz's ``LinAlgWarning``
+    and any other failure raises ``LinAlgError``, as in qz.
+    """
+    A = np.asarray_chkfinite(rlz.A)
+    E = np.asarray_chkfinite(rlz.E)
+    gges = scipy.linalg.lapack.dgges
+    lwork = gges(_no_sort, A, E, lwork=-1)[-2][0].real.astype(int)
+    S, T, _sdim, alphar, alphai, beta, Q, Z, _work, info = gges(
+        _no_sort, A, E, lwork=lwork, sort_t=0
+    )
+    n = rlz.order
+    if info < 0:
+        raise ValueError(f"Illegal value in argument {-info} of gges")
+    if 0 < info <= n:
+        warnings.warn(
+            "The QZ iteration failed. (a,b) are not in Schur form, but "
+            f"ALPHAR(j), ALPHAI(j), and BETA(j) should be correct for J={info-1},...,N",
+            scipy.linalg.LinAlgWarning, stacklevel=3,
+        )
+    elif info > n:
+        raise scipy.linalg.LinAlgError("Something other than QZ iteration failed")
+    return _SchurForm(S, T, Q, Z, alphar, alphai, beta)
+
+
+def _values_and_poles(
+    rlz: DescriptorRealization, fold: _Fold
+) -> tuple[np.ndarray, np.ndarray]:
+    """H at a fold's points and the finite poles, both from one real QZ.
+
+    The values are those :func:`eval_transfer` gives at the folded points,
+    bit for bit; the poles are the finite eigenvalues under the rule of
+    :func:`poles`, read from the same form instead of a second eigensolve.
+    """
+    form = _real_schur(rlz)
+    fin = _finite(form.beta, rlz.E)
+    finite = (form.alphar[fin] + 1j * form.alphai[fin]) / form.beta[fin]
+    return fold.unfold(_schur_values(rlz, form, fold.upper, fold.asked)), finite
+
+
 def _schur_values(
-    rlz: DescriptorRealization, s: np.ndarray, asked: np.ndarray
+    rlz: DescriptorRealization, form: _SchurForm, s: np.ndarray, asked: np.ndarray
 ) -> np.ndarray:
     """H at each point of ``s`` by block back-substitution (Laub, 1981).
 
-    One real QZ, Q^T (A, E) Z = (S, T) with S quasi-upper-triangular and T
-    upper triangular, turns every solve into (sT - S) y = Q^T B, which is
-    block upper triangular with 1x1 and 2x2 diagonal blocks: O(n^2) work
-    per point after one O(n^3) factorization.  The real form keeps the
+    The real QZ ``form`` of ``rlz`` (from :func:`_real_schur`),
+    Q^T (A, E) Z = (S, T) with S quasi-upper-triangular and T upper
+    triangular, turns every solve into (sT - S) y = Q^T B, which is block
+    upper triangular with 1x1 and 2x2 diagonal blocks: O(n^2) work per
+    point after one O(n^3) factorization.  The real form keeps the
     arithmetic at conj(s) the conjugate of that at s; a complex QZ would
     not, and H(conj s) = conj H(s) would hold only to rounding.
 
@@ -261,7 +358,7 @@ def _schur_values(
     depends on its batch.  A diagonal block that is exactly singular at a
     point is a pole hit, reported as the matching entry of ``asked``.
     """
-    S, T, Q, Z = scipy.linalg.qz(rlz.A, rlz.E, output="real")
+    S, T, Q, Z = form.S, form.T, form.Q, form.Z
     n = rlz.order
     # Rows T_0, S_0, T_1, S_1, ...: a block's rows of [T; S] are one slice.
     TS = np.stack([T, S], axis=1).reshape(2 * n, n)

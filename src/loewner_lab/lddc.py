@@ -28,9 +28,9 @@ import numpy as np
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
-    eval_transfer,
+    _fold_conjugates,
+    _values_and_poles,
     feedback_unity,
-    poles,
     series,
 )
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
     SingularityError,
 )
 from .freq_data import FrequencyDataset, close_conjugate, partition_points
-from .loewner_core import build_pencil, reduce_to_realization
+from .loewner_core import _project, build_pencil
 
 __all__ = [
     "ReferenceModelSpec",
@@ -244,16 +244,6 @@ def small_gain_bound(
     return gamma
 
 
-def _grid_errors(rlz, z, kstar):
-    vals = eval_transfer(rlz, z)
-    diff = np.abs(vals - kstar)
-    mag = np.abs(kstar)
-    err = float(np.max(diff))
-    nz = mag > 0.0
-    err_rel = float(np.max(diff[nz] / mag[nz])) if np.any(nz) else err
-    return err, err_rel
-
-
 def reduce_controller(
     kstar_data: FrequencyDataset,
     orders: Iterable[int],
@@ -270,6 +260,13 @@ def reduce_controller(
     first-order controller as second-order.  Candidate projections of size
     up to max(orders)+1 are considered, and since the eligible set only
     grows with r, the recorded error column is non-increasing.
+
+    The pencil is projected once, at the top size; candidate q is the
+    leading q x q block of that projection (see ``reduce_to_realization``),
+    and a candidate whose block is not a regular pencil is skipped without
+    losing the others.  Each candidate's grid values and its poles come
+    from one real QZ (``descriptor_ops._values_and_poles``), with the
+    grid's conjugate pairs folded once for the whole sweep.
 
     With ``gamma_bound`` supplied, rows whose relative grid error is below
     1/gamma_bound are marked "stable"; everything else stays
@@ -296,23 +293,29 @@ def reduce_controller(
 
     z = kstar_data.points()
     kstar = kstar_data.values()
+    fold = _fold_conjugates(z)
+    mag = np.abs(kstar)
+    nz = mag > 0.0
+    mag = mag[nz]
     pencil = build_pencil(partition_points(kstar_data))
     parasitic_cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(z.imag)))
 
     # One row per projection size, its order the count of dynamic poles.
     candidates: list[SweepRow] = []
     q_max = min(orders[-1] + 1, pencil.size)
+    E, A, B, C = _project(pencil, q_max)
     for q in range(1, q_max + 1):
         try:
-            rlz = reduce_to_realization(pencil, q)
-            err, err_rel = _grid_errors(rlz, z, kstar)
-            finite = poles(rlz).finite
-            dyn = int(np.sum(np.abs(finite) <= parasitic_cut))
+            rlz = DescriptorRealization(E[:q, :q], A[:q, :q], B[:q], C[:, :q])
+            vals, finite = _values_and_poles(rlz, fold)
         except LoewnerLabError:
             continue
+        diff = np.abs(vals - kstar)
+        err = float(np.max(diff))
+        err_rel = float(np.max(diff[nz] / mag)) if nz.any() else err
         candidates.append(
             SweepRow(
-                order=dyn,
+                order=int(np.sum(np.abs(finite) <= parasitic_cut)),
                 realization=rlz,
                 error=err,
                 error_rel=err_rel,

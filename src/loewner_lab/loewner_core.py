@@ -339,7 +339,10 @@ def reduce_to_realization(pen: LoewnerPencil, r: int) -> DescriptorRealization:
 
     all in the real-transformed coordinates, so the output matrices are
     real.  At the detected rank the realization interpolates the data; at
-    full rank the interpolation is exact up to conditioning.
+    full rank the interpolation is exact up to conditioning.  Y and X of
+    order q < r are the leading columns of those of order r, so the order-q
+    projection is the leading q x q block of the order-r one (equal up to
+    rounding: the products are summed in other blocks).
 
     Ls is not formed.  Under the realness transform (T_l^H on the left,
     T_r on the right) the identity Ls = Lw diag(lambda) + v 1^T reads
@@ -352,6 +355,19 @@ def reduce_to_realization(pen: LoewnerPencil, r: int) -> DescriptorRealization:
     and z on a lone real point.  1_r^T = 1^T T_r, the transform applied to
     a row of ones, is (sqrt2, 0) on a pair and 1 on a real point.  Applying
     both costs O(m r).
+    """
+    E, A, B, C = _project(pen, r)
+    return DescriptorRealization(E=E, A=A, B=B, C=C, D=0.0)
+
+
+def _project(
+    pen: LoewnerPencil, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The real (E, A, B, C) of :func:`reduce_to_realization`, unchecked.
+
+    No regularity check runs, so a caller that sweeps orders can project
+    once at the top order and build each lower order from the leading
+    blocks E[:q, :q], A[:q, :q], B[:q] and C[:, :q].
     """
     m = pen.size
     if not 1 <= r <= m:
@@ -367,5 +383,4 @@ def reduce_to_realization(pen: LoewnerPencil, r: int) -> DescriptorRealization:
     B = Y.T @ pen.v_r
     E = -(YL @ X)
     A = -(YL @ LX) - np.outer(B, ones_r @ X)
-    return DescriptorRealization(E=E, A=A, B=B.reshape(r, 1),
-                                 C=(pen.w_r @ X).reshape(1, r), D=0.0)
+    return E, A, B.reshape(r, 1), (pen.w_r @ X).reshape(1, r)

@@ -88,8 +88,10 @@ DELAY_DENSIFY = 4
 # one adds the worst-fitted held-out samples, SELECT_STEP of them or
 # SELECT_GROWTH times the points in use, whichever is more, until every
 # held-out sample is matched to HOLDOUT_RTOL relative to max|h|.  The
-# geometric growth bounds a fit that never converges to about twice the
-# cost of one fit on the whole grid.
+# growth is geometric, yet a fit that never converges still pays about
+# three whole-grid fits: on 200 points it runs subsets of 40, 50, 64, 80,
+# 100, 126, 158, 198 and 200 points, 2.96 fits on the whole grid by the
+# cube of their sizes, and the tag measures about 3.1 times one such fit.
 SELECT_START = 40
 SELECT_STEP = 8
 SELECT_GROWTH = 0.25

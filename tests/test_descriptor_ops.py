@@ -99,17 +99,17 @@ class TestEvalTransfer:
 
     def test_conjugate_pairs_are_solved_once(self, monkeypatch):
         factorizations, solved = [], []
-        real_qz, real_values = scipy.linalg.qz, descriptor_ops._schur_values
+        real_schur, real_values = descriptor_ops._real_schur, descriptor_ops._schur_values
 
-        def qz_spy(*args, **kwargs):
-            factorizations.append(args[0].shape[0])
-            return real_qz(*args, **kwargs)
+        def schur_spy(rlz):
+            factorizations.append(rlz.order)
+            return real_schur(rlz)
 
-        def values_spy(rlz, s, asked):
+        def values_spy(rlz, form, s, asked):
             solved.append(s.size)
-            return real_values(rlz, s, asked)
+            return real_values(rlz, form, s, asked)
 
-        monkeypatch.setattr(scipy.linalg, "qz", qz_spy)
+        monkeypatch.setattr(descriptor_ops, "_real_schur", schur_spy)
         monkeypatch.setattr(descriptor_ops, "_schur_values", values_spy)
         upper = 1j * np.geomspace(2 * np.pi / 100, 2 * np.pi, 200)
         closed = np.concatenate([upper, upper.conj()])
@@ -306,6 +306,62 @@ class TestEvalTransfer:
         with pytest.raises(PoleHitError, match=re.escape(f"at s = {complex(pole)}")):
             eval_transfer(rlz, np.array([1.0j, pole, 3.0j]))
 
+    @staticmethod
+    def sequential_values(rlz, s):
+        """The solve of ``_schur_values`` with every contraction as a loop.
+
+        Each contraction over the realization index sums one rounded
+        product at a time, in index order, for each point on its own: the
+        arithmetic the no-BLAS rule asks of the block and output
+        contractions.  A BLAS product fuses multiplies into adds and blocks
+        its sums, so it rounds otherwise even where its values happen not
+        to depend on the batch.  The elementwise steps are the solver's
+        own, on the same array shapes, so the values must agree bit for bit.
+        """
+        S, T, Q, Z = descriptor_ops._real_schur(rlz)[:4]
+        n = rlz.order
+        diag = np.multiply.outer(np.diag(T), s)
+        diag -= np.diag(S)[:, None]
+        y = np.empty((n, s.size), dtype=complex)
+        y[:] = Q.T @ rlz.B
+        y_re = y.view(float)
+
+        def contract(row, start):
+            acc = np.zeros(2 * s.size)
+            for k in range(start, n):
+                acc += row[k] * y_re[k]
+            return acc.view(complex)
+
+        hi = n
+        while hi > 0:
+            lo = hi - 2 if hi > 1 and S[hi - 1, hi - 2] != 0.0 else hi - 1
+            if hi < n:
+                for i in range(lo, hi):
+                    y[i] -= s * contract(T[i], hi)
+                    y[i] += contract(S[i], hi)
+            if hi - lo == 1:
+                y[lo] /= diag[lo]
+            else:
+                b01 = s * T[lo, lo + 1] - S[lo, lo + 1]
+                b10 = -S[lo + 1, lo]
+                det = diag[lo] * diag[lo + 1] - b01 * b10
+                y0, y1 = y[lo].copy(), y[lo + 1]
+                y[lo] = (diag[lo + 1] * y0 - b01 * y1) / det
+                y[lo + 1] = (diag[lo] * y1 - b10 * y0) / det
+            hi = lo
+        h = contract((rlz.C @ Z)[0], 0)
+        h += rlz.D
+        return h
+
+    @pytest.mark.parametrize("size", [1, 7, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contractions_sum_in_index_order(self, seed, size):
+        # Points on the upper imaginary axis in ascending order are their
+        # own fold, so eval_transfer solves exactly these points.
+        s = 1j * np.geomspace(1e-2, 1e2, size)
+        for rlz in (self.dense_realization(seed), self.layered_realization()):
+            assert np.array_equal(eval_transfer(rlz, s), self.sequential_values(rlz, s))
+
     def test_clustered_lightly_damped_order_forty(self):
         # Twenty pairs at 1 to 1.5 rad/s with damping 0.01, behind dense
         # transforms, on the 750 points of a hold-out check.
@@ -324,6 +380,39 @@ class TestEvalTransfer:
         )
         s = 1j * np.geomspace(0.1, 10.0, 750)
         assert rel_err(eval_transfer(rlz, s), self.dense_reference(rlz, s)) < 1e-12
+
+
+class TestRealSchur:
+    @staticmethod
+    def pencil(n, seed):
+        rng = np.random.default_rng(seed)
+        return DescriptorRealization(
+            E=np.eye(n) + 0.3 * rng.standard_normal((n, n)),
+            A=rng.standard_normal((n, n)),
+            B=rng.standard_normal((n, 1)),
+            C=rng.standard_normal((1, n)),
+        )
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_form_is_scipy_qz_bit_for_bit(self, n):
+        rlz = self.pencil(n, n)
+        form = descriptor_ops._real_schur(rlz)
+        want = scipy.linalg.qz(rlz.A, rlz.E, output="real")
+        for got, ref in zip(form[:4], want):
+            assert np.array_equal(got, ref)
+        eigs = (form.alphar + 1j * form.alphai) / form.beta
+        ref = scipy.linalg.eigvals(rlz.A, rlz.E)
+        assert rel_err(np.sort_complex(eigs), np.sort_complex(ref)) < 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["A", "E"])
+    def test_non_finite_entry_raises_qz_error(self, bad, which):
+        rlz = self.pencil(4, 0)
+        getattr(rlz, which)[1, 2] = bad
+        with pytest.raises(ValueError) as want:
+            scipy.linalg.qz(rlz.A, rlz.E, output="real")
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            descriptor_ops._real_schur(rlz)
 
 
 class TestRealizationValidation:

@@ -11,12 +11,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import modal_realization
-from loewner_lab.descriptor_ops import TransferMap, eval_transfer
+from loewner_lab import descriptor_ops, lddc
+from loewner_lab.descriptor_ops import TransferMap, eval_transfer, poles
 from loewner_lab.errors import GridMismatchError, PartitionSizeError, SingularityError
-from loewner_lab.freq_data import FrequencyDataset, close_conjugate
+from loewner_lab.freq_data import FrequencyDataset, close_conjugate, partition_points
 from loewner_lab.lddc import (
+    PARASITIC_POLE_FACTOR,
     ReductionSweep,
     ReferenceModelSpec,
     SweepRow,
@@ -27,6 +30,7 @@ from loewner_lab.lddc import (
     second_order_reference,
     small_gain_bound,
 )
+from loewner_lab.loewner_core import build_pencil, reduce_to_realization
 from loewner_lab.pi_synth import PIController
 
 
@@ -191,6 +195,27 @@ class TestReduceController:
         with pytest.raises(PartitionSizeError):
             reduce_controller(small, orders=(6,))
 
+    def test_singular_top_block_leaves_lower_orders(self, roundtrip, monkeypatch):
+        # A zero last row makes only the top block a singular pencil; every
+        # lower order is a leading block that does not contain it.
+        _, _, data, mspec = roundtrip
+        kstar = ideal_controller_response(data, mspec)
+        real = lddc._project
+
+        def zero_last_row(pencil, r):
+            E, A, B, C = real(pencil, r)
+            E[-1], A[-1] = 0.0, 0.0
+            return E, A, B, C
+
+        want = reduce_controller(kstar, orders=(1, 2, 3))
+        monkeypatch.setattr(lddc, "_project", zero_last_row)
+        got = reduce_controller(kstar, orders=(1, 2, 3))
+        assert all(row.verdict != "failed" and row.projection_size < 4 for row in got.rows)
+        kept = [(a, b) for a, b in zip(want.rows, got.rows) if a.projection_size < 4]
+        assert kept
+        for a, b in kept:
+            assert (b.projection_size, b.error) == (a.projection_size, a.error)
+
     def test_sweep_requires_increasing_orders(self):
         row = SweepRow(order=2, realization=None, error=math.inf,
                        error_rel=math.inf, verdict="failed")
@@ -208,3 +233,74 @@ class TestDrivingExampleSweep:
         stable_rows = [r for r in k2_sweep.rows if r.verdict == "stable"]
         assert stable_rows
         assert all(r.error_rel < 1.0 / k2_sweep.gamma_bound for r in stable_rows)
+
+
+@pytest.fixture(scope="module", params=["m1", "m2"])
+def swept_candidates(request, plant_dataset, m2_reference):
+    """Each sweep candidate's realization, grid values and finite poles.
+
+    The built-in plant's ideal-controller data for m1 and for m2, swept
+    over orders 1..20 with ``_values_and_poles`` spied on.
+    """
+    m_ref = second_order_reference() if request.param == "m1" else m2_reference
+    kstar = ideal_controller_response(plant_dataset, m_ref)
+    seen = []
+    real = lddc._values_and_poles
+
+    def spy(rlz, fold):
+        vals, finite = real(rlz, fold)
+        seen.append((rlz, vals, finite))
+        return vals, finite
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lddc, "_values_and_poles", spy)
+        reduce_controller(kstar, range(1, 21))
+    return kstar, seen
+
+
+class TestOneProjectionSweep:
+    """Candidates are leading blocks of one projection, read from one QZ."""
+
+    def test_every_size_is_a_candidate(self, swept_candidates):
+        _, seen = swept_candidates
+        assert [rlz.order for rlz, _, _ in seen] == list(range(1, 22))
+
+    def test_values_match_own_projection(self, swept_candidates):
+        # Measured at most 3.9e-13 (m1) and 3.1e-14 (m2): the blocks equal
+        # the separate projections up to the products' summation order.
+        kstar, seen = swept_candidates
+        pencil = build_pencil(partition_points(kstar))
+        z = kstar.points()
+        for rlz, vals, _ in seen:
+            want = eval_transfer(reduce_to_realization(pencil, rlz.order), z)
+            assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-10, rlz.order
+
+    def test_values_are_eval_transfer_bit_for_bit(self, swept_candidates):
+        kstar, seen = swept_candidates
+        for rlz, vals, _ in seen:
+            assert np.array_equal(vals, eval_transfer(rlz, kstar.points())), rlz.order
+
+    def test_dynamic_pole_counts_match_poles(self, swept_candidates):
+        kstar, seen = swept_candidates
+        cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(kstar.points().imag)))
+        for rlz, _, finite in seen:
+            want = poles(rlz).finite
+            assert finite.size == want.size, rlz.order
+            assert np.sum(np.abs(finite) <= cut) == np.sum(np.abs(want) <= cut), rlz.order
+
+    def test_one_projection_and_no_eigensolve(self, plant_dataset, monkeypatch):
+        calls = {"_project": 0, "poles": 0, "eig": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lddc, "_project", counting("_project", lddc._project))
+        monkeypatch.setattr(descriptor_ops, "poles", counting("poles", descriptor_ops.poles))
+        monkeypatch.setattr(scipy.linalg, "eig", counting("eig", scipy.linalg.eig))
+        kstar = ideal_controller_response(plant_dataset, second_order_reference())
+        sweep = reduce_controller(kstar, range(1, 21))
+        assert len(sweep.rows) == 20
+        assert calls == {"_project": 1, "poles": 0, "eig": 0}
