@@ -16,15 +16,14 @@ in lock-step: each round scores the point every live run waits on in one
 broadcast over (candidates x grid), so the cost per round is one array
 pass rather than one pass per seed.  The candidates are ranked by the
 scores Nelder-Mead returns with them, so no candidate is scored twice.  Each
-distinct candidate with a finite score is screened once for closed-loop
-stability through the descriptor poles of the actual feedback
-realization, since a pure grid score cannot see an internal instability
-that happens to have small gain on the sampled frequencies.
+candidate with a finite score is screened for closed-loop stability
+through the descriptor poles of the actual feedback realization, since a
+pure grid score cannot see an internal instability that happens to have
+small gain on the sampled frequencies.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -364,9 +363,7 @@ class SynthesisResult:
     realization (or has an identically zero response), in which case
     descriptor poles could not be formed and nothing was screened.
     ``feasible_candidates`` counts the candidates, of the polished seeds
-    and the start, that have a finite score and passed the screen.  It
-    depends on the last bits of the fit: one seed of the identified
-    transport plant ends stable or unstable with them.
+    and the start, that have a finite score and passed the screen.
     """
 
     controller: PIController
@@ -394,8 +391,16 @@ def optimize_pi(
     """Minimize the weighted performance score over PI gains.
 
     Runs Nelder-Mead (Nelder and Mead, Comput. J. 7, 1965) in log10 gain
-    space from 20 seeds, a 4 x 5 (kp x ki) logarithmic grid over
-    ``GAIN_BOX`` squared, plus the user's start.  The constants are fixed:
+    space from 7 seeds: the 2 x 3 (kp x ki) interior points of a 4 x 5
+    logarithmic grid over ``GAIN_BOX`` squared, plus the user's start.  The
+    grid's edge points are left out.  On the lower edge the 5% initial
+    step leaves the box and is clipped back onto the seed, so two vertices
+    of the starting simplex coincide; on the upper edge it is reflected
+    and the run starts on the boundary.  Nelder-Mead assumes a
+    nondegenerate starting simplex (Lagarias et al., SIAM J. Optim. 9,
+    1998).  On fits of the transport plant no edge run supplied the tuned
+    gains; where the optimum lies on the box edge, the interior runs reach
+    it within the stop tolerances.  The constants are fixed:
     coefficients rho 1, chi 2, psi 0.5, sigma 0.5; initial steps of 5%
     (0.00025 off a zero coordinate); xatol 1e-6, fatol 1e-9, at most 400
     iterations and 800 evaluations per seed.  Each run reproduces scipy's
@@ -407,8 +412,7 @@ def optimize_pi(
     (the objective at its end point), so no candidate is scored a second
     time; of equal scores the first candidate wins.  Every candidate must
     have a finite score and, when the plant carries a realization with a
-    nonzero response, a strictly stable closed loop; each distinct gain
-    pair is screened once.  If nothing qualifies an
+    nonzero response, a strictly stable closed loop.  If nothing qualifies an
     :class:`OptimizationError` is raised.
     """
     samples = _sample(plant, w, grid)
@@ -431,7 +435,11 @@ def optimize_pi(
         return _score(samples, kp, ki)[0]
 
     llo, lhi = math.log10(GAIN_BOX[0]), math.log10(GAIN_BOX[1])
-    seeds = [(a, b) for a in np.linspace(llo, lhi, 4) for b in np.linspace(llo, lhi, 5)]
+    seeds = [
+        (a, b)
+        for a in np.linspace(llo, lhi, 4)[1:-1]
+        for b in np.linspace(llo, lhi, 5)[1:-1]
+    ]
     seeds.append(
         (
             min(max(math.log10(abs(start.kp)) if start.kp > 0 else llo, llo), lhi),
@@ -445,14 +453,10 @@ def optimize_pi(
     ]
     candidates.append((start_gamma, start))
 
-    # Several seeds often converge to the same gains; screen each pair once.
-    @functools.cache
-    def stable(ctrl: PIController) -> bool:
-        return _loop_is_stable(plant_rlz, ctrl)
-
     feasible = [
         (gamma, ctrl) for gamma, ctrl in candidates
-        if math.isfinite(gamma) and (not check_stability or stable(ctrl))
+        if math.isfinite(gamma)
+        and (not check_stability or _loop_is_stable(plant_rlz, ctrl))
     ]
     if not feasible:
         raise OptimizationError(

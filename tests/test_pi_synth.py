@@ -46,15 +46,21 @@ def wu_formula(omega):
 def spy_nelder_mead(monkeypatch):
     """Record every Nelder-Mead run's arguments and ``(x, fun, nfev)``.
 
-    Runs are recorded in the order they finish.
+    Runs are recorded in seed order, each as ``[args, end]``; ``end`` is
+    filled in when the run finishes.
     """
     runs = []
     nelder_mead = pi_synth._nelder_mead
 
     def spy(*args):
-        end = yield from nelder_mead(*args)
-        runs.append((args, end))
-        return end
+        record = [args, None]
+        runs.append(record)
+
+        def run():
+            record[1] = yield from nelder_mead(*args)
+            return record[1]
+
+        return run()
 
     monkeypatch.setattr(pi_synth, "_nelder_mead", spy)
     return runs
@@ -127,8 +133,9 @@ def assert_matches_scipy(f, x0, lo, hi):
 def run_spied(plant, w, grid, start, monkeypatch):
     """optimize_pi with its polished ends and stability screens recorded.
 
-    Returns the result, the 22 candidates (each Nelder-Mead end, then the
-    start) and the screen calls as ((kp, ki), stable) in call order.
+    Returns the result, the 8 candidates (each Nelder-Mead end in seed
+    order, then the start) and the screen calls as ((kp, ki), stable) in
+    call order.
     """
     verdicts = []
     runs, screen = spy_nelder_mead(monkeypatch), pi_synth._loop_is_stable
@@ -152,6 +159,35 @@ def count_feasible(plant, w, grid, candidates, stable):
         if math.isfinite(eval_weighted_performance(plant, c, w, grid))
         and stable[(c.kp, c.ki)]
     )
+
+
+def best_of_former_layout(plant, w, grid, start):
+    """Best ``(gamma, controller)`` of the former 4 x 5 grid seeds plus the start.
+
+    Replays every run through ``_minimize_all`` with the tuner's objective
+    and keeps the tuner's selection: finite score, stable loop, lowest
+    score, first of equal scores.
+    """
+    samples = pi_synth._sample(plant, w, grid)
+
+    def objective(points):
+        kp = np.array([10.0 ** x for x, _ in points])
+        ki = np.array([10.0 ** y for _, y in points])
+        return pi_synth._score(samples, kp, ki)[0]
+
+    lo, hi = (math.log10(g) for g in pi_synth.GAIN_BOX)
+    seeds = [(a, b) for a in np.linspace(lo, hi, 4) for b in np.linspace(lo, hi, 5)]
+    seeds.append((math.log10(start.kp), math.log10(start.ki)))
+    candidates = [
+        (fun, PIController(10.0 ** x[0], 10.0 ** x[1]))
+        for x, fun, _ in pi_synth._minimize_all(objective, seeds, lo, hi)
+    ]
+    candidates.append((eval_weighted_performance(plant, start, w, grid), start))
+    feasible = [
+        (gamma, c) for gamma, c in candidates
+        if math.isfinite(gamma) and pi_synth._loop_is_stable(plant.realization, c)
+    ]
+    return min(feasible, key=lambda c: c[0])
 
 
 class TestPIController:
@@ -383,13 +419,13 @@ class TestOptimizePI:
         runs, rows = spy_nelder_mead(monkeypatch), spy_score_rows(monkeypatch)
         res = optimize_pi(plant, default_weights(), GRID, start=PIController(0.05, 0.01))
         nfev = [end[2] for _, end in runs]
-        assert len(nfev) == 21
+        assert len(nfev) == 7
         assert sum(rows) == 1 + sum(nfev)
         assert len(rows) == 1 + max(nfev)
         assert res.stable
 
     def test_every_seed_ends_where_scipy_ends(self, approximant_map, omega_grid, monkeypatch):
-        # The 21 seeds of the tuner on the order-33 fit, each replayed
+        # The 7 seeds of the tuner on the order-33 fit, each replayed
         # through scipy's bounded Nelder-Mead on the same objective.
         w = default_weights()
         runs = spy_nelder_mead(monkeypatch)
@@ -402,7 +438,7 @@ class TestOptimizePI:
             )
             return float(gamma[0])
 
-        assert len(runs) == 21
+        assert len(runs) == 7
         for (x0, lo, hi), end in runs:
             res, _ = oracle(objective, x0, lo, hi)
             assert end == ((res.x[0], res.x[1]), res.fun, res.nfev)
@@ -412,8 +448,8 @@ class TestOptimizePI:
     ):
         # Regression values: scoring every candidate against one set of plant
         # samples must not move the gains, the score or the screen.  The
-        # count of feasible candidates is recounted, not pinned: one seed
-        # ends stable or unstable with the last bits of the fit.
+        # count of feasible candidates is pinned and also recounted from
+        # the spied ends and screens.
         w = default_weights()
         res, candidates, verdicts = run_spied(
             approximant_map, w, omega_grid, PIController(0.191, 0.0252), monkeypatch
@@ -425,15 +461,16 @@ class TestOptimizePI:
         assert res.controller.ki == pytest.approx(0.028209269828526395, rel=1e-9)
         assert res.gamma == pytest.approx(56.790846908499624, rel=1e-9)
         assert res.stable
+        assert res.feasible_candidates == 3
         assert res.feasible_candidates == count_feasible(
             approximant_map, w, omega_grid, candidates, dict(verdicts)
         )
 
-    def test_stability_screen_runs_once_per_distinct_candidate(
+    def test_stability_screen_runs_once_per_finite_candidate(
         self, approximant_map, omega_grid, monkeypatch
     ):
-        # Several Nelder-Mead seeds end at the same gains; each distinct
-        # pair is screened once, and every candidate still counts.
+        # Every candidate with a finite score is screened, once, in
+        # candidate order; a candidate with no finite score is not.
         w = default_weights()
         start = PIController(0.191, 0.0252)
         res, candidates, verdicts = run_spied(
@@ -444,12 +481,58 @@ class TestOptimizePI:
             (c.kp, c.ki) for c in candidates
             if math.isfinite(eval_weighted_performance(approximant_map, c, w, omega_grid))
         ]
-        assert len(candidates) == 22
-        assert sorted(screened) == sorted(set(finite))
-        assert len(screened) < len(finite)
+        assert len(candidates) == 8
+        assert screened == finite
         assert res.feasible_candidates == count_feasible(
             approximant_map, w, omega_grid, candidates, dict(verdicts)
         )
+
+    def test_grid_seeds_start_from_a_nondegenerate_simplex(self, monkeypatch):
+        # Every grid seed lies strictly inside the box, and so do the two
+        # vertices its initial steps add: none is clipped or reflected, and
+        # the three vertices span a triangle.
+        plant = TransferMap.from_realization(
+            modal_realization([(-1.0 + 3.0j, 0.8)], [(-0.5, 1.0)])
+        )
+        runs = spy_nelder_mead(monkeypatch)
+        optimize_pi(plant, default_weights(), GRID, start=PIController(0.05, 0.01))
+        lo, hi = (math.log10(g) for g in pi_synth.GAIN_BOX)
+        grid_runs = runs[:-1]
+        assert len(grid_runs) == 6
+        for (x0, run_lo, run_hi), _ in grid_runs:
+            assert (run_lo, run_hi) == (lo, hi)
+            run = pi_synth._nelder_mead(x0, lo, hi)
+            simplex = [next(run), run.send(1.0), run.send(2.0)]
+            assert simplex[0] == x0
+            assert all(lo < v < hi for vertex in simplex for v in vertex)
+            assert len(set(simplex)) == 3
+            (a0, a1), (b0, b1), (c0, c1) = simplex
+            assert (b0 - a0) * (c1 - a1) - (b1 - a1) * (c0 - a0) != 0.0
+
+    def test_the_box_edge_seeds_never_won(self, approximant_map, omega_grid):
+        # On the order-33 fit the former layout's best candidate came from
+        # an interior seed or the start, so its gains and score are the
+        # tuner's bit for bit.
+        w, start = default_weights(), PIController(0.191, 0.0252)
+        res = optimize_pi(approximant_map, w, omega_grid, start=start)
+        gamma, best = best_of_former_layout(approximant_map, w, omega_grid, start)
+        assert (best.kp, best.ki) == (res.controller.kp, res.controller.ki)
+        assert same_bits(gamma, res.gamma)
+
+    def test_an_optimum_on_the_box_edge_is_reached_from_inside(self):
+        # Here the optimum lies on the kp = 10 edge.  The former layout's
+        # upper-edge seed (1, -2) ended there 1.3e-11 below the best
+        # interior run; the interior runs reach the same edge point to
+        # within Nelder-Mead's own stop tolerances.
+        plant = TransferMap.from_realization(
+            modal_realization([(-1.0 + 3.0j, 0.8)], [(-0.5, 1.0)])
+        )
+        w, start = default_weights(), PIController(0.05, 0.01)
+        res = optimize_pi(plant, w, GRID, start=start)
+        gamma, best = best_of_former_layout(plant, w, GRID, start)
+        assert best.kp == res.controller.kp == pi_synth.GAIN_BOX[1]
+        assert abs(math.log10(best.ki) - math.log10(res.controller.ki)) <= pi_synth._XATOL
+        assert 0.0 <= res.gamma - gamma <= pi_synth._FATOL
 
 
 class TestScoreKernel:
@@ -593,3 +676,4 @@ class TestRoundingRobustness:
         assert got.controller.kp == pytest.approx(res.controller.kp, rel=1e-9)
         assert got.controller.ki == pytest.approx(res.controller.ki, rel=1e-9)
         assert got.gamma == pytest.approx(res.gamma, rel=1e-9)
+        assert got.feasible_candidates == res.feasible_candidates
