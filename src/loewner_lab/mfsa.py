@@ -230,8 +230,8 @@ def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> S
     appended to its message.  A one-frequency grid raises
     :class:`ZeroDataError`.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     omega = np.asarray(grid, dtype=float).ravel()
     if omega.size == 0:
         raise ValueError("frequency grid is empty")
@@ -336,8 +336,8 @@ class DelaySweepResult:
 
     def __post_init__(self) -> None:
         taus = [row.tau for row in self.rows]
-        if any(b <= a for a, b in zip(taus, taus[1:])):
-            raise ValueError("sweep rows must be ordered by ascending delay")
+        if not all(t >= 0 for t in taus) or not all(b > a for a, b in zip(taus, taus[1:])):
+            raise ValueError("sweep rows must be ordered by ascending nonnegative delay")
 
 
 def delay_margin_sweep(
@@ -364,10 +364,10 @@ def delay_margin_sweep(
     taus = [float(t) for t in taus]
     if not taus:
         raise ValueError("no delays requested")
-    if any(b <= a for a, b in zip(taus, taus[1:])):
+    if not all(t >= 0 for t in taus):
+        raise ValueError("delays must be nonnegative numbers, not NaN")
+    if not all(b > a for a, b in zip(taus, taus[1:])):
         raise ValueError("delays must be strictly ascending")
-    if any(t < 0 for t in taus):
-        raise ValueError("delays must be nonnegative")
     omega = np.asarray(grid, dtype=float).ravel()
 
     def run_tau(tau: float) -> DelayRow:
@@ -418,7 +418,7 @@ def nyquist_curve(plant: TransferMap, k: TransferMap, tau: float, grid) -> np.nd
     omega = np.asarray(grid, dtype=float).ravel()
     if omega.size == 0:
         raise ValueError("frequency grid is empty")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"delay must be nonnegative, got {tau}")
     loop = _eval_on_axis(
         lambda s: np.asarray(plant(s), dtype=complex) * np.asarray(k(s), dtype=complex),

@@ -234,6 +234,31 @@ class TestMfsa:
         rc = main(["mfsa", "--tau", "1.0", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_is_rejected(self, tmp_path, capsys, epsilon):
+        rlz_path = tmp_path / "stable.json"
+        save_realization(modal_realization([], [(-1.0, 1.0)]), rlz_path)
+        out = tmp_path / "mfsa"
+        rc = main([
+            "mfsa", "--plant", str(rlz_path), "--grid-n", "40",
+            "--epsilon", epsilon, "--out", str(out),
+        ])
+        assert rc == 1
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert not (out / "stability_report.json").exists()
+
+    def test_nan_delay_is_named(self, tmp_path, capsys):
+        plant_path = tmp_path / "plant.json"
+        ctrl_path = tmp_path / "ctrl.json"
+        save_realization(modal_realization([], [(-1.0, 2.0)]), plant_path)
+        save_realization(modal_realization([], [], feedthrough=1.0), ctrl_path)
+        rc = main([
+            "mfsa", "--plant", str(plant_path), "--controller", str(ctrl_path),
+            "--tau", "nan", "--grid-n", "40", "--out", str(tmp_path / "mfsa"),
+        ])
+        assert rc == 1
+        assert "delay must be nonnegative, got nan" in capsys.readouterr().err
+
 
 class TestDelaySweep:
     def test_rows_and_nyquist_artifacts(self, tmp_path, capsys):
@@ -261,6 +286,21 @@ class TestDelaySweep:
         assert ny[0] == "omega_rad_s,re,im,tau_s"
         assert len(ny) == 1 + 3 * 30
         assert "destabilizing delay" in capsys.readouterr().out
+
+    def test_nan_delay_is_rejected(self, tmp_path, capsys):
+        plant_path = tmp_path / "plant.json"
+        ctrl_path = tmp_path / "ctrl.json"
+        save_realization(modal_realization([], [(-1.0, 2.0)]), plant_path)
+        save_realization(modal_realization([], [], feedthrough=1.0), ctrl_path)
+        out = tmp_path / "sweep"
+        rc = main([
+            "delay-sweep", "--plant", str(plant_path), "--controller", str(ctrl_path),
+            "--tau-min", "nan", "--tau-max", "5", "--tau-n", "3",
+            "--grid-n", "30", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "not NaN" in capsys.readouterr().err
+        assert not (out / "delay_sweep.csv").exists()
 
     def test_nyquist_loop_is_evaluated_once(self, tmp_path, monkeypatch):
         # Each row of nyquist.csv is the delay-free loop times e^{-i omega tau};

@@ -8,6 +8,7 @@ for spectra.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,9 @@ from loewner_lab.errors import (
     SingularityError,
     SingularPencilError,
 )
-from loewner_lab.mfsa import nyquist_curve, stability_tag
+from loewner_lab.freq_data import FrequencyDataset, close_conjugate
+from loewner_lab.lddc import reduce_controller
+from loewner_lab.mfsa import delay_margin_sweep, nyquist_curve, stability_tag
 from loewner_lab.pi_synth import (
     PIController,
     default_weights,
@@ -415,6 +418,25 @@ class TestRealSchur:
             descriptor_ops._real_schur(rlz)
 
 
+def test_pipelines_reach_no_other_qz(monkeypatch):
+    # Every real Schur form comes from _real_schur's own gges call.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg.qz and ordqz are not used")
+
+    monkeypatch.setattr(scipy.linalg, "qz", forbidden)
+    monkeypatch.setattr(scipy.linalg, "ordqz", forbidden)
+    h = TransferMap.from_callable(lambda s: 1.0 / (s + 1.0) + 0.5 / (s - 2.0))
+    assert stability_tag(h, GRID.imag).verdict == "unstable"
+    plant = modal_realization([], [(-1.0, 2.0)]).transfer_map()
+    res = delay_margin_sweep(plant, TransferMap.constant(1.0), [0.8, 1.3], GRID.imag)
+    assert [row.verdict for row in res.rows] == ["stable", "unstable"]
+    g = modal_realization([(-0.8 + 2.0j, 1.0 - 0.3j)], [(-0.4, 0.9)])
+    z = 1j * np.geomspace(1e-3, 1e2, 40)
+    data = close_conjugate(FrequencyDataset.from_arrays(z, eval_transfer(g, z)))
+    sweep = reduce_controller(data, (1, 2, 3))
+    assert [row.order for row in sweep.rows] == [1, 2, 3]
+
+
 class TestRealizationValidation:
     def test_singular_pencil_rejected(self):
         with pytest.raises(SingularPencilError):
@@ -480,7 +502,87 @@ class TestPoles:
         assert spec.infinite_count == 0
 
 
+def ordqz_split(rlz):
+    """The split as computed with ``scipy.linalg.ordqz``: QZ, the stable
+    selection as a sort callback, the reordering, then the Sylvester
+    decoupling, with no check on the reordering."""
+    n = rlz.order
+
+    def select(alpha, beta):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = alpha / beta
+        return descriptor_ops._finite(beta, rlz.E) & (lam.real < 0.0)
+
+    S, T, alpha, beta, Q, Z = scipy.linalg.ordqz(rlz.A, rlz.E, sort=select, output="real")
+    k = int(np.sum(select(alpha, beta)))
+    fin = descriptor_ops._finite(beta[k:], rlz.E)
+    anti_poles = alpha[k:][fin] / beta[k:][fin]
+    if k in (0, n):
+        return k, anti_poles, None
+    S11, S12, S22 = S[:k, :k], S[:k, k:], S[k:, k:]
+    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
+    r_, l_, scale_, _dif, info = scipy.linalg.lapack.dtgsyl(S11, S22, -S12, T11, T22, -T12)
+    assert info == 0
+    R, L = r_ / scale_, -l_ / scale_
+    Bt, Ct = Q.T @ rlz.B, rlz.C @ Z
+    return k, anti_poles, (
+        DescriptorRealization(T11, S11, Bt[:k] + L @ Bt[k:], Ct[:, :k], rlz.D),
+        DescriptorRealization(T22, S22, Bt[k:], Ct[:, :k] @ R + Ct[:, k:], 0.0),
+    )
+
+
+def same_realization(got, want):
+    return all(
+        np.array_equal(getattr(got, f), getattr(want, f)) for f in ("E", "A", "B", "C", "D")
+    )
+
+
 class TestStableAntistableSplit:
+    @staticmethod
+    def pencil(n, kind, seed):
+        rng = np.random.default_rng(seed)
+        E = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        A = rng.standard_normal((n, n))
+        if kind == "singular":
+            E[:, -1] = 0.0
+        elif kind != "mixed":
+            # Shift the spectrum wholly to one side of the axis.
+            shift = np.max(np.abs(scipy.linalg.eigvals(A, E).real)) + 0.5
+            A = A + (shift if kind == "antistable" else -shift) * E
+        return DescriptorRealization(
+            E=E, A=A, B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)), D=0.25
+        )
+
+    @pytest.mark.parametrize("kind", ["mixed", "singular", "stable", "antistable"])
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_split_is_ordqz_reference_bit_for_bit(self, n, kind):
+        rlz = self.pencil(n, kind, 1000 * n + len(kind))
+        sp = stable_antistable_split(rlz)
+        k, anti_poles, parts = ordqz_split(rlz)
+        assert sp.stable_part.order == k
+        assert np.array_equal(sp.antistable_poles, anti_poles)
+        if kind == "stable":
+            assert k == n and sp.stable_part is rlz
+        elif kind == "antistable":
+            assert k == 0 and same_realization(sp.antistable_part, replace(rlz, D=0.0))
+        if parts is not None:
+            assert same_realization(sp.stable_part, parts[0])
+            assert same_realization(sp.antistable_part, parts[1])
+        if kind == "singular":
+            assert poles(sp.antistable_part).infinite_count >= 1
+
+    def test_failed_reordering_raises(self, monkeypatch):
+        real = scipy.linalg.lapack.dtgsen
+
+        def failing(*args, **kwargs):
+            *out, _info = real(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtgsen", failing)
+        rlz = modal_realization([], [(-1.0, 1.0), (2.0, 1.0)])
+        with pytest.raises(SingularPencilError, match=r"reordering failed \(info=1\)"):
+            stable_antistable_split(rlz)
+
     def test_two_real_poles_split_exactly(self):
         rlz = modal_realization([], [(-1.0, 1.0), (2.0, 1.0)])
         sp = stable_antistable_split(rlz)
@@ -662,8 +764,9 @@ class TestClosedLoopDelay:
 
     def test_negative_delay_rejected(self):
         h = TransferMap.constant(1.0)
-        with pytest.raises(ValueError):
-            closed_loop_delay(h, h, -0.1)
+        for tau in (-0.1, np.nan):
+            with pytest.raises(ValueError, match=f"delay must be nonnegative, got {tau}"):
+                closed_loop_delay(h, h, tau)
 
     def test_non_finite_factor_passes_through_without_invalid_flag(self):
         h = TransferMap.from_callable(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,21 +42,21 @@ class TestStabilityTag:
         assert rep.antistable_order == 0
 
     def test_spectrum_is_computed_once(self, monkeypatch):
-        # The band filter reads the split's eigenvalues: one ordered QZ and
-        # no separate eigenvalue solve per tag.
-        calls = {"eig": 0, "ordqz": 0}
-        for name in calls:
-            real = getattr(scipy.linalg, name)
+        # The band filter reads the split's eigenvalues: one reordering of
+        # the form and no separate eigenvalue solve per tag.
+        calls = {"eig": 0, "dtgsen": 0}
+        for module, name in ((scipy.linalg, "eig"), (scipy.linalg.lapack, "dtgsen")):
+            real = getattr(module, name)
 
             def spy(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(scipy.linalg, name, spy)
+            monkeypatch.setattr(module, name, spy)
         h = lambda s: 1.0 / (s + 1.0) + 0.5 / (s - 2.0)
         rep = stability_tag(TransferMap.from_callable(h), GRID)
         assert rep.verdict == "unstable"
-        assert calls == {"eig": 0, "ordqz": 1}
+        assert calls == {"eig": 0, "dtgsen": 1}
 
     def test_unstable_first_order_tag_value(self):
         # The whole transfer is antistable; its peak over the band sits at
@@ -182,8 +183,9 @@ class TestStabilityTag:
 
     def test_validation(self):
         h = TransferMap.constant(1.0)
-        with pytest.raises(ValueError):
-            stability_tag(h, GRID, epsilon=0.0)
+        for epsilon in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                stability_tag(h, GRID, epsilon=epsilon)
         with pytest.raises(ValueError):
             stability_tag(h, [])
         with pytest.raises(ValueError):
@@ -324,10 +326,26 @@ class TestDelaySweep:
             delay_margin_sweep(self.plant, self.unity, [1.0, 0.5], self.grid)
         with pytest.raises(ValueError):
             delay_margin_sweep(self.plant, self.unity, [-0.1, 0.5], self.grid)
+        for taus in ([math.nan], [math.nan, 0.5], [0.0, math.nan, 1.0]):
+            with pytest.raises(ValueError, match="nonnegative numbers, not NaN"):
+                delay_margin_sweep(self.plant, self.unity, taus, self.grid)
         with pytest.raises(ValueError):
             delay_margin_sweep(
                 self.plant, self.unity, [0.5], self.grid, epsilon=0.0
             )
+
+    def test_failed_reordering_is_an_inconclusive_row(self, monkeypatch):
+        real = scipy.linalg.lapack.dtgsen
+
+        def failing(*args, **kwargs):
+            *out, _info = real(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtgsen", failing)
+        res = delay_margin_sweep(self.plant, self.unity, [0.0, 0.8], self.grid)
+        assert [row.verdict for row in res.rows] == ["inconclusive"] * 2
+        assert all(math.isnan(row.stab_tag) for row in res.rows)
+        assert all("reordering failed (info=1)" in row.detail for row in res.rows)
 
     @pytest.mark.parametrize("tau", [0.0, 0.8, 1.3])
     def test_row_is_the_stability_report_of_its_delay(self, tau):
@@ -347,6 +365,10 @@ class TestDelaySweep:
         row = DelayRow(tau=1.0, stab_tag=0.0, epsilon=1e-10, verdict="stable", order=0)
         with pytest.raises(ValueError):
             DelaySweepResult(rows=(row, row), destabilizing_delay=None, epsilon=1e-10)
+        for taus in ((math.nan,), (0.5, math.nan), (math.nan, 0.5), (-1.0,)):
+            rows = tuple(replace(row, tau=t) for t in taus)
+            with pytest.raises(ValueError, match="ascending nonnegative delay"):
+                DelaySweepResult(rows=rows, destabilizing_delay=None, epsilon=1e-10)
 
 
 class TestBuiltinPlantSweep:
@@ -450,8 +472,9 @@ class TestNyquistCurve:
         assert np.all(curve == 0.0)
 
     def test_validation_and_error_naming(self):
-        with pytest.raises(ValueError):
-            nyquist_curve(self.plant, self.unity, -1.0, self.grid)
+        for tau in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=f"delay must be nonnegative, got {tau}"):
+                nyquist_curve(self.plant, self.unity, tau, self.grid)
         with pytest.raises(ValueError):
             nyquist_curve(self.plant, self.unity, 0.0, [])
 
