@@ -279,6 +279,11 @@ def cmd_delay_sweep(args) -> int:
     out = _out_dir(args)
     plant = _plant_map(args)
     k = TransferMap.from_realization(load_realization(args.controller))
+    if not (math.isfinite(args.tau_min) and math.isfinite(args.tau_max)):
+        raise ValueError(
+            f"--tau-min and --tau-max must be finite, not NaN or infinite, "
+            f"got {args.tau_min} and {args.tau_max}"
+        )
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_n)
     grid = _grid(args)
     result = delay_margin_sweep(plant, k, taus, grid, epsilon=args.epsilon)

@@ -16,14 +16,16 @@ over the 1x1 and 2x2 diagonal blocks from the bottom up, vectorized over
 the points (Laub, IEEE TAC 1981).  The substitution is left-looking: each
 block reads the rows already solved through one real contraction of its
 rows of the form.  The form is real, not complex, so that
-H(conj s) = conj H(s) holds exactly.  Every contraction runs over the
-realization index only, is elementwise over the points and uses no BLAS
-product across points, so that no value depends on the other points
-evaluated with it.  The same ``gges`` call also gives the generalized
-eigenvalues, so a caller that needs both a realization's grid values and
-its finite poles (the LDDC order sweep) reads both from one real QZ; see
-``_values_and_poles``.  The stable/antistable split reorders the same
-form with LAPACK ``tgsen``; only :func:`poles` runs its own eigensolve.
+H(conj s) = conj H(s) holds exactly; each point is solved as the
+caller gave it, and no conjugate pairs are folded.  Every contraction
+runs over the realization index only, is elementwise over the points and
+uses no BLAS product across points, so that no value depends on the
+other points evaluated with it.  The same ``gges`` call also gives the
+generalized eigenvalues, so a caller that needs both a realization's
+grid values and its finite poles (the LDDC order sweep) reads both from
+one real QZ; see ``_values_and_poles``.  The stable/antistable split
+reorders the same form with LAPACK ``tgsen``; only :func:`poles` runs
+its own eigensolve.
 
 The :class:`TransferMap` wrapper lets rational realizations and irrational
 closed-form models (square roots, delays) flow through the same analysis
@@ -33,6 +35,7 @@ code paths.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -216,15 +219,14 @@ def eval_transfer(rlz: DescriptorRealization, s):
     """Evaluate C (sE - A)^{-1} B + D through one real generalized Schur form.
 
     ``s`` may be a scalar or an ndarray of complex points; the result has
-    the same shape.  Each point and its conjugate share one solve: points
-    with Im s < 0 are mapped to their conjugates, each distinct point of
-    that set is solved once by :func:`_schur_values`, and the mirrored
-    values are conjugated, so H(conj s) = conj H(s) holds bit for bit.  A
+    the same shape.  Every point is solved as given by
+    :func:`_schur_values`; no conjugate pairs are folded.  The form is
+    real, so H(conj s) = conj H(s) holds bit for bit all the same.  A
     point's value does not depend on the other points of the call (the
     solve's contractions run over the realization index only and are
     elementwise over the points), so each value equals the one a separate
     call at that point gives.  A pole hit raises :class:`PoleHitError`
-    naming the point as the caller gave it, not its conjugate.
+    naming the first point the caller gave on the pole.
     """
     s_arr = np.asarray(s, dtype=complex)
     scalar = s_arr.ndim == 0
@@ -232,40 +234,9 @@ def eval_transfer(rlz: DescriptorRealization, s):
     if rlz.order == 0:
         vals = np.full(pts.shape, complex(rlz.D))
     else:
-        fold = _fold_conjugates(pts)
-        vals = fold.unfold(_schur_values(rlz, _real_schur(rlz), fold.upper, fold.asked))
+        vals = _schur_values(rlz, _real_schur(rlz), pts)
     vals = vals.reshape(s_arr.shape) if not scalar else vals[0]
     return complex(vals) if scalar else vals
-
-
-class _Fold(NamedTuple):
-    """Points mapped to Im s >= 0, each distinct one kept once.
-
-    ``upper`` holds the distinct folded points, ``asked`` the caller's own
-    point for each of them (a pole hit names it), ``back`` the index into
-    ``upper`` of every original point and ``mirror`` the original points
-    that were conjugated.
-    """
-
-    upper: np.ndarray
-    asked: np.ndarray
-    back: np.ndarray
-    mirror: np.ndarray
-
-    def unfold(self, vals: np.ndarray) -> np.ndarray:
-        """Values at the original points from values at ``upper``."""
-        out = vals[self.back]
-        np.conjugate(out, out=out, where=self.mirror)
-        return out
-
-
-def _fold_conjugates(pts: np.ndarray) -> _Fold:
-    """Fold a flat array of points onto the closed upper half-plane."""
-    mirror = pts.imag < 0
-    upper, first, back = np.unique(
-        np.where(mirror, pts.conj(), pts), return_index=True, return_inverse=True
-    )
-    return _Fold(upper, pts[first], back, mirror)
 
 
 class _SchurForm(NamedTuple):
@@ -319,17 +290,17 @@ def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
 
 
 def _values_and_poles(
-    rlz: DescriptorRealization, fold: _Fold
+    rlz: DescriptorRealization, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """H at a fold's points and the finite poles, both from one real QZ.
+    """H at the points ``s`` and the finite poles, both from one real QZ.
 
-    The values are those :func:`eval_transfer` gives at the folded points,
-    bit for bit; the poles are the finite eigenvalues under the rule of
+    The values are those :func:`eval_transfer` gives at ``s``, bit for
+    bit; the poles are the finite eigenvalues under the rule of
     :func:`poles`, read from the same form instead of a second eigensolve.
     """
     form = _real_schur(rlz)
     lam, fin = _eigenvalues(form, rlz.E)
-    return fold.unfold(_schur_values(rlz, form, fold.upper, fold.asked)), lam[fin]
+    return _schur_values(rlz, form, s), lam[fin]
 
 
 def _eigenvalues(form: _SchurForm, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +312,7 @@ def _eigenvalues(form: _SchurForm, E: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _schur_values(
-    rlz: DescriptorRealization, form: _SchurForm, s: np.ndarray, asked: np.ndarray
+    rlz: DescriptorRealization, form: _SchurForm, s: np.ndarray
 ) -> np.ndarray:
     """H at each point of ``s`` by block back-substitution (Laub, 1981).
 
@@ -350,8 +321,9 @@ def _schur_values(
     triangular, turns every solve into (sT - S) y = Q^T B, which is block
     upper triangular with 1x1 and 2x2 diagonal blocks: O(n^2) work per
     point after one O(n^3) factorization.  The real form keeps the
-    arithmetic at conj(s) the conjugate of that at s; a complex QZ would
-    not, and H(conj s) = conj H(s) would hold only to rounding.
+    arithmetic at conj(s) the conjugate of that at s, so H(conj s) =
+    conj H(s) holds bit for bit with every point solved as given; a
+    complex QZ would not, and the identity would hold only to rounding.
 
     The substitution is left-looking.  Every diagonal entry s T_ii - S_ii
     is formed in one broadcast; the blocks are then walked bottom-up, and
@@ -364,7 +336,7 @@ def _schur_values(
     and is elementwise over the points; a BLAS product may block the
     points and change a value's last bit with its batch.  So no value
     depends on its batch.  A diagonal block that is exactly singular at a
-    point is a pole hit, reported as the matching entry of ``asked``.
+    point is a pole hit, reported as the first such point of ``s``.
     """
     S, T, Q, Z = form.S, form.T, form.Q, form.Z
     n = rlz.order
@@ -396,7 +368,7 @@ def _schur_values(
             det = diag[lo] * diag[lo + 1] - b01 * b10
         if not det.all():
             raise PoleHitError(
-                f"transfer evaluation hit a pole at s = {complex(asked[det == 0.0][0])}"
+                f"transfer evaluation hit a pole at s = {complex(s[det == 0.0][0])}"
             )
         if hi - lo == 1:
             y[lo] /= det
@@ -580,13 +552,14 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
     """Complementary-sensitivity style loop with an input delay on feedback.
 
     Returns the evaluator s -> h(s)k(s) / (1 + h(s)k(s)e^{-tau*s}).  With
-    tau = 0 this is the plain unity-feedback closed loop.  A non-finite
-    factor gives a non-finite value at that point, with no numpy warning,
-    for the grid sampler to name; a return difference below 1e-300 raises
+    tau = 0 this is the plain unity-feedback closed loop; a delay that is
+    negative, NaN or infinite raises ``ValueError``.  A non-finite factor
+    gives a non-finite value at that point, with no numpy warning, for the
+    grid sampler to name; a return difference below 1e-300 raises
     :class:`LoopSingularityError`.
     """
-    if not tau >= 0:
-        raise ValueError(f"delay must be nonnegative, got {tau}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"delay must be nonnegative, got {tau}; it must also be finite")
 
     def fn(s):
         s = np.asarray(s, dtype=complex)
@@ -646,8 +619,8 @@ def densify_log_grid(grid, factor: int) -> np.ndarray:
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size < 2:
         raise ValueError("need at least 2 grid points to densify")
-    if np.any(grid <= 0):
-        raise ValueError("log densification requires positive frequencies")
+    if not np.all((grid > 0) & (grid < math.inf)):
+        raise ValueError("log densification requires positive finite frequencies")
     return np.geomspace(grid.min(), grid.max(), int(factor) * grid.size)
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
-    _fold_conjugates,
     _values_and_poles,
     feedback_unity,
     series,
@@ -39,7 +38,7 @@ from .errors import (
     PartitionSizeError,
     SingularityError,
 )
-from .freq_data import FrequencyDataset, close_conjugate, partition_points
+from .freq_data import FrequencyDataset, _conjugate_index, close_conjugate, partition_points
 from .loewner_core import _project, build_pencil
 
 __all__ = [
@@ -265,8 +264,10 @@ def reduce_controller(
     leading q x q block of that projection (see ``reduce_to_realization``),
     and a candidate whose block is not a regular pencil is skipped without
     losing the others.  Each candidate's grid values and its poles come
-    from one real QZ (``descriptor_ops._values_and_poles``), with the
-    grid's conjugate pairs folded once for the whole sweep.
+    from one real QZ (``descriptor_ops._values_and_poles``).  The data are
+    conjugate-closed and the candidates real, so only the points with
+    Im z >= 0 are solved; each other point takes the conjugate of its
+    partner's value and is still compared against its own sample.
 
     With ``gamma_bound`` supplied, rows whose relative grid error is below
     1/gamma_bound are marked "stable"; everything else stays
@@ -293,7 +294,12 @@ def reduce_controller(
 
     z = kstar_data.points()
     kstar = kstar_data.values()
-    fold = _fold_conjugates(z)
+    # Each point with Im z >= 0 is solved; every other point reads its
+    # partner's value, found by the partner's rank among the solved points.
+    solve = z.imag >= 0
+    upper = z[solve]
+    source = np.where(solve, np.arange(z.size), _conjugate_index(z))
+    take = (np.cumsum(solve) - 1)[source]
     mag = np.abs(kstar)
     nz = mag > 0.0
     mag = mag[nz]
@@ -307,9 +313,10 @@ def reduce_controller(
     for q in range(1, q_max + 1):
         try:
             rlz = DescriptorRealization(E[:q, :q], A[:q, :q], B[:q], C[:, :q])
-            vals, finite = _values_and_poles(rlz, fold)
+            half, finite = _values_and_poles(rlz, upper)
         except LoewnerLabError:
             continue
+        vals = np.where(solve, half[take], half[take].conj())
         diff = np.abs(vals - kstar)
         err = float(np.max(diff))
         err_rel = float(np.max(diff[nz] / mag)) if nz.any() else err

@@ -235,8 +235,8 @@ def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> S
     omega = np.asarray(grid, dtype=float).ravel()
     if omega.size == 0:
         raise ValueError("frequency grid is empty")
-    if np.any(omega <= 0):
-        raise ValueError("grid frequencies must be strictly positive")
+    if not np.all((omega > 0) & (omega < math.inf)):
+        raise ValueError("grid frequencies must be strictly positive and finite")
     if omega.size < 2:
         raise ZeroDataError(
             f"a {omega.size}-point grid cannot be fitted: the Loewner partition "
@@ -336,8 +336,11 @@ class DelaySweepResult:
 
     def __post_init__(self) -> None:
         taus = [row.tau for row in self.rows]
-        if not all(t >= 0 for t in taus) or not all(b > a for a, b in zip(taus, taus[1:])):
-            raise ValueError("sweep rows must be ordered by ascending nonnegative delay")
+        ascending = all(b > a for a, b in zip(taus, taus[1:]))
+        if not (ascending and all(0 <= t < math.inf for t in taus)):
+            raise ValueError(
+                "sweep rows must be ordered by ascending nonnegative delay, each finite"
+            )
 
 
 def delay_margin_sweep(
@@ -364,8 +367,8 @@ def delay_margin_sweep(
     taus = [float(t) for t in taus]
     if not taus:
         raise ValueError("no delays requested")
-    if not all(t >= 0 for t in taus):
-        raise ValueError("delays must be nonnegative numbers, not NaN")
+    if not all(0 <= t < math.inf for t in taus):
+        raise ValueError("delays must be finite nonnegative numbers, not NaN")
     if not all(b > a for a, b in zip(taus, taus[1:])):
         raise ValueError("delays must be strictly ascending")
     omega = np.asarray(grid, dtype=float).ravel()
@@ -418,8 +421,8 @@ def nyquist_curve(plant: TransferMap, k: TransferMap, tau: float, grid) -> np.nd
     omega = np.asarray(grid, dtype=float).ravel()
     if omega.size == 0:
         raise ValueError("frequency grid is empty")
-    if not tau >= 0:
-        raise ValueError(f"delay must be nonnegative, got {tau}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"delay must be nonnegative, got {tau}; it must also be finite")
     loop = _eval_on_axis(
         lambda s: np.asarray(plant(s), dtype=complex) * np.asarray(k(s), dtype=complex),
         omega,

@@ -151,10 +151,10 @@ def _sample(plant: TransferMap, w: WeightingFilters, grid) -> _GridSamples:
     omega = np.asarray(grid, dtype=float).ravel()
     if omega.size == 0:
         raise ValueError("frequency grid is empty")
-    if np.any(omega <= 0.0):
+    if not np.all((omega > 0.0) & (omega < math.inf)):
         raise ValueError(
-            "grid must contain strictly positive frequencies only (the "
-            "tracking weight has a pole at omega = 0)"
+            "grid must contain strictly positive finite frequencies only "
+            "(the tracking weight has a pole at omega = 0)"
         )
     return _GridSamples(
         omega=omega,

@@ -15,6 +15,7 @@ and stability pipeline in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +106,13 @@ def sample_grid(n: int, w_min: float, w_max: float) -> np.ndarray:
     """Logarithmically spaced imaginary-axis points i*omega.
 
     Returns ``n`` points with omega log-spaced in [w_min, w_max], strictly
-    increasing, endpoints included.
+    increasing, endpoints included.  The bounds must satisfy
+    0 < w_min < w_max < inf.
     """
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
-    if not (0 < w_min < w_max):
+    if not (0 < w_min < w_max < math.inf):
         raise ValueError(
-            f"bounds must satisfy 0 < w_min < w_max, got ({w_min}, {w_max})"
+            f"bounds must satisfy 0 < w_min < w_max < inf, got ({w_min}, {w_max})"
         )
     return 1j * np.geomspace(w_min, w_max, n)

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,13 @@ class TestSample:
         assert main(["sample", "--grid-n", "40", "--out", str(a)]) == 0
         assert main(["sample", "--grid-n", "40", "--out", str(b)]) == 0
         assert (a / "plant.csv").read_bytes() == (b / "plant.csv").read_bytes()
+
+
+    def test_infinite_wmax_is_rejected(self, tmp_path, capsys):
+        rc = main(["sample", "--wmax", "inf", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "w_max < inf" in capsys.readouterr().err
+        assert not (tmp_path / "plant.csv").exists()
 
 
 class TestStartUp:
@@ -178,6 +186,16 @@ class TestSynth:
         assert "gamma" in capsys.readouterr().out
 
 
+    def test_infinite_wmax_is_rejected(self, tmp_path, capsys):
+        rlz_path = tmp_path / "plant.json"
+        save_realization(modal_realization([], [(-1.0, 1.0)]), rlz_path)
+        out = tmp_path / "synth"
+        rc = main(["synth", str(rlz_path), "--wmax", "inf", "--out", str(out)])
+        assert rc == 1
+        assert "w_max < inf" in capsys.readouterr().err
+        assert not (out / "pi.json").exists()
+
+
 class TestMfsa:
     def test_stable_realization_verdict(self, tmp_path):
         rlz_path = tmp_path / "stable.json"
@@ -260,6 +278,24 @@ class TestMfsa:
         assert "delay must be nonnegative, got nan" in capsys.readouterr().err
 
 
+    def test_infinite_delay_is_named_without_warnings(self, tmp_path, capsys):
+        plant_path = tmp_path / "plant.json"
+        ctrl_path = tmp_path / "ctrl.json"
+        save_realization(modal_realization([], [(-1.0, 2.0)]), plant_path)
+        save_realization(modal_realization([], [], feedthrough=1.0), ctrl_path)
+        out = tmp_path / "mfsa"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "mfsa", "--plant", str(plant_path), "--controller", str(ctrl_path),
+                "--tau", "inf", "--grid-n", "40", "--out", str(out),
+            ])
+        assert rc == 1
+        assert caught == []
+        assert "got inf; it must also be finite" in capsys.readouterr().err
+        assert not (out / "stability_report.json").exists()
+
+
 class TestDelaySweep:
     def test_rows_and_nyquist_artifacts(self, tmp_path, capsys):
         plant_path = tmp_path / "plant.json"
@@ -300,6 +336,24 @@ class TestDelaySweep:
         ])
         assert rc == 1
         assert "not NaN" in capsys.readouterr().err
+        assert not (out / "delay_sweep.csv").exists()
+
+    @pytest.mark.parametrize("bound", ["--tau-min", "--tau-max"])
+    def test_infinite_delay_bound_is_rejected_without_warnings(self, tmp_path, capsys, bound):
+        plant_path = tmp_path / "plant.json"
+        ctrl_path = tmp_path / "ctrl.json"
+        save_realization(modal_realization([], [(-1.0, 2.0)]), plant_path)
+        save_realization(modal_realization([], [], feedthrough=1.0), ctrl_path)
+        out = tmp_path / "sweep"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "delay-sweep", "--plant", str(plant_path), "--controller", str(ctrl_path),
+                bound, "inf", "--tau-n", "3", "--grid-n", "30", "--out", str(out),
+            ])
+        assert rc == 1
+        assert caught == []
+        assert "must be finite" in capsys.readouterr().err
         assert not (out / "delay_sweep.csv").exists()
 
     def test_nyquist_loop_is_evaluated_once(self, tmp_path, monkeypatch):

@@ -100,7 +100,7 @@ class TestEvalTransfer:
             Tl @ rlz.E @ Tr, Tl @ rlz.A @ Tr, Tl @ rlz.B, rlz.C @ Tr, rlz.D
         )
 
-    def test_conjugate_pairs_are_solved_once(self, monkeypatch):
+    def test_one_factorization_solves_every_point_as_given(self, monkeypatch):
         factorizations, solved = [], []
         real_schur, real_values = descriptor_ops._real_schur, descriptor_ops._schur_values
 
@@ -108,9 +108,9 @@ class TestEvalTransfer:
             factorizations.append(rlz.order)
             return real_schur(rlz)
 
-        def values_spy(rlz, form, s, asked):
-            solved.append(s.size)
-            return real_values(rlz, form, s, asked)
+        def values_spy(rlz, form, s):
+            solved.append(s.copy())
+            return real_values(rlz, form, s)
 
         monkeypatch.setattr(descriptor_ops, "_real_schur", schur_spy)
         monkeypatch.setattr(descriptor_ops, "_schur_values", values_spy)
@@ -118,7 +118,7 @@ class TestEvalTransfer:
         closed = np.concatenate([upper, upper.conj()])
         vals = eval_transfer(self.dense_realization(3), closed)
         assert len(factorizations) == 1
-        assert solved == [200]
+        assert len(solved) == 1 and np.array_equal(solved[0], closed)
         assert np.array_equal(vals[200:], vals[:200].conj())
 
     @staticmethod
@@ -221,8 +221,8 @@ class TestEvalTransfer:
         assert all(out[i] == eval_transfer(rlz, p) for i, p in enumerate(s))
 
     def test_pole_error_names_the_requested_point(self):
-        # 1/(s^2 + 1): the pencil is exactly singular at s = +-1j, and the
-        # solve for -1j runs at its conjugate +1j.
+        # 1/(s^2 + 1): the pencil is exactly singular at s = +-1j; the
+        # solve runs at -1j itself, the point the caller asked for.
         rlz = DescriptorRealization(
             E=np.eye(2), A=np.array([[0.0, 1.0], [-1.0, 0.0]]),
             B=np.array([[0.0], [1.0]]), C=np.array([[1.0, 0.0]]), D=0.0,
@@ -359,8 +359,7 @@ class TestEvalTransfer:
     @pytest.mark.parametrize("size", [1, 7, 200])
     @pytest.mark.parametrize("seed", range(4))
     def test_contractions_sum_in_index_order(self, seed, size):
-        # Points on the upper imaginary axis in ascending order are their
-        # own fold, so eval_transfer solves exactly these points.
+        # eval_transfer solves exactly the points it is given.
         s = 1j * np.geomspace(1e-2, 1e2, size)
         for rlz in (self.dense_realization(seed), self.layered_realization()):
             assert np.array_equal(eval_transfer(rlz, s), self.sequential_values(rlz, s))
@@ -386,26 +385,46 @@ class TestEvalTransfer:
 
 
 class TestRealSchur:
+    # Both half-planes, the real axis and repeated points.
+    POINTS = np.concatenate(
+        [GRID, 0.4 + GRID.conj(), [-1.5, 0.0, 4.0, 0.3 + 2.0j, 0.3 + 2.0j], GRID[::7]]
+    )
+
     @staticmethod
-    def pencil(n, seed):
+    def pencil(n, seed, null=0):
+        """Random order-n pencil whose E has ``null`` trailing zero columns,
+        each an infinite eigenvalue."""
         rng = np.random.default_rng(seed)
+        E = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        E[:, n - null:] = 0.0
         return DescriptorRealization(
-            E=np.eye(n) + 0.3 * rng.standard_normal((n, n)),
+            E=E,
             A=rng.standard_normal((n, n)),
             B=rng.standard_normal((n, 1)),
             C=rng.standard_normal((1, n)),
         )
 
-    @pytest.mark.parametrize("n", range(1, 61))
-    def test_form_is_scipy_qz_bit_for_bit(self, n):
-        rlz = self.pencil(n, n)
+    @pytest.mark.parametrize(
+        "n, null",
+        [*(pytest.param(n, 0, id=str(n)) for n in range(1, 61)),
+         pytest.param(12, 2, id="singular-E")],
+    )
+    def test_form_is_scipy_qz_bit_for_bit(self, n, null):
+        rlz = self.pencil(n, n, null)
         form = descriptor_ops._real_schur(rlz)
         want = scipy.linalg.qz(rlz.A, rlz.E, output="real")
         for got, ref in zip(form[:4], want):
             assert np.array_equal(got, ref)
-        eigs = (form.alphar + 1j * form.alphai) / form.beta
+        fin = form.beta != 0.0
+        eigs = (form.alphar + 1j * form.alphai)[fin] / form.beta[fin]
         ref = scipy.linalg.eigvals(rlz.A, rlz.E)
+        assert np.count_nonzero(~fin) == np.count_nonzero(np.isinf(ref)) == null
+        ref = ref[np.isfinite(ref)]
         assert rel_err(np.sort_complex(eigs), np.sort_complex(ref)) < 1e-8
+        # The real form makes H(conj s) = conj H(s) exact, with every point
+        # solved as given.
+        s = self.POINTS
+        assert np.array_equal(eval_transfer(rlz, s.conj()), eval_transfer(rlz, s).conj())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("which", ["A", "E"])
@@ -764,7 +783,7 @@ class TestClosedLoopDelay:
 
     def test_negative_delay_rejected(self):
         h = TransferMap.constant(1.0)
-        for tau in (-0.1, np.nan):
+        for tau in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match=f"delay must be nonnegative, got {tau}"):
                 closed_loop_delay(h, h, tau)
 

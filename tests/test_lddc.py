@@ -8,6 +8,7 @@ reproduce K0 exactly and the reduction sweep must recover it at order 1.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,13 @@ import scipy.linalg
 
 from helpers import modal_realization
 from loewner_lab import descriptor_ops, lddc
-from loewner_lab.descriptor_ops import TransferMap, eval_transfer, poles
-from loewner_lab.errors import GridMismatchError, PartitionSizeError, SingularityError
+from loewner_lab.descriptor_ops import DescriptorRealization, TransferMap, eval_transfer, poles
+from loewner_lab.errors import (
+    GridMismatchError,
+    LoewnerLabError,
+    PartitionSizeError,
+    SingularityError,
+)
 from loewner_lab.freq_data import FrequencyDataset, close_conjugate, partition_points
 from loewner_lab.lddc import (
     PARASITIC_POLE_FACTOR,
@@ -240,16 +246,17 @@ def swept_candidates(request, plant_dataset, m2_reference):
     """Each sweep candidate's realization, grid values and finite poles.
 
     The built-in plant's ideal-controller data for m1 and for m2, swept
-    over orders 1..20 with ``_values_and_poles`` spied on.
+    over orders 1..20 with ``_values_and_poles`` spied on; each entry
+    holds the points the sweep solved.
     """
     m_ref = second_order_reference() if request.param == "m1" else m2_reference
     kstar = ideal_controller_response(plant_dataset, m_ref)
     seen = []
     real = lddc._values_and_poles
 
-    def spy(rlz, fold):
-        vals, finite = real(rlz, fold)
-        seen.append((rlz, vals, finite))
+    def spy(rlz, s):
+        vals, finite = real(rlz, s)
+        seen.append((rlz, s, vals, finite))
         return vals, finite
 
     with pytest.MonkeyPatch.context() as mp:
@@ -263,27 +270,29 @@ class TestOneProjectionSweep:
 
     def test_every_size_is_a_candidate(self, swept_candidates):
         _, seen = swept_candidates
-        assert [rlz.order for rlz, _, _ in seen] == list(range(1, 22))
+        assert [rlz.order for rlz, *_ in seen] == list(range(1, 22))
 
     def test_values_match_own_projection(self, swept_candidates):
         # Measured at most 3.9e-13 (m1) and 3.1e-14 (m2): the blocks equal
         # the separate projections up to the products' summation order.
         kstar, seen = swept_candidates
         pencil = build_pencil(partition_points(kstar))
-        z = kstar.points()
-        for rlz, vals, _ in seen:
-            want = eval_transfer(reduce_to_realization(pencil, rlz.order), z)
+        for rlz, s, vals, _ in seen:
+            want = eval_transfer(reduce_to_realization(pencil, rlz.order), s)
             assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-10, rlz.order
 
     def test_values_are_eval_transfer_bit_for_bit(self, swept_candidates):
+        # Only the closed upper half of the conjugate-closed grid is solved.
         kstar, seen = swept_candidates
-        for rlz, vals, _ in seen:
-            assert np.array_equal(vals, eval_transfer(rlz, kstar.points())), rlz.order
+        z = kstar.points()
+        for rlz, s, vals, _ in seen:
+            assert np.array_equal(s, z[z.imag >= 0]), rlz.order
+            assert np.array_equal(vals, eval_transfer(rlz, s)), rlz.order
 
     def test_dynamic_pole_counts_match_poles(self, swept_candidates):
         kstar, seen = swept_candidates
         cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(kstar.points().imag)))
-        for rlz, _, finite in seen:
+        for rlz, _, _, finite in seen:
             want = poles(rlz).finite
             assert finite.size == want.size, rlz.order
             assert np.sum(np.abs(finite) <= cut) == np.sum(np.abs(want) <= cut), rlz.order
@@ -304,3 +313,75 @@ class TestOneProjectionSweep:
         sweep = reduce_controller(kstar, range(1, 21))
         assert len(sweep.rows) == 20
         assert calls == {"_project": 1, "poles": 0, "eig": 0}
+
+
+def full_grid_sweep(kstar_data, orders, gamma_bound):
+    """The rows of ``reduce_controller`` with every candidate evaluated on
+    the whole grid, lower half-plane included, instead of mirrored."""
+    z, kstar = kstar_data.points(), kstar_data.values()
+    mag = np.abs(kstar)
+    nz = mag > 0.0
+    pencil = build_pencil(partition_points(kstar_data))
+    cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(z.imag)))
+    E, A, B, C = lddc._project(pencil, min(orders[-1] + 1, pencil.size))
+    candidates = []
+    for q in range(1, len(E) + 1):
+        try:
+            rlz = DescriptorRealization(E[:q, :q], A[:q, :q], B[:q], C[:, :q])
+            vals, finite = descriptor_ops._values_and_poles(rlz, z)
+        except LoewnerLabError:
+            continue
+        diff = np.abs(vals - kstar)
+        candidates.append(SweepRow(
+            order=int(np.sum(np.abs(finite) <= cut)), realization=rlz,
+            error=float(np.max(diff)), error_rel=float(np.max(diff[nz] / mag[nz])),
+            verdict="inconclusive", projection_size=q,
+        ))
+    rows = []
+    for r in orders:
+        best = min(
+            (c for c in candidates if c.order <= r),
+            key=lambda c: (c.error, c.projection_size),
+        )
+        verdict = "stable" if best.error_rel < 1.0 / gamma_bound else "inconclusive"
+        rows.append(replace(best, order=r, verdict=verdict))
+    return rows
+
+
+class TestMirroredGrid:
+    """The sweep solves Im z >= 0 and mirrors the rest onto their partners."""
+
+    @staticmethod
+    def kstar_data(layout, plant_dataset, roundtrip):
+        if layout == "real-axis":
+            g, _, _, m_ref = roundtrip
+            z = np.concatenate([[0.05, 0.5], 1j * np.geomspace(1e-3, 1e2, 40)])
+            plant = close_conjugate(FrequencyDataset.from_arrays(z, eval_transfer(g, z)))
+        else:
+            plant, m_ref = plant_dataset, second_order_reference()
+        kstar = ideal_controller_response(plant, m_ref)
+        z, k = kstar.points(), kstar.values()
+        if layout == "perturbed":
+            # Lower partners off by 4e-13 relative, inside the 1e-12 closure
+            # rule: each must still be compared against its own sample.
+            k = np.where(z.imag < 0, k * (1.0 + 4e-13), k)
+        elif layout == "shuffled":
+            perm = np.random.default_rng(0).permutation(z.size)
+            z, k = z[perm], k[perm]
+        kstar = FrequencyDataset.from_arrays(z, k)
+        assert kstar.conjugate_closed
+        return kstar, small_gain_bound(plant, m_ref)
+
+    @pytest.mark.parametrize("layout", ["built-in", "perturbed", "shuffled", "real-axis"])
+    def test_rows_equal_a_full_grid_sweep(self, layout, plant_dataset, roundtrip):
+        kstar, gamma = self.kstar_data(layout, plant_dataset, roundtrip)
+        orders = tuple(range(1, 21))
+        got = reduce_controller(kstar, orders, gamma_bound=gamma).rows
+        want = full_grid_sweep(kstar, orders, gamma)
+        assert len(got) == len(want) == len(orders)
+        for a, b in zip(got, want):
+            # Every field bit for bit; the realizations array by array.
+            fields_a, fields_b = vars(a).copy(), vars(b).copy()
+            ra, rb = fields_a.pop("realization"), fields_b.pop("realization")
+            assert fields_a == fields_b
+            assert all(np.array_equal(getattr(ra, m), getattr(rb, m)) for m in "EABCD")

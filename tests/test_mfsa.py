@@ -190,6 +190,9 @@ class TestStabilityTag:
             stability_tag(h, [])
         with pytest.raises(ValueError):
             stability_tag(h, [0.0, 1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="strictly positive and finite"):
+                stability_tag(h, np.where(GRID == GRID[5], bad, GRID))
 
     def test_one_point_grid_names_its_size(self):
         h = TransferMap.from_callable(lambda s: 1.0 / (s + 1.0))
@@ -326,9 +329,16 @@ class TestDelaySweep:
             delay_margin_sweep(self.plant, self.unity, [1.0, 0.5], self.grid)
         with pytest.raises(ValueError):
             delay_margin_sweep(self.plant, self.unity, [-0.1, 0.5], self.grid)
-        for taus in ([math.nan], [math.nan, 0.5], [0.0, math.nan, 1.0]):
+        for taus in ([math.nan], [math.nan, 0.5], [0.0, math.nan, 1.0],
+                     [math.inf], [0.5, math.inf]):
             with pytest.raises(ValueError, match="nonnegative numbers, not NaN"):
                 delay_margin_sweep(self.plant, self.unity, taus, self.grid)
+        # tau > 0 densifies the grid first, tau = 0 tags it as given.
+        for bad in (math.nan, math.inf):
+            grid = np.where(self.grid == self.grid[5], bad, self.grid)
+            for tau in (0.0, 0.8):
+                with pytest.raises(ValueError, match="positive (and )?finite"):
+                    delay_margin_sweep(self.plant, self.unity, [tau], grid)
         with pytest.raises(ValueError):
             delay_margin_sweep(
                 self.plant, self.unity, [0.5], self.grid, epsilon=0.0
@@ -365,7 +375,8 @@ class TestDelaySweep:
         row = DelayRow(tau=1.0, stab_tag=0.0, epsilon=1e-10, verdict="stable", order=0)
         with pytest.raises(ValueError):
             DelaySweepResult(rows=(row, row), destabilizing_delay=None, epsilon=1e-10)
-        for taus in ((math.nan,), (0.5, math.nan), (math.nan, 0.5), (-1.0,)):
+        for taus in ((math.nan,), (0.5, math.nan), (math.nan, 0.5), (-1.0,),
+                     (math.inf,), (0.5, math.inf)):
             rows = tuple(replace(row, tau=t) for t in taus)
             with pytest.raises(ValueError, match="ascending nonnegative delay"):
                 DelaySweepResult(rows=rows, destabilizing_delay=None, epsilon=1e-10)
@@ -472,7 +483,7 @@ class TestNyquistCurve:
         assert np.all(curve == 0.0)
 
     def test_validation_and_error_naming(self):
-        for tau in (-1.0, math.nan):
+        for tau in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"delay must be nonnegative, got {tau}"):
                 nyquist_curve(self.plant, self.unity, tau, self.grid)
         with pytest.raises(ValueError):

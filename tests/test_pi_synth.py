@@ -259,6 +259,12 @@ class TestPerformanceScore:
             eval_weighted_performance(plant, k, default_weights(), [])
         with pytest.raises(ValueError):
             eval_weighted_performance(plant, k, default_weights(), [0.0, 1.0])
+        # The tuner samples through the same check.
+        lag = TransferMap.from_callable(lambda s: 2.0 / (s + 1.0))
+        for bad in (math.nan, math.inf):
+            grid = np.where(GRID == GRID[3], bad, GRID)
+            with pytest.raises(ValueError, match="strictly positive finite frequencies"):
+                optimize_pi(lag, default_weights(), grid, start=k)
 
     def test_vanishing_return_difference_is_reported(self):
         plant = TransferMap.constant(-1.0)

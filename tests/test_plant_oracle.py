@@ -1,5 +1,7 @@
 """Plant and actuator evaluation against hand-computed values."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,5 @@ def test_sample_grid_rejects_bad_arguments():
         sample_grid(10, 0.0, 2.0)
     with pytest.raises(ValueError):
         sample_grid(10, 5.0, 2.0)
+    with pytest.raises(ValueError, match="w_max < inf"):
+        sample_grid(10, 1.0, math.inf)
