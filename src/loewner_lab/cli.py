@@ -24,6 +24,7 @@ import numpy as np
 
 from .descriptor_ops import (
     TransferMap,
+    _check_delays,
     closed_loop_delay,
     eval_transfer,
     load_realization,
@@ -68,6 +69,8 @@ def _json_safe(x):
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created on the first write, once the command's
+    computation has succeeded, so a rejected command leaves nothing."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -125,12 +128,11 @@ def _add_out_flag(sp) -> None:
 
 
 def cmd_sample(args) -> int:
-    out = _out_dir(args)
     p = _plant_params(args)
     pts = sample_grid(args.grid_n, args.wmin, args.wmax)
     vals = eval_plant(p, p.x_m, pts)
     dataset = FrequencyDataset.from_arrays(pts, vals)
-    path = out / "plant.csv"
+    path = _out_dir(args) / "plant.csv"
     save_csv(dataset, path)
     print(f"wrote {len(dataset)} samples to {path}")
     return 0
@@ -152,11 +154,11 @@ def _relative_residual(rlz, closed) -> float:
 
 
 def cmd_approximate(args) -> int:
-    out = _out_dir(args)
     closed = close_conjugate(load_csv(args.data))
     report, rlz = _approximant(closed, args.svd_tol, args.order)
-    save_realization(rlz, out / "realization.json")
     residual = _relative_residual(rlz, closed)
+    out = _out_dir(args)
+    save_realization(rlz, out / "realization.json")
     report_obj = {
         "order": rlz.order,
         "detected_rank": report.rank,
@@ -183,18 +185,12 @@ def _reference(args, dataset):
 
 
 def cmd_lddc(args) -> int:
-    out = _out_dir(args)
     dataset = close_conjugate(load_csv(args.data))
     m_ref = _reference(args, dataset)
     gamma = small_gain_bound(dataset, m_ref)
     kstar = ideal_controller_response(dataset, m_ref)
     sweep = reduce_controller(kstar, range(1, args.max_order + 1), gamma_bound=gamma)
     inv = 1.0 / gamma if gamma > 0 else math.inf
-    _write_rows(
-        out / "sweep.csv",
-        "order,error,gamma_inverse,verdict",
-        [(row.order, float(row.error), float(inv), row.verdict) for row in sweep.rows],
-    )
     safe = sweep.smallest_safe_order()
     if safe is not None:
         pick = next(row for row in sweep.rows if row.order == safe)
@@ -204,13 +200,18 @@ def cmd_lddc(args) -> int:
         note = f"no order certified; lowest-error order {pick.order}"
     if pick.realization is None:
         raise LoewnerLabError("no controller realization could be built")
+    out = _out_dir(args)
+    _write_rows(
+        out / "sweep.csv",
+        "order,error,gamma_inverse,verdict",
+        [(row.order, float(row.error), float(inv), row.verdict) for row in sweep.rows],
+    )
     save_realization(pick.realization, out / "controller.json")
     print(f"{note} (grid error {pick.error:.3e}, 1/gamma = {inv:.6g})")
     return 0
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     rlz = load_realization(args.realization)
     plant = TransferMap.from_realization(rlz, label=str(args.realization))
     grid = _grid(args)
@@ -225,10 +226,11 @@ def cmd_synth(args) -> int:
         "stable": result.stable,
         "stability_checked": result.stability_checked,
     }
-    (out / "pi.json").write_text(json.dumps(obj, indent=1) + "\n")
     s = 1j * grid
     sens = 1.0 / (1.0 + np.asarray(plant(s)) * ctrl.frequency_response(grid))
     comp = 1.0 - sens
+    out = _out_dir(args)
+    (out / "pi.json").write_text(json.dumps(obj, indent=1) + "\n")
     _write_rows(
         out / "sensitivity.csv",
         "omega_rad_s,re,im",
@@ -257,7 +259,6 @@ def _loop_map(args) -> TransferMap:
 
 
 def cmd_mfsa(args) -> int:
-    out = _out_dir(args)
     h = _loop_map(args)
     report = stability_tag(h, _delay_grid(_grid(args), args.tau), epsilon=args.epsilon)
     obj = {
@@ -269,35 +270,34 @@ def cmd_mfsa(args) -> int:
         "antistable_order": report.antistable_order,
         "detail": report.detail,
     }
-    (out / "stability_report.json").write_text(json.dumps(obj, indent=1) + "\n")
+    (_out_dir(args) / "stability_report.json").write_text(json.dumps(obj, indent=1) + "\n")
     tag = "none" if not math.isfinite(report.stab_tag) else f"{report.stab_tag:.6g}"
     print(f"verdict: {report.verdict} (stab_tag = {tag}, order = {report.order})")
     return 0
 
 
 def cmd_delay_sweep(args) -> int:
-    out = _out_dir(args)
     plant = _plant_map(args)
     k = TransferMap.from_realization(load_realization(args.controller))
-    if not (math.isfinite(args.tau_min) and math.isfinite(args.tau_max)):
-        raise ValueError(
-            f"--tau-min and --tau-max must be finite, not NaN or infinite, "
-            f"got {args.tau_min} and {args.tau_max}"
-        )
+    # Before linspace, which warns on an infinite bound; each on its own,
+    # since equal bounds make a valid one-row sweep.
+    _check_delays([args.tau_min])
+    _check_delays([args.tau_max])
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_n)
     grid = _grid(args)
     result = delay_margin_sweep(plant, k, taus, grid, epsilon=args.epsilon)
-    _write_rows(
-        out / "delay_sweep.csv",
-        "tau_s,stab_tag,verdict",
-        [(float(row.tau), float(row.stab_tag), row.verdict) for row in result.rows],
-    )
-    loop = nyquist_curve(plant, k, 0.0, grid)
+    loop = nyquist_curve(plant, k, grid)
     ny_rows = [
         (float(w), float(v.real), float(v.imag), float(row.tau))
         for row in result.rows
         for w, v in zip(grid, loop * np.exp(-1j * grid * row.tau))
     ]
+    out = _out_dir(args)
+    _write_rows(
+        out / "delay_sweep.csv",
+        "tau_s,stab_tag,verdict",
+        [(float(row.tau), float(row.stab_tag), row.verdict) for row in result.rows],
+    )
     _write_rows(out / "nyquist.csv", "omega_rad_s,re,im,tau_s", ny_rows)
     margin = result.destabilizing_delay
     print(
@@ -382,10 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except LoewnerLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (LoewnerLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

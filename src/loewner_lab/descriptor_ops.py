@@ -508,16 +508,39 @@ def stable_antistable_split(rlz: DescriptorRealization) -> StableSplit:
     return StableSplit(stable, anti, anti_poles)
 
 
+def _check_delays(taus) -> list[float]:
+    """The package's one delay rule: ``taus`` as floats, each finite and
+    >= 0, strictly ascending; else ``ValueError`` naming the first bad one."""
+    taus = [float(t) for t in taus]
+    for prev, tau in zip([-math.inf] + taus, taus):
+        if not (0 <= tau < math.inf and tau > prev):
+            raise ValueError(f"bad delay {tau}: delays must be finite, >= 0 and strictly ascending")
+    return taus
+
+
+def _log_grid(grid) -> np.ndarray:
+    """The package's one log-grid rule: ``grid`` as a 1-D array of positive,
+    finite frequencies; else ``ValueError`` naming the first bad one."""
+    omega = np.asarray(grid, dtype=float).ravel()
+    bad = omega[~((omega > 0) & (omega < math.inf))]
+    if bad.size:
+        raise ValueError(f"grid frequencies must be positive and finite, got {bad[0]}")
+    return omega
+
+
 def _eval_on_axis(h, omega: np.ndarray) -> np.ndarray:
     """h(i*omega) as a complex array, every sample checked where it is taken.
 
     This is the one grid sampler of the package: the stability tag, the PI
     tuner's plant and weight samples, grid norms and Nyquist curves all
-    read their values through it.  If the evaluation raises, the error is
-    raised again with the first failing frequency appended to its message.
-    A sample that is not finite raises :class:`SingularityError` naming
-    the first such frequency.
+    read their values through it, so its empty-grid ``ValueError`` is the
+    package's only one.  If the evaluation raises, the error is raised
+    again with the first failing frequency appended to its message.  A
+    sample that is not finite raises :class:`SingularityError` naming the
+    first such frequency.
     """
+    if omega.size == 0:
+        raise ValueError("frequency grid is empty")
     try:
         vals = np.asarray(h(1j * omega), dtype=complex)
     except Exception:
@@ -541,8 +564,6 @@ def _eval_on_axis(h, omega: np.ndarray) -> np.ndarray:
 def linf_norm_grid(h: TransferMap, grid) -> GridNorm:
     """Max of |h(i*omega)| over a frequency grid, with the argmax frequency."""
     grid = np.asarray(grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise ValueError("frequency grid is empty")
     mags = np.abs(_eval_on_axis(h, grid))
     idx = int(np.argmax(mags))
     return GridNorm(value=float(mags[idx]), omega=float(grid[idx]))
@@ -552,14 +573,12 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
     """Complementary-sensitivity style loop with an input delay on feedback.
 
     Returns the evaluator s -> h(s)k(s) / (1 + h(s)k(s)e^{-tau*s}).  With
-    tau = 0 this is the plain unity-feedback closed loop; a delay that is
-    negative, NaN or infinite raises ``ValueError``.  A non-finite factor
-    gives a non-finite value at that point, with no numpy warning, for the
-    grid sampler to name; a return difference below 1e-300 raises
-    :class:`LoopSingularityError`.
+    tau = 0 this is the plain unity-feedback closed loop; tau is checked by
+    ``_check_delays``.  A non-finite factor gives a non-finite value at
+    that point, with no numpy warning, for the grid sampler to name; a
+    return difference below 1e-300 raises :class:`LoopSingularityError`.
     """
-    if not 0 <= tau < math.inf:
-        raise ValueError(f"delay must be nonnegative, got {tau}; it must also be finite")
+    _check_delays([tau])
 
     def fn(s):
         s = np.asarray(s, dtype=complex)
@@ -615,12 +634,11 @@ def feedback_unity(loop: DescriptorRealization) -> DescriptorRealization:
 
 
 def densify_log_grid(grid, factor: int) -> np.ndarray:
-    """Log-spaced grid over the same range with ``factor`` times the points."""
-    grid = np.asarray(grid, dtype=float).ravel()
+    """Log-spaced grid over the same range with ``factor`` times the points;
+    ``grid`` is checked by ``_log_grid`` and needs at least 2 points."""
+    grid = _log_grid(grid)
     if grid.size < 2:
         raise ValueError("need at least 2 grid points to densify")
-    if not np.all((grid > 0) & (grid < math.inf)):
-        raise ValueError("log densification requires positive finite frequencies")
     return np.geomspace(grid.min(), grid.max(), int(factor) * grid.size)
 
 

@@ -264,10 +264,11 @@ def reduce_controller(
     leading q x q block of that projection (see ``reduce_to_realization``),
     and a candidate whose block is not a regular pencil is skipped without
     losing the others.  Each candidate's grid values and its poles come
-    from one real QZ (``descriptor_ops._values_and_poles``).  The data are
-    conjugate-closed and the candidates real, so only the points with
-    Im z >= 0 are solved; each other point takes the conjugate of its
-    partner's value and is still compared against its own sample.
+    from one real QZ (``descriptor_ops._values_and_poles``).  Data that are
+    not conjugate-closed raise :func:`partition_points`'s
+    :class:`PartitionSizeError`.  The candidates are real, so only the
+    points with Im z >= 0 are solved; each other point takes the conjugate
+    of its partner's value and is still compared against its own sample.
 
     With ``gamma_bound`` supplied, rows whose relative grid error is below
     1/gamma_bound are marked "stable"; everything else stays
@@ -279,11 +280,6 @@ def reduce_controller(
         raise ValueError("no reduction orders requested")
     if orders[0] < 1:
         raise ValueError(f"orders must be >= 1, got {orders[0]}")
-    if not kstar_data.conjugate_closed:
-        raise ValueError(
-            "ideal-controller data must be conjugate-closed; run "
-            "close_conjugate first"
-        )
     if len(kstar_data) < 2 * orders[-1]:
         raise PartitionSizeError(
             f"{len(kstar_data)} samples cannot support order {orders[-1]}; "
@@ -292,6 +288,8 @@ def reduce_controller(
     if gamma_bound is not None and gamma_bound < 0:
         raise ValueError(f"gamma_bound must be nonnegative, got {gamma_bound}")
 
+    # The partition rejects data that are not conjugate-closed.
+    pencil = build_pencil(partition_points(kstar_data))
     z = kstar_data.points()
     kstar = kstar_data.values()
     # Each point with Im z >= 0 is solved; every other point reads its
@@ -303,7 +301,6 @@ def reduce_controller(
     mag = np.abs(kstar)
     nz = mag > 0.0
     mag = mag[nz]
-    pencil = build_pencil(partition_points(kstar_data))
     parasitic_cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(z.imag)))
 
     # One row per projection size, its order the count of dynamic poles.

@@ -33,7 +33,9 @@ import numpy as np
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
+    _check_delays,
     _eval_on_axis,
+    _log_grid,
     closed_loop_delay,
     densify_log_grid,
     eval_transfer,
@@ -224,7 +226,7 @@ def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> S
 
     A split blocked by poles inside the imaginary-axis guard band returns
     verdict "inconclusive" with ``stab_tag`` NaN rather than guessing.  The
-    samples are taken by the package's grid sampler (``_eval_on_axis``): a
+    grid is checked by ``_log_grid`` and sampled by ``_eval_on_axis``: a
     sample that is not finite raises :class:`SingularityError` naming the
     first such frequency, and an evaluation that raises has that frequency
     appended to its message.  A one-frequency grid raises
@@ -232,18 +234,13 @@ def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> S
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    omega = np.asarray(grid, dtype=float).ravel()
-    if omega.size == 0:
-        raise ValueError("frequency grid is empty")
-    if not np.all((omega > 0) & (omega < math.inf)):
-        raise ValueError("grid frequencies must be strictly positive and finite")
+    omega = _log_grid(grid)
+    vals = _eval_on_axis(h, omega)
     if omega.size < 2:
         raise ZeroDataError(
             f"a {omega.size}-point grid cannot be fitted: the Loewner partition "
             "needs at least 2 frequencies"
         )
-
-    vals = _eval_on_axis(h, omega)
     if np.all(vals == 0.0):
         return StabilityReport(
             stab_tag=0.0, epsilon=epsilon, verdict="stable", order=0
@@ -328,6 +325,7 @@ class DelaySweepResult:
     ``destabilizing_delay`` is the first delay whose verdict came back
     "unstable", or None when every row stayed stable (the margin then lies
     beyond the swept range, or below it if nothing was stable at all).
+    The rows' delays are checked by ``_check_delays``.
     """
 
     rows: tuple[DelayRow, ...]
@@ -335,12 +333,7 @@ class DelaySweepResult:
     epsilon: float
 
     def __post_init__(self) -> None:
-        taus = [row.tau for row in self.rows]
-        ascending = all(b > a for a, b in zip(taus, taus[1:]))
-        if not (ascending and all(0 <= t < math.inf for t in taus)):
-            raise ValueError(
-                "sweep rows must be ordered by ascending nonnegative delay, each finite"
-            )
+        _check_delays(row.tau for row in self.rows)
 
 
 def delay_margin_sweep(
@@ -354,23 +347,20 @@ def delay_margin_sweep(
     """Run the stability tag on the delayed loop for each frozen delay.
 
     The loop transfer H*K/(1 + H*K*e^{-tau*s}) is sampled on the given
-    grid, densified ``DELAY_DENSIFY`` times for tau > 0.  Rows never abort
-    the sweep; a row whose evaluation fails is recorded as "inconclusive"
-    with the error text attached.  A bad ``epsilon`` is not such a failure:
-    the first row's :func:`stability_tag` raises its ``ValueError``.
+    grid, densified ``DELAY_DENSIFY`` times for tau > 0.  ``taus`` must be
+    non-empty and is checked by ``_check_delays`` before any row runs.
+    Rows never abort the sweep; a row whose evaluation fails is recorded as
+    "inconclusive" with the error text attached.  A bad ``epsilon`` or grid
+    is not such a failure: the first row raises its ``ValueError``.
 
     With ``refine_bisect`` > 0 and a stable row directly preceding the
     first unstable one, that bracket is bisected the requested number of
     times and the refined upper endpoint is reported as the destabilizing
     delay.
     """
-    taus = [float(t) for t in taus]
+    taus = _check_delays(taus)
     if not taus:
         raise ValueError("no delays requested")
-    if not all(0 <= t < math.inf for t in taus):
-        raise ValueError("delays must be finite nonnegative numbers, not NaN")
-    if not all(b > a for a, b in zip(taus, taus[1:])):
-        raise ValueError("delays must be strictly ascending")
     omega = np.asarray(grid, dtype=float).ravel()
 
     def run_tau(tau: float) -> DelayRow:
@@ -412,19 +402,14 @@ def delay_margin_sweep(
     )
 
 
-def nyquist_curve(plant: TransferMap, k: TransferMap, tau: float, grid) -> np.ndarray:
-    """Loop values L(i*omega)*e^{-i*omega*tau} with L = plant*k.
+def nyquist_curve(plant: TransferMap, k: TransferMap, grid) -> np.ndarray:
+    """Loop values L(i*omega) with L = plant*k.
 
     The returned array traces the Nyquist plot over the grid for
-    inspection against the critical point -1.
+    inspection against the critical point -1; a loop delay tau rotates it
+    by e^{-i*omega*tau}, which the caller applies.  omega = 0 is accepted.
     """
-    omega = np.asarray(grid, dtype=float).ravel()
-    if omega.size == 0:
-        raise ValueError("frequency grid is empty")
-    if not 0 <= tau < math.inf:
-        raise ValueError(f"delay must be nonnegative, got {tau}; it must also be finite")
-    loop = _eval_on_axis(
+    return _eval_on_axis(
         lambda s: np.asarray(plant(s), dtype=complex) * np.asarray(k(s), dtype=complex),
-        omega,
+        np.asarray(grid, dtype=float).ravel(),
     )
-    return loop * np.exp(-1j * omega * tau)

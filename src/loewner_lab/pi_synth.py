@@ -33,6 +33,7 @@ from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
     _eval_on_axis,
+    _log_grid,
     eval_transfer,
     feedback_unity,
     poles,
@@ -148,14 +149,10 @@ class _GridSamples:
 
 
 def _sample(plant: TransferMap, w: WeightingFilters, grid) -> _GridSamples:
-    omega = np.asarray(grid, dtype=float).ravel()
-    if omega.size == 0:
-        raise ValueError("frequency grid is empty")
-    if not np.all((omega > 0.0) & (omega < math.inf)):
-        raise ValueError(
-            "grid must contain strictly positive finite frequencies only "
-            "(the tracking weight has a pole at omega = 0)"
-        )
+    """Plant and weights sampled by ``_eval_on_axis`` on a grid checked by
+    ``_log_grid``."""
+    # The tracking weight has a pole at omega = 0, so the grid must be positive.
+    omega = _log_grid(grid)
     return _GridSamples(
         omega=omega,
         s=1j * omega,

@@ -153,6 +153,14 @@ class TestLddc:
         assert rc == 0
         assert (out / "sweep.csv").exists()
 
+    def test_missing_data_leaves_no_out_directory(self, tmp_path):
+        out = tmp_path / "lddc"
+        rc = main([
+            "lddc", str(tmp_path / "missing.csv"), "--reference", "m1", "--out", str(out),
+        ])
+        assert rc == 1
+        assert not out.exists()
+
 
 class TestSynth:
     def test_pi_json_and_sensitivity_curves(self, tmp_path, capsys):
@@ -263,19 +271,21 @@ class TestMfsa:
         ])
         assert rc == 1
         assert "epsilon must be positive and finite" in capsys.readouterr().err
-        assert not (out / "stability_report.json").exists()
+        assert not out.exists()
 
     def test_nan_delay_is_named(self, tmp_path, capsys):
         plant_path = tmp_path / "plant.json"
         ctrl_path = tmp_path / "ctrl.json"
         save_realization(modal_realization([], [(-1.0, 2.0)]), plant_path)
         save_realization(modal_realization([], [], feedthrough=1.0), ctrl_path)
+        out = tmp_path / "mfsa"
         rc = main([
             "mfsa", "--plant", str(plant_path), "--controller", str(ctrl_path),
-            "--tau", "nan", "--grid-n", "40", "--out", str(tmp_path / "mfsa"),
+            "--tau", "nan", "--grid-n", "40", "--out", str(out),
         ])
         assert rc == 1
-        assert "delay must be nonnegative, got nan" in capsys.readouterr().err
+        assert "bad delay nan: delays must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
     def test_infinite_delay_is_named_without_warnings(self, tmp_path, capsys):
@@ -292,8 +302,8 @@ class TestMfsa:
             ])
         assert rc == 1
         assert caught == []
-        assert "got inf; it must also be finite" in capsys.readouterr().err
-        assert not (out / "stability_report.json").exists()
+        assert "bad delay inf: delays must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDelaySweep:
@@ -335,8 +345,8 @@ class TestDelaySweep:
             "--grid-n", "30", "--out", str(out),
         ])
         assert rc == 1
-        assert "not NaN" in capsys.readouterr().err
-        assert not (out / "delay_sweep.csv").exists()
+        assert "bad delay nan: delays must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bound", ["--tau-min", "--tau-max"])
     def test_infinite_delay_bound_is_rejected_without_warnings(self, tmp_path, capsys, bound):
@@ -353,8 +363,8 @@ class TestDelaySweep:
             ])
         assert rc == 1
         assert caught == []
-        assert "must be finite" in capsys.readouterr().err
-        assert not (out / "delay_sweep.csv").exists()
+        assert "bad delay inf: delays must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nyquist_loop_is_evaluated_once(self, tmp_path, monkeypatch):
         # Each row of nyquist.csv is the delay-free loop times e^{-i omega tau};
@@ -380,7 +390,7 @@ class TestDelaySweep:
         plant = TransferMap.from_callable(lambda s: eval_plant(p, p.x_m, s))
         k = TransferMap.from_realization(load_realization(ctrl_path))
         for tau, rows in zip(np.linspace(4.6, 5.5, 3), np.split(ny, 3)):
-            curve = nyquist_curve(plant, k, tau, grid)
+            curve = nyquist_curve(plant, k, grid) * np.exp(-1j * grid * tau)
             assert np.array_equal(rows[:, 0], grid)
             assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], curve)
             assert np.all(rows[:, 3] == tau)

@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 
 from helpers import modal_realization, partial_fraction_eval, random_system
-from loewner_lab import descriptor_ops
+from loewner_lab import cli, descriptor_ops
 from loewner_lab.descriptor_ops import (
     DescriptorRealization,
     TransferMap,
@@ -42,7 +42,13 @@ from loewner_lab.errors import (
 )
 from loewner_lab.freq_data import FrequencyDataset, close_conjugate
 from loewner_lab.lddc import reduce_controller
-from loewner_lab.mfsa import delay_margin_sweep, nyquist_curve, stability_tag
+from loewner_lab.mfsa import (
+    DelayRow,
+    DelaySweepResult,
+    delay_margin_sweep,
+    nyquist_curve,
+    stability_tag,
+)
 from loewner_lab.pi_synth import (
     PIController,
     default_weights,
@@ -784,7 +790,7 @@ class TestClosedLoopDelay:
     def test_negative_delay_rejected(self):
         h = TransferMap.constant(1.0)
         for tau in (-0.1, np.nan, np.inf):
-            with pytest.raises(ValueError, match=f"delay must be nonnegative, got {tau}"):
+            with pytest.raises(ValueError, match=f"bad delay {tau}: delays must be finite"):
                 closed_loop_delay(h, h, tau)
 
     def test_non_finite_factor_passes_through_without_invalid_flag(self):
@@ -872,9 +878,7 @@ class TestGridSampler:
             h, PIController(0.1, 0.01), default_weights(), SAMPLER_GRID
         ),
         "linf_norm_grid": lambda h: linf_norm_grid(h, SAMPLER_GRID),
-        "nyquist_curve": lambda h: nyquist_curve(
-            h, TransferMap.constant(0.5), 0.0, SAMPLER_GRID
-        ),
+        "nyquist_curve": lambda h: nyquist_curve(h, TransferMap.constant(0.5), SAMPLER_GRID),
     }
 
     @pytest.mark.parametrize(
@@ -887,6 +891,67 @@ class TestGridSampler:
         where = re.escape(f"(at omega = {BAD_OMEGA:g} rad/s)")
         with pytest.raises(SingularityError, match=message + where):
             self.CONSUMERS[consumer](TransferMap.from_callable(plant_fn))
+
+
+class TestOneRulePerInput:
+    """Each input rule is written once, so every entry point that takes a
+    delay, or a log grid, rejects the same bad value with the same message."""
+
+    @staticmethod
+    def delay_messages(tau, tmp_path, capsys):
+        h = TransferMap.from_callable(lambda s: 1.0 / (s + 1.0))
+        one = TransferMap.constant(1.0)
+        row = DelayRow(tau=tau, stab_tag=0.0, epsilon=1e-10, verdict="stable", order=0)
+        calls = [
+            lambda: closed_loop_delay(h, one, tau),
+            lambda: delay_margin_sweep(h, one, [tau], SAMPLER_GRID),
+            lambda: DelaySweepResult(rows=(row,), destabilizing_delay=None, epsilon=1e-10),
+        ]
+        messages = []
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.append(str(exc.value))
+        plant, ctrl = tmp_path / "plant.json", tmp_path / "ctrl.json"
+        save_realization(modal_realization([], [(-1.0, 1.0)]), plant)
+        save_realization(modal_realization([], [], feedthrough=1.0), ctrl)
+        for flag in ("--tau", "--tau-min", "--tau-max"):
+            command = "mfsa" if flag == "--tau" else "delay-sweep"
+            out = tmp_path / command
+            rc = cli.main([
+                command, "--plant", str(plant), "--controller", str(ctrl),
+                f"{flag}={tau}", "--grid-n", "20", "--out", str(out),
+            ])
+            assert rc == 1
+            assert not out.exists()
+            messages.append(capsys.readouterr().err.removeprefix("error: ").rstrip("\n"))
+        return messages
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_delay_entry_points_share_one_message(self, tau, tmp_path, capsys):
+        messages = self.delay_messages(tau, tmp_path, capsys)
+        assert len(messages) == 6
+        assert set(messages) == {
+            f"bad delay {tau}: delays must be finite, >= 0 and strictly ascending"
+        }
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0], [np.nan, 1.0], [1.0, np.inf]])
+    def test_log_grid_entry_points_share_one_message(self, grid):
+        h = TransferMap.from_callable(lambda s: 1.0 / (s + 1.0))
+        pi = PIController(0.1, 0.01)
+        calls = [
+            lambda: stability_tag(h, grid),
+            lambda: densify_log_grid(grid, 2),
+            lambda: optimize_pi(h, default_weights(), grid, start=pi),
+            lambda: eval_weighted_performance(h, pi, default_weights(), grid),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.add(str(exc.value))
+        bad = next(w for w in grid if not 0 < w < np.inf)
+        assert messages == {f"grid frequencies must be positive and finite, got {bad}"}
 
 
 class TestSerialization:

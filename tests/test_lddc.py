@@ -189,7 +189,7 @@ class TestReduceController:
     def test_unclosed_data_rejected(self):
         z = 1j * np.array([1.0, 2.0])
         ds = FrequencyDataset.from_arrays(z, np.array([1.0 + 0j, 2.0 + 0j]))
-        with pytest.raises(ValueError, match="conjugate-closed"):
+        with pytest.raises(PartitionSizeError, match="not conjugate-closed"):
             reduce_controller(ds, orders=(1,))
 
     def test_too_few_samples_rejected(self, roundtrip):

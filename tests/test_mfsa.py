@@ -191,7 +191,7 @@ class TestStabilityTag:
         with pytest.raises(ValueError):
             stability_tag(h, [0.0, 1.0])
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="strictly positive and finite"):
+            with pytest.raises(ValueError, match=f"must be positive and finite, got {bad}"):
                 stability_tag(h, np.where(GRID == GRID[5], bad, GRID))
 
     def test_one_point_grid_names_its_size(self):
@@ -331,13 +331,13 @@ class TestDelaySweep:
             delay_margin_sweep(self.plant, self.unity, [-0.1, 0.5], self.grid)
         for taus in ([math.nan], [math.nan, 0.5], [0.0, math.nan, 1.0],
                      [math.inf], [0.5, math.inf]):
-            with pytest.raises(ValueError, match="nonnegative numbers, not NaN"):
+            with pytest.raises(ValueError, match="bad delay (nan|inf): delays must be finite"):
                 delay_margin_sweep(self.plant, self.unity, taus, self.grid)
         # tau > 0 densifies the grid first, tau = 0 tags it as given.
         for bad in (math.nan, math.inf):
             grid = np.where(self.grid == self.grid[5], bad, self.grid)
             for tau in (0.0, 0.8):
-                with pytest.raises(ValueError, match="positive (and )?finite"):
+                with pytest.raises(ValueError, match=f"must be positive and finite, got {bad}"):
                     delay_margin_sweep(self.plant, self.unity, [tau], grid)
         with pytest.raises(ValueError):
             delay_margin_sweep(
@@ -378,7 +378,7 @@ class TestDelaySweep:
         for taus in ((math.nan,), (0.5, math.nan), (math.nan, 0.5), (-1.0,),
                      (math.inf,), (0.5, math.inf)):
             rows = tuple(replace(row, tau=t) for t in taus)
-            with pytest.raises(ValueError, match="ascending nonnegative delay"):
+            with pytest.raises(ValueError, match="delays must be finite, >= 0 and strictly ascending"):
                 DelaySweepResult(rows=rows, destabilizing_delay=None, epsilon=1e-10)
 
 
@@ -468,26 +468,17 @@ class TestNyquistCurve:
         self.grid = np.geomspace(0.1, 10.0, 25)
 
     def test_zero_delay_equals_loop_response(self):
-        curve = nyquist_curve(self.plant, self.unity, 0.0, self.grid)
+        curve = nyquist_curve(self.plant, self.unity, self.grid)
         want = 2.0 / (1j * self.grid + 1.0)
         assert np.max(np.abs(curve - want)) < 1e-14
 
-    def test_delay_only_rotates_the_curve(self):
-        base = nyquist_curve(self.plant, self.unity, 0.0, self.grid)
-        delayed = nyquist_curve(self.plant, self.unity, 2.0, self.grid)
-        assert np.allclose(np.abs(delayed), np.abs(base), rtol=1e-12)
-        assert np.max(np.abs(delayed - base * np.exp(-2j * self.grid))) < 1e-14
-
     def test_zero_controller_gives_zero_curve(self):
-        curve = nyquist_curve(self.plant, TransferMap.constant(0.0), 1.0, self.grid)
+        curve = nyquist_curve(self.plant, TransferMap.constant(0.0), self.grid)
         assert np.all(curve == 0.0)
 
     def test_validation_and_error_naming(self):
-        for tau in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"delay must be nonnegative, got {tau}"):
-                nyquist_curve(self.plant, self.unity, tau, self.grid)
         with pytest.raises(ValueError):
-            nyquist_curve(self.plant, self.unity, 0.0, [])
+            nyquist_curve(self.plant, self.unity, [])
 
         def broken(s):
             s = np.asarray(s, dtype=complex)
@@ -497,5 +488,5 @@ class TestNyquistCurve:
 
         with pytest.raises(SingularityError, match="omega = 1"):
             nyquist_curve(
-                TransferMap.from_callable(broken), self.unity, 0.0, [0.5, 1.0]
+                TransferMap.from_callable(broken), self.unity, [0.5, 1.0]
             )

@@ -263,7 +263,7 @@ class TestPerformanceScore:
         lag = TransferMap.from_callable(lambda s: 2.0 / (s + 1.0))
         for bad in (math.nan, math.inf):
             grid = np.where(GRID == GRID[3], bad, GRID)
-            with pytest.raises(ValueError, match="strictly positive finite frequencies"):
+            with pytest.raises(ValueError, match=f"must be positive and finite, got {bad}"):
                 optimize_pi(lag, default_weights(), grid, start=k)
 
     def test_vanishing_return_difference_is_reported(self):
