@@ -110,12 +110,6 @@ def _add_plant_flags(sp) -> None:
                     help="measurement position along the domain")
 
 
-def _add_svd_tol_flag(sp) -> None:
-    sp.add_argument("--svd-tol", type=float, default=RANK_TOL,
-                    help="absolute singular-value cutoff for rank detection; "
-                    "a relative floor of 100*eps*sigma_1 also applies")
-
-
 def _add_verdict_flags(sp) -> None:
     sp.add_argument("--plant", default="builtin",
                     help="'builtin' or a realization JSON path")
@@ -138,13 +132,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _approximant(closed, svd_tol, order):
-    pencil = build_pencil(partition_points(closed))
-    report = detect_rank(pencil, tol=svd_tol)
-    r = order if order is not None else report.rank
-    return report, reduce_to_realization(pencil, r)
-
-
 def _relative_residual(rlz, closed) -> float:
     phi = closed.values()
     approx = eval_transfer(rlz, closed.points())
@@ -155,7 +142,9 @@ def _relative_residual(rlz, closed) -> float:
 
 def cmd_approximate(args) -> int:
     closed = close_conjugate(load_csv(args.data))
-    report, rlz = _approximant(closed, args.svd_tol, args.order)
+    pencil = build_pencil(partition_points(closed))
+    report = detect_rank(pencil, tol=args.svd_tol)
+    rlz = reduce_to_realization(pencil, report.rank if args.order is None else args.order)
     residual = _relative_residual(rlz, closed)
     out = _out_dir(args)
     save_realization(rlz, out / "realization.json")
@@ -177,7 +166,7 @@ def _reference(args, dataset):
     if args.reference == "m1":
         return second_order_reference()
     if args.reference == "m2":
-        _, rlz = _approximant(dataset, args.svd_tol, args.order)
+        rlz = reduce_to_realization(build_pencil(partition_points(dataset)), args.order)
         return closed_loop_reference(
             rlz, PIController(args.kp, args.ki).realization()
         )
@@ -323,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("approximate", help="fit a rational realization to CSV data")
     sp.add_argument("data", help="input CSV (omega_rad_s,re,im)")
-    _add_svd_tol_flag(sp)
+    sp.add_argument("--svd-tol", type=float, default=RANK_TOL,
+                    help="absolute singular-value cutoff for rank detection; "
+                    "a relative floor of 100*eps*sigma_1 also applies")
     sp.add_argument("--order", type=int, default=None,
                     help="force the realization order (default: detected rank)")
     _add_out_flag(sp)
@@ -333,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("data", help="plant frequency data CSV")
     sp.add_argument("--reference", required=True,
                     help="reference model: 'm1', 'm2', or a CSV path on the same grid")
-    _add_svd_tol_flag(sp)
     sp.add_argument("--order", type=int, default=33,
                     help="approximant order used when --reference m2 (default 33)")
     sp.add_argument("--kp", type=float, default=0.191,

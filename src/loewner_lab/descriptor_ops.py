@@ -80,14 +80,20 @@ _PROBE_POINTS = np.array(
 
 
 def _as_real_matrix(name: str, M, shape: tuple[int, int]) -> np.ndarray:
+    """A read-only real copy of ``M``; a complex or non-finite entry or a
+    wrong shape raises ``ValueError`` naming the matrix."""
     M = np.asarray(M)
     if np.iscomplexobj(M):
-        if np.max(np.abs(M.imag), initial=0.0) > 0.0:
+        if np.any(M.imag != 0.0):
             raise ValueError(f"{name} must be real, got complex entries")
         M = M.real
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(np.array(M, dtype=float))
     if M.shape != shape:
         raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
+    bad = M[~np.isfinite(M)]
+    if bad.size:
+        raise ValueError(f"{name} has a non-finite entry {bad[0]}")
+    M.flags.writeable = False
     return M
 
 
@@ -95,9 +101,12 @@ def _as_real_matrix(name: str, M, shape: tuple[int, int]) -> np.ndarray:
 class DescriptorRealization:
     """Real SISO descriptor realization (E, A, B, C, D) of order n.
 
-    The pencil (E, A) must be regular, i.e. det(sE - A) must not vanish
-    identically; this is probed at three fixed complex points on
-    construction.  Order zero (pure feed-through D) is allowed.
+    Construction copies E, A, B and C into read-only real arrays and
+    rejects a complex or non-finite entry, in them or in D, with a
+    ``ValueError`` naming the field, so a realization is finite for as
+    long as it lives.  The pencil (E, A) must then be regular, i.e.
+    det(sE - A) must not vanish identically; this is probed at three
+    fixed complex points.  Order zero (pure feed-through D) is allowed.
     """
 
     E: np.ndarray
@@ -116,7 +125,9 @@ class DescriptorRealization:
         d = complex(self.D)
         if d.imag != 0.0:
             raise ValueError("D must be real")
-        object.__setattr__(self, "D", float(d.real))
+        if not math.isfinite(d.real):
+            raise ValueError(f"D must be finite, got {d.real}")
+        object.__setattr__(self, "D", d.real)
         if n > 0:
             self._check_regular()
 
@@ -262,14 +273,13 @@ def _no_sort(*_args):
 def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
     """One real QZ of (A, E): the ``gges`` call ``scipy.linalg.qz`` makes.
 
-    Same finiteness check, workspace query and arguments, so S, T, Q and Z
-    are qz's bit for bit; qz drops the eigenvalues that the same call
-    returns, and this keeps them.  A non-finite entry raises qz's
-    ``ValueError``; a failed QZ iteration warns with qz's ``LinAlgWarning``
-    and any other failure raises ``LinAlgError``, as in qz.
+    Same workspace query and arguments, so S, T, Q and Z are qz's bit for
+    bit; qz drops the eigenvalues that the same call returns, and this
+    keeps them.  qz's finiteness check is not repeated: a realization is
+    finite from construction on.  A failed QZ iteration warns with qz's
+    ``LinAlgWarning`` and any other failure raises ``LinAlgError``, as in qz.
     """
-    A = np.asarray_chkfinite(rlz.A)
-    E = np.asarray_chkfinite(rlz.E)
+    A, E = rlz.A, rlz.E
     gges = scipy.linalg.lapack.dgges
     lwork = gges(_no_sort, A, E, lwork=-1)[-2][0].real.astype(int)
     S, T, _sdim, alphar, alphai, beta, Q, Z, _work, info = gges(

@@ -86,18 +86,6 @@ class FrequencyDataset:
     def values(self) -> np.ndarray:
         return self.phi
 
-    @property
-    def conjugate_closed(self) -> bool:
-        """Whether the arrays already satisfy the rule of :func:`close_conjugate`.
-
-        That is: every point off the real axis has its conjugate partner,
-        and the partner's response is the conjugate of the point's own to
-        1e-12 relative.  Worked out from ``z`` and ``phi`` on each read.
-        """
-        partner = _conjugate_index(self.z)
-        lone = (self.z.imag != 0.0) & (partner < 0)
-        return not (lone.any() or _partner_clash(self.phi, partner).any())
-
     @staticmethod
     def from_arrays(z, phi) -> "FrequencyDataset":
         return FrequencyDataset(z, phi)
@@ -105,11 +93,15 @@ class FrequencyDataset:
 
 @dataclass(frozen=True)
 class PointPartition:
-    """Disjoint equal-size split of a dataset into left and right point sets.
+    """Equal-size split of a dataset into left and right point sets.
 
     Each side is itself conjugate-closed, with conjugate partners stored
     adjacently; the realness transform of the Loewner build relies on that
-    layout.
+    layout.  Construction checks only the sizes; the Loewner build owns
+    the other two rules.  A left point that coincides with a right one
+    raises its :class:`CoincidentPointError`, and a side whose conjugates
+    are not adjacent pairs its ``LoewnerLabError``.  Partitions from
+    :func:`partition_points` meet both rules by construction.
     """
 
     left_points: np.ndarray
@@ -129,8 +121,6 @@ class PointPartition:
             raise ValueError("left point/value length mismatch")
         if self.right_points.size != self.right_values.size:
             raise ValueError("right point/value length mismatch")
-        if np.isin(self.left_points, self.right_points).any():
-            raise PartitionSizeError("left and right point sets overlap")
 
     @property
     def size(self) -> int:
@@ -232,8 +222,8 @@ def _partner_clash(phi: np.ndarray, partner: np.ndarray) -> np.ndarray:
 
     The partner's response must equal the conjugate of the point's own to
     1e-12 relative; this is the one closure rule, shared by
-    :func:`close_conjugate`, ``FrequencyDataset.conjugate_closed`` and
-    :func:`partition_points`.
+    :func:`close_conjugate`, which enforces it, and :func:`partition_points`,
+    which checks it.
     """
     tol = 1e-12 * np.maximum(np.abs(phi), 1e-300)
     return (partner >= 0) & (np.abs(phi[partner] - np.conj(phi)) > tol)
@@ -270,9 +260,10 @@ def close_conjugate(dataset: FrequencyDataset) -> FrequencyDataset:
 def partition_points(dataset: FrequencyDataset) -> PointPartition:
     """Split a conjugate-closed dataset into left and right interpolation sets.
 
-    The dataset must satisfy the rule of :func:`close_conjugate` (see
-    ``FrequencyDataset.conjugate_closed``), whether or not it was passed
-    through it; otherwise :class:`PartitionSizeError` is raised.
+    The dataset must satisfy the closure rule of :func:`close_conjugate`
+    (see ``_partner_clash``), whether or not it was passed through it;
+    otherwise :class:`PartitionSizeError` is raised.  The two sides share
+    no point, since a dataset holds none twice.
 
     Conjugate units (a point plus its partner, or a lone real-axis point)
     are assigned alternately: unit 1 to the left set, unit 2 to the right

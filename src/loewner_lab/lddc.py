@@ -87,8 +87,8 @@ class SweepRow:
     ``error`` is max_i |K_r(z_i) - K*(z_i)| over the construction grid and
     ``error_rel`` the same maximum taken relative to |K*(z_i)|.  ``verdict``
     is "stable" when the small-gain certificate holds, "inconclusive" when
-    it does not (or no bound was supplied), and "failed" when no realization
-    could be built for the order.
+    it does not (always so under a bound of 0.0, no certificate), and
+    "failed" when no realization could be built for the order.
     """
 
     order: int
@@ -101,10 +101,12 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class ReductionSweep:
-    """Reduction errors and small-gain verdicts over a range of orders."""
+    """Reduction errors and small-gain verdicts over a range of orders,
+    with the bound ``gamma_bound`` they were certified against (0.0: no
+    certificate)."""
 
     rows: tuple[SweepRow, ...]
-    gamma_bound: Optional[float] = None
+    gamma_bound: float
 
     def __post_init__(self) -> None:
         orders = [row.order for row in self.rows]
@@ -246,7 +248,7 @@ def small_gain_bound(
 def reduce_controller(
     kstar_data: FrequencyDataset,
     orders: Iterable[int],
-    gamma_bound: Optional[float] = None,
+    gamma_bound: float,
 ) -> ReductionSweep:
     """Reduce the ideal-controller data across orders and certify each row.
 
@@ -270,8 +272,9 @@ def reduce_controller(
     points with Im z >= 0 are solved; each other point takes the conjugate
     of its partner's value and is still compared against its own sample.
 
-    With ``gamma_bound`` supplied, rows whose relative grid error is below
-    1/gamma_bound are marked "stable"; everything else stays
+    ``gamma_bound`` is the small-gain bound, finite and >= 0, else
+    ``ValueError``; 0.0 means no certificate.  Rows whose relative grid
+    error is below 1/gamma_bound are marked "stable"; everything else stays
     "inconclusive".  Orders where no realization could be built are marked
     "failed".
     """
@@ -285,8 +288,8 @@ def reduce_controller(
             f"{len(kstar_data)} samples cannot support order {orders[-1]}; "
             f"need at least {2 * orders[-1]}"
         )
-    if gamma_bound is not None and gamma_bound < 0:
-        raise ValueError(f"gamma_bound must be nonnegative, got {gamma_bound}")
+    if not 0.0 <= gamma_bound < math.inf:
+        raise ValueError(f"gamma_bound must be finite and >= 0, got {gamma_bound}")
 
     # The partition rejects data that are not conjugate-closed.
     pencil = build_pencil(partition_points(kstar_data))
@@ -328,9 +331,8 @@ def reduce_controller(
             )
         )
 
-    safe_level = None
-    if gamma_bound is not None and gamma_bound > 0.0:
-        safe_level = 1.0 / gamma_bound
+    # No error lies below the safe level 0 of a zero bound.
+    safe_level = 1.0 / gamma_bound if gamma_bound > 0.0 else 0.0
 
     rows: list[SweepRow] = []
     for r in orders:
@@ -347,8 +349,6 @@ def reduce_controller(
             )
             continue
         best = min(eligible, key=lambda c: (c.error, c.projection_size))
-        verdict = "inconclusive"
-        if safe_level is not None and best.error_rel < safe_level:
-            verdict = "stable"
+        verdict = "stable" if best.error_rel < safe_level else "inconclusive"
         rows.append(replace(best, order=r, verdict=verdict))
     return ReductionSweep(rows=tuple(rows), gamma_bound=gamma_bound)

@@ -52,16 +52,18 @@ __all__ = ["LoewnerPencil", "RankReport", "build_pencil", "detect_rank",
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # Default absolute singular-value cutoff of the rank rule (see
-# ``detect_rank``); the CLI's --svd-tol and the MFSA subset fits read it.
+# ``detect_rank``); ``approximate``'s --svd-tol and the MFSA subset fits
+# read it.
 RANK_TOL = 1e-10
 
 
 def _pair_starts(points: np.ndarray) -> np.ndarray:
     """Indices of the first members of the conjugate pairs in ``points``.
 
-    Expects conjugate partners adjacent (z followed by conj(z)); lone
-    real-axis points belong to no pair and pass through the transform
-    unchanged.
+    This is the one pairing rule: the points off the real axis must come
+    in adjacent exact conjugate pairs, z followed by conj(z), else
+    ``LoewnerLabError``.  Lone real-axis points belong to no pair and pass
+    through the transform unchanged.
     """
     # A run of non-real points pairs up from its first point on, so a pair
     # starts at every even offset into its run; a run starts one past the
@@ -125,8 +127,11 @@ def _stack_weights(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def _loewner_matrix(p: PointPartition) -> np.ndarray:
     """The complex Loewner matrix, entrywise; rejects coincident points.
 
-    Only ``build_pencil`` calls this, and it keeps neither the result nor
-    the denominators: both are freed before the stack SVDs run.
+    This is the one coincidence rule: a left and a right point within
+    1e-14 times the largest |z| of each other, exact overlap included,
+    raise :class:`CoincidentPointError` naming both.  Only
+    ``build_pencil`` calls this, and it keeps neither the result nor the
+    denominators: both are freed before the stack SVDs run.
     """
     mu, lam = p.left_points, p.right_points
     denom = mu[:, None] - lam[None, :]
@@ -151,10 +156,12 @@ def _row_factor(Lw_r: np.ndarray, v_r: np.ndarray, right_points: np.ndarray,
     rank detection and projection read from the row stack; the factor is
     exact, not an approximation.  The same holds after the realness
     transform: d is equal on the two points of a conjugate pair, so D
-    commutes with it, and c transforms like w.
+    commutes with it, and c transforms like w.  Its transform is exactly
+    real, since ``_pair_starts`` admits only exact conjugates and c =
+    conj(z)/d keeps them exact, so its imaginary part is dropped unchecked.
     """
     d, c, y = _stack_weights(right_points)
-    c_r = _drop_imag("row-stack weights", _pair_cols(c, pairs))
+    c_r = _pair_cols(c, pairs).real
     return np.hstack([(y * v_r)[:, None], Lw_r * d + np.outer(v_r, c_r)])
 
 
@@ -167,7 +174,7 @@ def _col_factor(Lw_r: np.ndarray, w_r: np.ndarray, left_points: np.ndarray,
     singular values and right singular vectors exactly.
     """
     d, c, y = _stack_weights(left_points)
-    c_r = _drop_imag("column-stack weights", _pair_rows(c, pairs))
+    c_r = _pair_rows(c, pairs).real
     return np.vstack([y * w_r, d[:, None] * Lw_r + np.outer(c_r, w_r)])
 
 

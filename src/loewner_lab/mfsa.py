@@ -325,12 +325,12 @@ class DelaySweepResult:
     ``destabilizing_delay`` is the first delay whose verdict came back
     "unstable", or None when every row stayed stable (the margin then lies
     beyond the swept range, or below it if nothing was stable at all).
-    The rows' delays are checked by ``_check_delays``.
+    The rows' delays are checked by ``_check_delays``; each row carries
+    the threshold it was tagged with.
     """
 
     rows: tuple[DelayRow, ...]
     destabilizing_delay: Optional[float]
-    epsilon: float
 
     def __post_init__(self) -> None:
         _check_delays(row.tau for row in self.rows)
@@ -397,9 +397,7 @@ def delay_margin_sweep(
                     else:
                         lo = mid
                 destabilizing = hi
-    return DelaySweepResult(
-        rows=tuple(rows), destabilizing_delay=destabilizing, epsilon=epsilon
-    )
+    return DelaySweepResult(rows=tuple(rows), destabilizing_delay=destabilizing)
 
 
 def nyquist_curve(plant: TransferMap, k: TransferMap, grid) -> np.ndarray:

@@ -129,12 +129,12 @@ def fit_pi_gains(controller: DescriptorRealization) -> PIController:
 
     For K = kp + ki/s the response tends to kp at high frequency while
     s*K(s) tends to ki at low frequency, so two probes recover the gains:
-    kp at ``GAIN_PROBE_HIGH`` and ki at ``GAIN_PROBE_LOW``.
+    kp at ``GAIN_PROBE_HIGH`` and ki at ``GAIN_PROBE_LOW``.  Both probes
+    are solved in one :func:`eval_transfer` call, so one real QZ.
     """
-    kp = float(np.real(eval_transfer(controller, 1j * GAIN_PROBE_HIGH)))
-    s_low = 1j * GAIN_PROBE_LOW
-    ki = float(np.real(s_low * eval_transfer(controller, s_low)))
-    return PIController(kp=kp, ki=ki)
+    s_high, s_low = 1j * GAIN_PROBE_HIGH, 1j * GAIN_PROBE_LOW
+    k_high, k_low = eval_transfer(controller, np.array([s_high, s_low])).tolist()
+    return PIController(kp=k_high.real, ki=(s_low * k_low).real)
 
 
 @dataclass(frozen=True)

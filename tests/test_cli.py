@@ -20,7 +20,12 @@ import loewner_lab
 from helpers import modal_realization
 from loewner_lab import cli
 from loewner_lab.cli import main
-from loewner_lab.descriptor_ops import TransferMap, load_realization, save_realization
+from loewner_lab.descriptor_ops import (
+    TransferMap,
+    load_realization,
+    realization_to_json,
+    save_realization,
+)
 from loewner_lab.freq_data import CSV_HEADER, FrequencyDataset, save_csv
 from loewner_lab.loewner_core import RANK_TOL
 from loewner_lab.mfsa import STABILITY_EPSILON, delay_margin_sweep, nyquist_curve
@@ -399,18 +404,45 @@ class TestDelaySweep:
 class TestSharedFlags:
     def test_commands_sharing_a_flag_parse_the_same_default(self):
         parser = cli.build_parser()
-        fits = [
-            parser.parse_args(["approximate", "plant.csv"]),
-            parser.parse_args(["lddc", "plant.csv", "--reference", "m1"]),
-        ]
         verdicts = [
             parser.parse_args(["mfsa"]),
             parser.parse_args(["delay-sweep", "--controller", "k.json"]),
         ]
-        assert [a.svd_tol for a in fits] == [RANK_TOL, RANK_TOL]
+        assert parser.parse_args(["approximate", "plant.csv"]).svd_tol == RANK_TOL
         assert [(a.plant, a.epsilon) for a in verdicts] == [
             ("builtin", STABILITY_EPSILON), ("builtin", STABILITY_EPSILON)
         ]
+
+    def test_lddc_takes_no_svd_tol(self):
+        # lddc reads no rank: its m2 fit is projected at --order.
+        with pytest.raises(SystemExit) as exc:
+            main(["lddc", "plant.csv", "--reference", "m2", "--svd-tol", "1e-8"])
+        assert exc.value.code == 2
+
+
+class TestNonFiniteRealization:
+    """A realization JSON holding NaN is rejected as it is loaded, naming
+    the matrix, before anything is sampled or written."""
+
+    @pytest.mark.parametrize("command", ["synth", "mfsa", "delay-sweep"])
+    def test_is_named_without_warnings(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        obj = realization_to_json(modal_realization([], [(-1.0, 2.0)]))
+        obj["A"][0][0] = float("nan")
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", str(bad)],
+            "mfsa": ["mfsa", "--plant", str(bad)],
+            "delay-sweep": ["delay-sweep", "--controller", str(bad)],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--grid-n", "20", "--out", str(out)])
+        assert rc == 1
+        assert caught == []
+        assert "A has a non-finite entry nan" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -45,7 +45,8 @@ def test_csv_round_trip_exact(tmp_path):
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     back = load_csv(path)
-    assert not back.conjugate_closed
+    with pytest.raises(PartitionSizeError, match="not conjugate-closed"):
+        partition_points(back)
     # 17 significant digits round-trip doubles exactly.
     assert np.array_equal(back.points(), ds.points())
     assert np.array_equal(back.values(), ds.values())
@@ -96,7 +97,10 @@ def test_save_csv_rejects_off_axis(tmp_path):
 def test_close_conjugate_definition():
     ds = FrequencyDataset.from_arrays([1j], [2.0 + 1j])
     closed = close_conjugate(ds)
-    assert closed.conjugate_closed
+    # Closed: the partition passes the closure rule and stops at the count
+    # of units, one.
+    with pytest.raises(PartitionSizeError, match="odd number of conjugate units"):
+        partition_points(closed)
     assert len(closed) == 2
     assert closed.points()[0] == 1j
     assert closed.points()[1] == -1j
@@ -236,14 +240,13 @@ def test_closed_data_needs_no_closure_pass():
         np.concatenate([1j * w, -1j * w[::-1]]),
         np.concatenate([vals, np.conj(vals[::-1])]),
     )
-    assert ds.conjugate_closed
     got, ref = partition_points(ds), partition_points(close_conjugate(ds))
+    assert got.size == w.size
     for name in ("left_points", "left_values", "right_points", "right_values"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 def test_partner_with_other_response_is_not_closed():
     ds = FrequencyDataset.from_arrays([1j, -1j], [2.0 + 1j, 2.0 + 1j])
-    assert not ds.conjugate_closed
     with pytest.raises(PartitionSizeError, match="not the conjugate"):
         partition_points(ds)

@@ -113,7 +113,7 @@ class TestIdealController:
     def test_result_is_conjugate_closed(self, roundtrip):
         _, _, data, mspec = roundtrip
         kstar = ideal_controller_response(data, mspec)
-        assert kstar.conjugate_closed
+        assert partition_points(kstar).size == len(kstar) // 2
 
 
 class TestSmallGainBound:
@@ -158,39 +158,41 @@ class TestReduceController:
     def test_error_column_never_increases(self, roundtrip):
         _, _, data, mspec = roundtrip
         kstar = ideal_controller_response(data, mspec)
-        sweep = reduce_controller(kstar, orders=range(1, 8))
+        sweep = reduce_controller(kstar, orders=range(1, 8), gamma_bound=0.0)
         errs = [row.error for row in sweep.rows]
         assert all(b <= a for a, b in zip(errs, errs[1:]))
 
     def test_no_bound_means_inconclusive(self, roundtrip):
         _, _, data, mspec = roundtrip
         kstar = ideal_controller_response(data, mspec)
-        for bound in (None, 0.0):
-            sweep = reduce_controller(kstar, orders=(1, 2), gamma_bound=bound)
-            assert {row.verdict for row in sweep.rows} == {"inconclusive"}
-            assert sweep.smallest_safe_order() is None
+        sweep = reduce_controller(kstar, orders=(1, 2), gamma_bound=0.0)
+        assert {row.verdict for row in sweep.rows} == {"inconclusive"}
+        assert sweep.smallest_safe_order() is None
 
     def test_orders_are_deduplicated_and_sorted(self, roundtrip):
         _, _, data, mspec = roundtrip
         kstar = ideal_controller_response(data, mspec)
-        sweep = reduce_controller(kstar, orders=(3, 1, 2, 2))
+        sweep = reduce_controller(kstar, orders=(3, 1, 2, 2), gamma_bound=0.0)
         assert [row.order for row in sweep.rows] == [1, 2, 3]
 
     def test_input_validation(self, roundtrip):
         _, _, data, mspec = roundtrip
         kstar = ideal_controller_response(data, mspec)
         with pytest.raises(ValueError):
-            reduce_controller(kstar, orders=())
+            reduce_controller(kstar, orders=(), gamma_bound=0.0)
         with pytest.raises(ValueError):
-            reduce_controller(kstar, orders=(0, 1))
-        with pytest.raises(ValueError):
-            reduce_controller(kstar, orders=(1,), gamma_bound=-1.0)
+            reduce_controller(kstar, orders=(0, 1), gamma_bound=0.0)
+        # One rule, one message, for every bound outside [0, inf).
+        for bound in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as exc:
+                reduce_controller(kstar, orders=(1,), gamma_bound=bound)
+            assert str(exc.value) == f"gamma_bound must be finite and >= 0, got {bound}"
 
     def test_unclosed_data_rejected(self):
         z = 1j * np.array([1.0, 2.0])
         ds = FrequencyDataset.from_arrays(z, np.array([1.0 + 0j, 2.0 + 0j]))
         with pytest.raises(PartitionSizeError, match="not conjugate-closed"):
-            reduce_controller(ds, orders=(1,))
+            reduce_controller(ds, orders=(1,), gamma_bound=0.0)
 
     def test_too_few_samples_rejected(self, roundtrip):
         _, _, data, mspec = roundtrip
@@ -199,7 +201,7 @@ class TestReduceController:
             FrequencyDataset.from_arrays(kstar.points()[:10], kstar.values()[:10])
         )
         with pytest.raises(PartitionSizeError):
-            reduce_controller(small, orders=(6,))
+            reduce_controller(small, orders=(6,), gamma_bound=0.0)
 
     def test_singular_top_block_leaves_lower_orders(self, roundtrip, monkeypatch):
         # A zero last row makes only the top block a singular pencil; every
@@ -213,9 +215,9 @@ class TestReduceController:
             E[-1], A[-1] = 0.0, 0.0
             return E, A, B, C
 
-        want = reduce_controller(kstar, orders=(1, 2, 3))
+        want = reduce_controller(kstar, orders=(1, 2, 3), gamma_bound=0.0)
         monkeypatch.setattr(lddc, "_project", zero_last_row)
-        got = reduce_controller(kstar, orders=(1, 2, 3))
+        got = reduce_controller(kstar, orders=(1, 2, 3), gamma_bound=0.0)
         assert all(row.verdict != "failed" and row.projection_size < 4 for row in got.rows)
         kept = [(a, b) for a, b in zip(want.rows, got.rows) if a.projection_size < 4]
         assert kept
@@ -226,7 +228,7 @@ class TestReduceController:
         row = SweepRow(order=2, realization=None, error=math.inf,
                        error_rel=math.inf, verdict="failed")
         with pytest.raises(ValueError):
-            ReductionSweep(rows=(row, row))
+            ReductionSweep(rows=(row, row), gamma_bound=0.0)
 
 
 class TestDrivingExampleSweep:
@@ -261,7 +263,7 @@ def swept_candidates(request, plant_dataset, m2_reference):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lddc, "_values_and_poles", spy)
-        reduce_controller(kstar, range(1, 21))
+        reduce_controller(kstar, range(1, 21), gamma_bound=0.0)
     return kstar, seen
 
 
@@ -310,7 +312,7 @@ class TestOneProjectionSweep:
         monkeypatch.setattr(descriptor_ops, "poles", counting("poles", descriptor_ops.poles))
         monkeypatch.setattr(scipy.linalg, "eig", counting("eig", scipy.linalg.eig))
         kstar = ideal_controller_response(plant_dataset, second_order_reference())
-        sweep = reduce_controller(kstar, range(1, 21))
+        sweep = reduce_controller(kstar, range(1, 21), gamma_bound=0.0)
         assert len(sweep.rows) == 20
         assert calls == {"_project": 1, "poles": 0, "eig": 0}
 
@@ -369,7 +371,7 @@ class TestMirroredGrid:
             perm = np.random.default_rng(0).permutation(z.size)
             z, k = z[perm], k[perm]
         kstar = FrequencyDataset.from_arrays(z, k)
-        assert kstar.conjugate_closed
+        assert partition_points(kstar).size == z.size // 2
         return kstar, small_gain_bound(plant, m_ref)
 
     @pytest.mark.parametrize("layout", ["built-in", "perturbed", "shuffled", "real-axis"])

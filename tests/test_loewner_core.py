@@ -31,7 +31,10 @@ from loewner_lab.freq_data import (
 )
 from loewner_lab import loewner_core
 from loewner_lab.loewner_core import (
+    _pair_cols,
+    _pair_rows,
     _pair_starts,
+    _stack_weights,
     build_pencil,
     detect_rank,
     reduce_to_realization,
@@ -174,6 +177,18 @@ class TestPencilAssembly:
                 PointPartition(left_points=mu, left_values=ones,
                                right_points=lam, right_values=ones)
             )
+
+    def test_overlapping_partition_names_both_points(self):
+        # A partition built directly may share a point between its sides;
+        # the Loewner build's coincidence rule rejects it.
+        mu = np.array([1j, -1j, 2j, -2j])
+        lam = np.array([3j, -3j, 2j, -2j])
+        ones = np.ones(4, dtype=complex)
+        part = PointPartition(left_points=mu, left_values=ones,
+                              right_points=lam, right_values=ones)
+        want = re.escape("left point 2j coincides with right point 2j")
+        with pytest.raises(CoincidentPointError, match=want):
+            build_pencil(part)
 
 
 class TestFactoredOnce:
@@ -382,7 +397,14 @@ class TestRealnessTransform:
                 with pytest.raises(LoewnerLabError, match=re.escape(want)):
                     _pair_starts(points)
             else:
-                assert _pair_starts(points).tolist() == want, points
+                starts = _pair_starts(points)
+                assert starts.tolist() == want, points
+                # The stack weights of an accepted layout transform to
+                # exactly real vectors, at any magnitude.
+                for scale in (1e-3, 1.0, 1e3):
+                    _, c, _ = _stack_weights(scale * points)
+                    assert not _pair_cols(c, starts).imag.any(), points
+                    assert not _pair_rows(c, starts).imag.any(), points
 
 
 class TestHalfSizeStackFactors:

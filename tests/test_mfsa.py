@@ -374,12 +374,12 @@ class TestDelaySweep:
     def test_result_requires_ascending_rows(self):
         row = DelayRow(tau=1.0, stab_tag=0.0, epsilon=1e-10, verdict="stable", order=0)
         with pytest.raises(ValueError):
-            DelaySweepResult(rows=(row, row), destabilizing_delay=None, epsilon=1e-10)
+            DelaySweepResult(rows=(row, row), destabilizing_delay=None)
         for taus in ((math.nan,), (0.5, math.nan), (math.nan, 0.5), (-1.0,),
                      (math.inf,), (0.5, math.inf)):
             rows = tuple(replace(row, tau=t) for t in taus)
             with pytest.raises(ValueError, match="delays must be finite, >= 0 and strictly ascending"):
-                DelaySweepResult(rows=rows, destabilizing_delay=None, epsilon=1e-10)
+                DelaySweepResult(rows=rows, destabilizing_delay=None)
 
 
 class TestBuiltinPlantSweep:

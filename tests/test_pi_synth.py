@@ -16,7 +16,7 @@ import pytest
 import scipy.optimize
 
 from helpers import modal_realization
-from loewner_lab import pi_synth
+from loewner_lab import descriptor_ops, pi_synth
 from loewner_lab.descriptor_ops import TransferMap, eval_transfer
 from loewner_lab.errors import LoopSingularityError, OptimizationError
 from loewner_lab.freq_data import FrequencyDataset, close_conjugate, partition_points
@@ -210,6 +210,25 @@ class TestPIController:
         back = fit_pi_gains(k.realization())
         assert back.kp == pytest.approx(0.37, rel=1e-6)
         assert back.ki == pytest.approx(0.021, rel=1e-6)
+
+    def test_fit_gains_solve_one_qz(self, monkeypatch):
+        # Both probes share one eval_transfer call; every point is solved
+        # on its own, so the gains equal those of one call per probe.
+        ctrl = modal_realization([(-0.8 + 2.0j, 1.0 - 0.3j)], [(-1e-6, 0.02)], feedthrough=0.4)
+        s_high, s_low = 1j * pi_synth.GAIN_PROBE_HIGH, 1j * pi_synth.GAIN_PROBE_LOW
+        kp = float(np.real(eval_transfer(ctrl, s_high)))
+        ki = float(np.real(s_low * eval_transfer(ctrl, s_low)))
+        calls = []
+        real = descriptor_ops._real_schur
+
+        def spy(rlz):
+            calls.append(rlz)
+            return real(rlz)
+
+        monkeypatch.setattr(descriptor_ops, "_real_schur", spy)
+        got = fit_pi_gains(ctrl)
+        assert calls == [ctrl]
+        assert (got.kp, got.ki) == (kp, ki)
 
 
 class TestDefaultWeights:
