@@ -39,7 +39,7 @@ from .errors import (
     SingularityError,
 )
 from .freq_data import FrequencyDataset, _conjugate_index, close_conjugate, partition_points
-from .loewner_core import _project, build_pencil
+from .loewner_core import _leading_pencil, _project
 
 __all__ = [
     "ReferenceModelSpec",
@@ -262,10 +262,17 @@ def reduce_controller(
     up to max(orders)+1 are considered, and since the eligible set only
     grows with r, the recorded error column is non-increasing.
 
-    The pencil is projected once, at the top size; candidate q is the
-    leading q x q block of that projection (see ``reduce_to_realization``),
-    and a candidate whose block is not a regular pencil is skipped without
-    losing the others.  Each candidate's grid values and its poles come
+    The pencil is factored only as far as the sweep reads it
+    (``loewner_core._leading_pencil``): the leading directions up to the
+    top size, by seeded randomized subspace iteration, and no singular
+    value.  Where the ideal controller's spectrum keeps decaying past the
+    top size, the candidates match those of full SVDs closely; where it is
+    flat at the rounding floor, the sketch, not the data, picks the
+    directions, and those candidates differ from the exact ones at that
+    floor.  The pencil is projected once, at the top size; candidate q is the leading q x q block
+    of that projection (see ``reduce_to_realization``), and a candidate
+    whose block is not a regular pencil is skipped without losing the
+    others.  Each candidate's grid values and its poles come
     from one real QZ (``descriptor_ops._values_and_poles``).  Data that are
     not conjugate-closed raise :func:`partition_points`'s
     :class:`PartitionSizeError`.  The candidates are real, so only the
@@ -292,7 +299,9 @@ def reduce_controller(
         raise ValueError(f"gamma_bound must be finite and >= 0, got {gamma_bound}")
 
     # The partition rejects data that are not conjugate-closed.
-    pencil = build_pencil(partition_points(kstar_data))
+    partition = partition_points(kstar_data)
+    q_max = min(orders[-1] + 1, partition.size)
+    pencil = _leading_pencil(partition, q_max)
     z = kstar_data.points()
     kstar = kstar_data.values()
     # Each point with Im z >= 0 is solved; every other point reads its
@@ -308,7 +317,6 @@ def reduce_controller(
 
     # One row per projection size, its order the count of dynamic poles.
     candidates: list[SweepRow] = []
-    q_max = min(orders[-1] + 1, pencil.size)
     E, A, B, C = _project(pencil, q_max)
     for q in range(1, q_max + 1):
         try:

@@ -24,21 +24,31 @@ adjacent; the transform is applied to row and column pairs in place, in
 O(m^2).
 
 The rank and the projectors come from the row stack [Lw  Ls] and the
-column stack [Lw; Ls], which are factored exactly at half size (see
-``_row_factor`` and ``_col_factor``): one SVD of each small factor yields
-the stack's singular values and the singular vectors that are used, with
-no approximation.
+column stack [Lw; Ls], which are represented exactly at half size (see
+``_row_factor`` and ``_col_factor``).  Two factorizations of these small
+factors exist, one per kind of caller:
 
-A pencil is real and factored once.  ``build_pencil`` forms the complex
-Lw, transforms it to real coordinates, drops it, and runs the two SVDs;
-the frozen ``LoewnerPencil`` it returns holds only the real arrays that
-``detect_rank`` and every ``reduce_to_realization`` call read.
+- ``build_pencil`` runs one full SVD of each factor.  It yields every
+  singular value of each stack and its singular vectors with no
+  approximation; ``detect_rank`` reads the former, and ``approximate``,
+  the MFSA fits and the m2 reference fit project with the latter.
+- ``_leading_pencil`` serves the LDDC order sweep, which reads no
+  singular value and only the leading singular vectors up to its top
+  order.  It finds those by randomized subspace iteration (see
+  ``_leading_left``), so they match the exact ones to within the
+  sketch's accuracy, and it carries no singular values at all.
+
+A pencil is real and factored once.  Both builders form the complex Lw,
+transform it to real coordinates and drop it (``_assemble``) before they
+factor; the frozen ``LoewnerPencil`` they return holds only the real
+arrays that ``detect_rank`` and every projection read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,6 +65,13 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # ``detect_rank``); ``approximate``'s --svd-tol and the MFSA subset fits
 # read it.
 RANK_TOL = 1e-10
+
+# The leading-subspace factorization of ``_leading_pencil``: directions
+# sketched beyond the kept order, power iterations, and the seed of its
+# own generator.  Fixed, so that a sweep repeats bit for bit.
+SKETCH_OVERSAMPLING = 10
+POWER_ITERATIONS = 2
+SKETCH_SEED = 0
 
 
 def _pair_starts(points: np.ndarray) -> np.ndarray:
@@ -130,8 +147,8 @@ def _loewner_matrix(p: PointPartition) -> np.ndarray:
     This is the one coincidence rule: a left and a right point within
     1e-14 times the largest |z| of each other, exact overlap included,
     raise :class:`CoincidentPointError` naming both.  Only
-    ``build_pencil`` calls this, and it keeps neither the result nor the
-    denominators: both are freed before the stack SVDs run.
+    ``_assemble`` calls this, and it keeps neither the result nor the
+    denominators: both are freed before the stack factors are formed.
     """
     mu, lam = p.left_points, p.right_points
     denom = mu[:, None] - lam[None, :]
@@ -178,11 +195,33 @@ def _col_factor(Lw_r: np.ndarray, w_r: np.ndarray, left_points: np.ndarray,
     return np.vstack([y * w_r, d[:, None] * Lw_r + np.outer(c_r, w_r)])
 
 
+def _leading_left(N: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
+    """The leading r left singular vectors of N, by subspace iteration.
+
+    Randomized subspace iteration (Halko, Martinsson & Tropp, SIAM Rev.
+    2011, Alg. 4.4): the range of N times a Gaussian sketch of
+    r + ``SKETCH_OVERSAMPLING`` columns, refined by ``POWER_ITERATIONS``
+    passes through N^T and N with a QR after each product, then one small
+    SVD of Q^T N.  Each pass raises the sketch's spectral decay to a
+    higher power, so with p = ``SKETCH_OVERSAMPLING`` a direction j <= r
+    is off by about (sigma_{r+p+1}/sigma_j)^(2 POWER_ITERATIONS + 1).
+    Directions within a tail that is flat at the data's rounding level are
+    not determined by N; the sketch picks them.
+    """
+    k = min(r + SKETCH_OVERSAMPLING, *N.shape)
+    Q = np.linalg.qr(N @ rng.standard_normal((N.shape[1], k)))[0]
+    for _ in range(POWER_ITERATIONS):
+        Q = np.linalg.qr(N.T @ Q)[0]
+        Q = np.linalg.qr(N @ Q)[0]
+    return Q @ np.linalg.svd(Q.T @ N, full_matrices=False)[0][:, :r]
+
+
 @dataclass(frozen=True, eq=False)
 class LoewnerPencil:
     """A Loewner pencil in real coordinates, factored once.
 
-    ``build_pencil`` fills every field and nothing is computed later:
+    ``build_pencil`` or ``_leading_pencil`` fills every field and nothing
+    is computed later:
 
     - ``partition``: the data the pencil was built from;
     - ``right_pairs``: first indices of the conjugate pairs among the
@@ -198,6 +237,13 @@ class LoewnerPencil:
     - ``s_col``, ``Vt_col``: singular values and right singular vectors
       (transposed) of the column stack [Lw; Ls], from ``_col_factor``.
 
+    From ``build_pencil`` the factorization is exact and complete.  From
+    ``_leading_pencil`` it is the LDDC sweep's: ``U_row`` and ``Vt_col``
+    hold only the leading directions up to the sweep's top order, from
+    subspace iteration, and ``s_row`` and ``s_col`` are None, so that no
+    rank is read from a partial spectrum.  The width of ``U_row`` is the
+    highest order a projection can take.
+
     Every array is real and read-only.  There is no complex Lw and no
     shifted form: Ls_r = Lw_r Lam_r + v_r 1_r^T, see
     ``reduce_to_realization``.
@@ -209,9 +255,15 @@ class LoewnerPencil:
     v_r: np.ndarray
     w_r: np.ndarray
     U_row: np.ndarray
-    s_row: np.ndarray
-    s_col: np.ndarray
+    s_row: Optional[np.ndarray]
+    s_col: Optional[np.ndarray]
     Vt_col: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.right_pairs, self.Lw_r, self.v_r, self.w_r, self.U_row,
+                  self.s_row, self.s_col, self.Vt_col):
+            if a is not None:
+                a.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -238,12 +290,12 @@ class RankReport:
     ranks_agree: bool
 
 
-def build_pencil(p: PointPartition) -> LoewnerPencil:
-    """Build the real, factored pencil of a partition, once.
+def _assemble(p: PointPartition) -> tuple[np.ndarray, ...]:
+    """The unfactored pencil: (right_pairs, Lw_r, v_r, w_r, N_row, N_col).
 
     Finds each side's conjugate-pair layout, assembles Lw entrywise,
-    transforms it and the boundary vectors to real coordinates, and runs
-    one SVD of each half-size stack factor.  Ls is left to the identities.
+    transforms it and the boundary vectors to real coordinates, and forms
+    the two half-size stack factors.  Ls is left to the identities.
     Raises ``ZeroDataError`` on an empty partition, ``CoincidentPointError``
     when a left and a right point coincide, and ``LoewnerLabError`` when
     conjugate partners are not adjacent or the data is not
@@ -256,14 +308,40 @@ def build_pencil(p: PointPartition) -> LoewnerPencil:
                       _pair_cols(_pair_rows(_loewner_matrix(p), left), right))
     v_r = _drop_imag("left responses", _pair_rows(p.left_values, left))
     w_r = _drop_imag("right responses", _pair_cols(p.right_values, right))
-    U_row, s_row, _ = np.linalg.svd(_row_factor(Lw_r, v_r, p.right_points, right),
-                                    full_matrices=False)
-    _, s_col, Vt_col = np.linalg.svd(_col_factor(Lw_r, w_r, p.left_points, left),
-                                     full_matrices=False)
-    arrays = (right, Lw_r, v_r, w_r, U_row, s_row, s_col, Vt_col)
-    for a in arrays:
-        a.flags.writeable = False
-    return LoewnerPencil(p, *arrays)
+    return (right, Lw_r, v_r, w_r, _row_factor(Lw_r, v_r, p.right_points, right),
+            _col_factor(Lw_r, w_r, p.left_points, left))
+
+
+def build_pencil(p: PointPartition) -> LoewnerPencil:
+    """Build the real, exactly factored pencil of a partition, once.
+
+    ``_assemble`` forms it, and one full SVD of each half-size stack
+    factor gives every singular value and vector that ``detect_rank`` and
+    ``reduce_to_realization`` read, at any order.  Raises as
+    ``_assemble`` does.
+    """
+    right, Lw_r, v_r, w_r, N_row, N_col = _assemble(p)
+    U_row, s_row, _ = np.linalg.svd(N_row, full_matrices=False)
+    _, s_col, Vt_col = np.linalg.svd(N_col, full_matrices=False)
+    return LoewnerPencil(p, right, Lw_r, v_r, w_r, U_row, s_row, s_col, Vt_col)
+
+
+def _leading_pencil(p: PointPartition, r: int) -> LoewnerPencil:
+    """The pencil of a partition factored only as far as order ``r``.
+
+    For the LDDC sweep, which projects at orders up to ``r`` and reads no
+    singular value.  ``_assemble`` forms it, as in ``build_pencil``; then
+    ``_leading_left`` finds the leading r left directions of the row factor
+    and right directions of the column factor, from one generator seeded
+    with ``SKETCH_SEED`` (never numpy's global state).  The pencil carries
+    no singular values, so ``detect_rank`` rejects it, and ``_project``
+    rejects orders above ``r``.  Raises as ``_assemble`` does.
+    """
+    right, Lw_r, v_r, w_r, N_row, N_col = _assemble(p)
+    rng = np.random.default_rng(SKETCH_SEED)
+    U_row = _leading_left(N_row, r, rng)
+    Vt_col = _leading_left(N_col.T, r, rng).T
+    return LoewnerPencil(p, right, Lw_r, v_r, w_r, U_row, None, None, Vt_col)
 
 
 def _count_above_cut(s: np.ndarray, tol: float) -> int:
@@ -319,6 +397,12 @@ def _rank_report(pen: LoewnerPencil, tol: float) -> RankReport:
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     s_row, s_col = pen.s_row, pen.s_col
+    if s_row is None or s_col is None:
+        raise ValueError(
+            "pencil is factored only to its leading directions, for the LDDC "
+            "sweep, and carries no singular values; rank detection needs "
+            "build_pencil's exact factorization"
+        )
     if s_row[0] == 0.0:
         raise ZeroDataError("Loewner pencil is identically zero")
     rank_row = _count_above_cut(s_row, tol)
@@ -374,9 +458,11 @@ def _project(
 
     No regularity check runs, so a caller that sweeps orders can project
     once at the top order and build each lower order from the leading
-    blocks E[:q, :q], A[:q, :q], B[:q] and C[:, :q].
+    blocks E[:q, :q], A[:q, :q], B[:q] and C[:, :q].  ``r`` may not
+    exceed the order the pencil is factored to: its size from
+    ``build_pencil``, the sweep's top order from ``_leading_pencil``.
     """
-    m = pen.size
+    m = pen.U_row.shape[1]
     if not 1 <= r <= m:
         raise ValueError(f"target order must lie in [1, {m}], got {r}")
     lam, right = pen.partition.right_points, pen.right_pairs

@@ -140,6 +140,30 @@ class TestLddc:
         assert load_realization(out / "controller.json").order >= 1
         assert "order" in capsys.readouterr().out
 
+    def test_outputs_repeat_across_interpreters(self, tmp_path):
+        # The sweep's sketch draws from a generator of its own with a fixed
+        # seed, so two fresh processes write the same bytes.
+        assert main(["sample", "--out", str(tmp_path)]) == 0
+        code = """
+import sys
+from loewner_lab import cli
+data, out = sys.argv[1:]
+for ref in ("m1", "m2"):
+    assert cli.main(["lddc", data, "--reference", ref, "--out", out + "/" + ref]) == 0
+"""
+        src = str(Path(loewner_lab.__file__).resolve().parent.parent)
+        for run in ("a", "b"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path / "plant.csv"), str(tmp_path / run)],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for ref in ("m1", "m2"):
+            for name in ("sweep.csv", "controller.json"):
+                a, b = (tmp_path / run / ref / name for run in ("a", "b"))
+                assert a.read_bytes() == b.read_bytes(), (ref, name)
+
     def test_reference_table_from_csv(self, tmp_path, plant_csv):
         # Reference handed over as samples on the same grid.
         from loewner_lab.freq_data import load_csv

@@ -36,8 +36,17 @@ from loewner_lab.lddc import (
     second_order_reference,
     small_gain_bound,
 )
-from loewner_lab.loewner_core import build_pencil, reduce_to_realization
+from loewner_lab.loewner_core import (
+    RANK_TOL,
+    _leading_pencil,
+    _project,
+    _rank_report,
+    build_pencil,
+    detect_rank,
+    reduce_to_realization,
+)
 from loewner_lab.pi_synth import PIController
+from loewner_lab.plant_oracle import PlantParameters, eval_plant
 
 
 @pytest.fixture(scope="module")
@@ -317,15 +326,29 @@ class TestOneProjectionSweep:
         assert calls == {"_project": 1, "poles": 0, "eig": 0}
 
 
+def same_rows(a, b):
+    """Every field bit for bit; the realizations array by array."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        fields_x, fields_y = vars(x).copy(), vars(y).copy()
+        rx, ry = fields_x.pop("realization"), fields_y.pop("realization")
+        assert fields_x == fields_y
+        assert all(np.array_equal(getattr(rx, m), getattr(ry, m)) for m in "EABCD")
+
+
 def full_grid_sweep(kstar_data, orders, gamma_bound):
     """The rows of ``reduce_controller`` with every candidate evaluated on
-    the whole grid, lower half-plane included, instead of mirrored."""
+    the whole grid, lower half-plane included, instead of mirrored.
+
+    The pencil is the sweep's own, factored to the top size as
+    ``reduce_controller`` factors it, so only the mirroring differs."""
     z, kstar = kstar_data.points(), kstar_data.values()
     mag = np.abs(kstar)
     nz = mag > 0.0
-    pencil = build_pencil(partition_points(kstar_data))
+    partition = partition_points(kstar_data)
+    q_max = min(orders[-1] + 1, partition.size)
     cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(z.imag)))
-    E, A, B, C = lddc._project(pencil, min(orders[-1] + 1, pencil.size))
+    E, A, B, C = lddc._project(_leading_pencil(partition, q_max), q_max)
     candidates = []
     for q in range(1, len(E) + 1):
         try:
@@ -380,10 +403,109 @@ class TestMirroredGrid:
         orders = tuple(range(1, 21))
         got = reduce_controller(kstar, orders, gamma_bound=gamma).rows
         want = full_grid_sweep(kstar, orders, gamma)
+        assert len(got) == len(orders)
+        same_rows(got, want)
+
+
+# Plant variants in the ranges the benchmark's design workload draws from:
+# (omega0, damping, x_m) with omega0 in [2, 4], damping in [0.3, 0.8] and
+# x_m in [1.5, 2.5].
+DESIGN_VARIANTS = [(2.3, 0.35, 1.6), (2.9, 0.55, 2.4), (3.4, 0.7, 1.9), (3.9, 0.45, 2.2)]
+
+
+def exact_sweep(kstar_data, orders, gamma_bound):
+    """``reduce_controller`` on ``build_pencil``'s full SVDs in place of
+    the sweep's leading-subspace factors."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lddc, "_leading_pencil", lambda p, r: build_pencil(p))
+        return reduce_controller(kstar_data, orders, gamma_bound=gamma_bound).rows
+
+
+class TestLeadingSubspaceSweep:
+    """The sweep's pencil is factored only to its top size, by subspace
+    iteration; its rows must agree with the exact factorization's."""
+
+    @pytest.fixture(scope="class", params=["built-in", *range(len(DESIGN_VARIANTS))])
+    def plant_and_m2(self, request, grid_points, plant_dataset, m2_reference, pi_paper):
+        """Plant data and the m2 target: the loop of the paper's PI with the
+        order-33 fit for the built-in plant (as the CLI builds it), and with
+        the detected-rank fit for a variant (as the design workload does)."""
+        if request.param == "built-in":
+            return plant_dataset, m2_reference
+        omega0, damping, x_m = DESIGN_VARIANTS[request.param]
+        p = PlantParameters(omega0=omega0, damping=damping, x_m=x_m)
+        data = close_conjugate(
+            FrequencyDataset.from_arrays(grid_points, eval_plant(p, p.x_m, grid_points))
+        )
+        pencil = build_pencil(partition_points(data))
+        fit = reduce_to_realization(pencil, detect_rank(pencil).rank)
+        return data, closed_loop_reference(fit, pi_paper.realization())
+
+    @pytest.mark.parametrize("target", ["m1", "m2"])
+    def test_rows_match_the_exact_factorization(self, target, plant_and_m2):
+        # Measured on the design workload (seeds 5 and 61, 30 ops each):
+        # m1 errors within 3.3e-7 relative, m2 errors, at the noise floor,
+        # within 2.5e-13 absolute, about half of this bound.
+        data, m2 = plant_and_m2
+        m_ref = second_order_reference() if target == "m1" else m2
+        kstar = ideal_controller_response(data, m_ref)
+        gamma = small_gain_bound(data, m_ref)
+        orders = tuple(range(1, 21))
+        got = reduce_controller(kstar, orders, gamma_bound=gamma).rows
+        want = exact_sweep(kstar, orders, gamma)
+        floor = 1e-12 * float(np.max(np.abs(kstar.values())))
         assert len(got) == len(want) == len(orders)
         for a, b in zip(got, want):
-            # Every field bit for bit; the realizations array by array.
-            fields_a, fields_b = vars(a).copy(), vars(b).copy()
-            ra, rb = fields_a.pop("realization"), fields_b.pop("realization")
-            assert fields_a == fields_b
-            assert all(np.array_equal(getattr(ra, m), getattr(rb, m)) for m in "EABCD")
+            assert a.verdict == b.verdict, a.order
+            assert abs(a.error - b.error) <= 1e-6 * b.error + floor, a.order
+            if target == "m1":
+                # A spectral gap past the top size pins every m1 candidate;
+                # m2's tail is flat at the noise floor, so its sizes may move.
+                assert a.projection_size == b.projection_size, a.order
+
+
+class TestSweepPencilGuards:
+    @pytest.fixture(scope="class")
+    def sweep_pencil(self, plant_dataset):
+        kstar = ideal_controller_response(plant_dataset, second_order_reference())
+        return _leading_pencil(partition_points(kstar), 21)
+
+    def test_rank_detection_refuses_it(self, sweep_pencil):
+        for read in (lambda: detect_rank(sweep_pencil),
+                     lambda: _rank_report(sweep_pencil, RANK_TOL)):
+            with pytest.raises(ValueError, match="carries no singular values"):
+                read()
+
+    def test_projection_stops_at_the_factored_order(self, sweep_pencil):
+        assert sweep_pencil.U_row.shape == (200, 21)
+        assert sweep_pencil.Vt_col.shape == (21, 200)
+        assert reduce_to_realization(sweep_pencil, 21).order == 21
+        with pytest.raises(ValueError, match=r"\[1, 21\], got 22"):
+            _project(sweep_pencil, 22)
+
+    def test_only_small_svds_run(self, plant_dataset, monkeypatch):
+        # One SVD per factor, of its 31-row sketch, not of the 200-point factor.
+        shapes = []
+        real = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        kstar = ideal_controller_response(plant_dataset, second_order_reference())
+        reduce_controller(kstar, range(1, 21), gamma_bound=0.0)
+        assert shapes == [(31, 201), (31, 201)]
+
+    def test_global_random_state_does_not_reach_it(self, plant_dataset):
+        kstar = ideal_controller_response(plant_dataset, second_order_reference())
+        first = reduce_controller(kstar, range(1, 21), gamma_bound=0.0).rows
+        state = np.random.get_state()
+        try:
+            np.random.seed(12345)
+            np.random.standard_normal(1000)
+            np.random.default_rng().standard_normal(1000)
+            second = reduce_controller(kstar, range(1, 21), gamma_bound=0.0).rows
+        finally:
+            np.random.set_state(state)
+        same_rows(first, second)

@@ -34,6 +34,7 @@ from loewner_lab.loewner_core import (
     _pair_cols,
     _pair_rows,
     _pair_starts,
+    _leading_pencil,
     _stack_weights,
     build_pencil,
     detect_rank,
@@ -211,14 +212,21 @@ class TestFactoredOnce:
             reduce_to_realization(pen, r)
         assert len(calls) == 2
 
-    def test_fields_are_frozen_real_arrays(self):
-        pen = build_pencil(off_axis_partition())
+    @pytest.mark.parametrize("builder, absent", [
+        (build_pencil, ()),
+        (lambda p: _leading_pencil(p, 4), ("s_row", "s_col")),
+    ], ids=["exact", "sweep"])
+    def test_fields_are_frozen_real_arrays(self, builder, absent):
+        pen = builder(off_axis_partition())
         with pytest.raises(dataclasses.FrozenInstanceError):
             pen.Lw_r = np.zeros((12, 12))
         for f in dataclasses.fields(pen):
             if f.name == "partition":
                 continue
             a = getattr(pen, f.name)
+            if f.name in absent:
+                assert a is None, f.name
+                continue
             assert np.isrealobj(a) and not a.flags.writeable, f.name
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0

@@ -18,6 +18,13 @@ C4 expects the m2 ideal controller K* = M / (Phi (1 - M)) to have rank
 a Loewner fit of the plant, so K* = PI * fit / plant and its rank
 measures the fit's error: it reads 39 to 42 for fits of order 10 to 20,
 and falls to 16 at the order-33 fit the pipeline uses.
+
+C5 passes (m1 certifies order 13), but the small-gain rule behind it
+assumes that the ideal controller K* = M / (Phi (1 - M)) itself
+stabilizes the plant, and nothing checks that.  For m1 it does not: the
+plant carries exp(-x_m^2 s) and m1 does not, so K* carries exp(+x_m^2 s)
+and is not causal, and the stability tag of its samples reads
+"unstable".  Given the plant's delay, M exp(-x_m^2 s), K* reads "stable".
 """
 
 from __future__ import annotations
@@ -29,13 +36,16 @@ from helpers import crossing_delay
 from loewner_lab.descriptor_ops import TransferMap
 from loewner_lab.freq_data import FrequencyDataset, close_conjugate, partition_points
 from loewner_lab.lddc import (
+    ReferenceModelSpec,
     closed_loop_reference,
     ideal_controller_response,
     reduce_controller,
+    reference_from_dataset,
+    second_order_reference,
     small_gain_bound,
 )
 from loewner_lab.loewner_core import build_pencil, detect_rank, reduce_to_realization
-from loewner_lab.mfsa import delay_margin_sweep
+from loewner_lab.mfsa import delay_margin_sweep, stability_tag
 from loewner_lab.plant_oracle import PlantParameters, eval_plant
 
 # Delay margin of the loop without the plant's transport delay, in s.
@@ -104,3 +114,28 @@ def test_the_published_flip_position_at_x_m_2_1(grid_points, omega_grid, pi_pape
     assert result.destabilizing_delay == pytest.approx(5.0737, abs=1e-4)
     # The tag is what misses: C7 asks for more than 1e6 at row 11.
     assert result.rows[10].stab_tag == pytest.approx(776, rel=1e-3)
+
+
+def ideal_controller_tag(plant_dataset, omega_grid, m_ref):
+    """The stability tag of the tabulated K* samples on the plant grid."""
+    kstar = ideal_controller_response(plant_dataset, m_ref)
+    return stability_tag(reference_from_dataset(kstar).transfer, omega_grid)
+
+
+def test_the_m1_ideal_controller_is_antistable(plant_dataset, omega_grid):
+    report = ideal_controller_tag(plant_dataset, omega_grid, second_order_reference())
+    assert report.verdict == "unstable"
+    assert report.stab_tag == pytest.approx(0.269, rel=1e-2)
+    assert (report.order, report.antistable_order) == (31, 17)
+
+
+def test_the_m1_target_with_the_plant_delay_gives_a_stable_ideal_controller(
+    plant_params, plant_dataset, omega_grid
+):
+    m1, delay = second_order_reference(), plant_params.x_m**2
+    delayed = ReferenceModelSpec(TransferMap.from_callable(
+        lambda s: m1.transfer(s) * np.exp(-delay * np.asarray(s))
+    ))
+    report = ideal_controller_tag(plant_dataset, omega_grid, delayed)
+    assert report.verdict == "stable"
+    assert (report.order, report.antistable_order) == (29, 0)
