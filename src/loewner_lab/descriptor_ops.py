@@ -10,22 +10,21 @@ spectrum, splits them additively into stable and antistable parts, composes
 them (series, unity feedback), estimates grid L-infinity norms and forms
 delayed closed loops at the evaluator level.
 
-Evaluation reduces (A, E) once per call to its real generalized Schur form
-(one LAPACK ``gges`` call, see ``_real_schur``) and then back-substitutes
-over the 1x1 and 2x2 diagonal blocks from the bottom up, vectorized over
-the points (Laub, IEEE TAC 1981).  The substitution is left-looking: each
+A realization is factored at most once, on first use: its real
+generalized Schur form (one LAPACK ``gges`` call, see ``_real_schur``) is
+a cached, read-only property that every evaluation, pole query and split
+of that realization reads.  Evaluation back-substitutes over the form's
+1x1 and 2x2 diagonal blocks from the bottom up, vectorized over the
+points (Laub, IEEE TAC 1981).  The substitution is left-looking: each
 block reads the rows already solved through one real contraction of its
 rows of the form.  The form is real, not complex, so that
 H(conj s) = conj H(s) holds exactly; each point is solved as the
 caller gave it, and no conjugate pairs are folded.  Every contraction
 runs over the realization index only, is elementwise over the points and
 uses no BLAS product across points, so that no value depends on the
-other points evaluated with it.  The same ``gges`` call also gives the
-generalized eigenvalues, so a caller that needs both a realization's
-grid values and its finite poles (the LDDC order sweep) reads both from
-one real QZ; see ``_values_and_poles``.  The stable/antistable split
-reorders the same form with LAPACK ``tgsen``; only :func:`poles` runs
-its own eigensolve.
+other points evaluated with it.  :func:`poles` reads the form's
+eigenvalues, and the stable/antistable split reorders a copy of the form
+with LAPACK ``tgsen``.
 
 The :class:`TransferMap` wrapper lets rational realizations and irrational
 closed-form models (square roots, delays) flow through the same analysis
@@ -34,6 +33,7 @@ code paths.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -152,6 +152,10 @@ class DescriptorRealization:
     def transfer_map(self, label: str = "") -> "TransferMap":
         return TransferMap.from_realization(self, label=label)
 
+    @functools.cached_property
+    def _schur(self) -> "_SchurForm":
+        return _real_schur(self)
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -227,10 +231,11 @@ class TransferMap:
 
 
 def eval_transfer(rlz: DescriptorRealization, s):
-    """Evaluate C (sE - A)^{-1} B + D through one real generalized Schur form.
+    """Evaluate C (sE - A)^{-1} B + D through the realization's real Schur form.
 
     ``s`` may be a scalar or an ndarray of complex points; the result has
-    the same shape.  Every point is solved as given by
+    the same shape.  The form is factored on the realization's first use
+    and reused by every later call.  Every point is solved as given by
     :func:`_schur_values`; no conjugate pairs are folded.  The form is
     real, so H(conj s) = conj H(s) holds bit for bit all the same.  A
     point's value does not depend on the other points of the call (the
@@ -245,7 +250,7 @@ def eval_transfer(rlz: DescriptorRealization, s):
     if rlz.order == 0:
         vals = np.full(pts.shape, complex(rlz.D))
     else:
-        vals = _schur_values(rlz, _real_schur(rlz), pts)
+        vals = _schur_values(rlz, rlz._schur, pts)
     vals = vals.reshape(s_arr.shape) if not scalar else vals[0]
     return complex(vals) if scalar else vals
 
@@ -275,9 +280,12 @@ def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
 
     Same workspace query and arguments, so S, T, Q and Z are qz's bit for
     bit; qz drops the eigenvalues that the same call returns, and this
-    keeps them.  qz's finiteness check is not repeated: a realization is
-    finite from construction on.  A failed QZ iteration warns with qz's
-    ``LinAlgWarning`` and any other failure raises ``LinAlgError``, as in qz.
+    keeps them.  Every array is read-only: ``DescriptorRealization._schur``
+    caches the form.  A realization is finite from construction on, so
+    qz's finiteness check is not repeated.  A failed QZ iteration warns
+    with qz's ``LinAlgWarning`` at the caller of the query that factored
+    the realization (stacklevel 5 skips this frame, the property, its
+    ``__get__`` and the query); any other failure raises ``LinAlgError``.
     """
     A, E = rlz.A, rlz.E
     gges = scipy.linalg.lapack.dgges
@@ -292,25 +300,14 @@ def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
         warnings.warn(
             "The QZ iteration failed. (a,b) are not in Schur form, but "
             f"ALPHAR(j), ALPHAI(j), and BETA(j) should be correct for J={info-1},...,N",
-            scipy.linalg.LinAlgWarning, stacklevel=3,
+            scipy.linalg.LinAlgWarning, stacklevel=5,
         )
     elif info > n:
         raise scipy.linalg.LinAlgError("Something other than QZ iteration failed")
-    return _SchurForm(S, T, Q, Z, alphar, alphai, beta)
-
-
-def _values_and_poles(
-    rlz: DescriptorRealization, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """H at the points ``s`` and the finite poles, both from one real QZ.
-
-    The values are those :func:`eval_transfer` gives at ``s``, bit for
-    bit; the poles are the finite eigenvalues under the rule of
-    :func:`poles`, read from the same form instead of a second eigensolve.
-    """
-    form = _real_schur(rlz)
-    lam, fin = _eigenvalues(form, rlz.E)
-    return _schur_values(rlz, form, s), lam[fin]
+    form = _SchurForm(S, T, Q, Z, alphar, alphai, beta)
+    for M in form:
+        M.flags.writeable = False
+    return form
 
 
 def _eigenvalues(form: _SchurForm, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,16 +395,13 @@ def poles(rlz: DescriptorRealization) -> SpectrumReport:
     Directions along which E is singular produce eigenvalues at infinity
     (impulsive modes); they are excluded from the finite list.  An
     eigenvalue alpha/beta counts as finite when |beta| > n*eps*||E||_F,
-    the same rule :func:`stable_antistable_split` applies.
+    the same rule :func:`stable_antistable_split` applies to the same
+    cached Schur form that :func:`eval_transfer` reads.
     """
-    n = rlz.order
-    if n == 0:
+    if rlz.order == 0:
         return SpectrumReport(finite=np.array([], dtype=complex), infinite_count=0)
-    # LAPACK ggev, not _real_schur: with no Schur vectors it is faster, 0.39 against
-    # 0.52 ms at n = 35 (2 CPUs, OpenBLAS), the loop size of optimize_pi's ~8 screens.
-    alpha, beta = scipy.linalg.eig(rlz.A, rlz.E, right=False, homogeneous_eigvals=True)
-    fin = _finite(beta, rlz.E)
-    return SpectrumReport(finite=alpha[fin] / beta[fin], infinite_count=int(np.sum(~fin)))
+    lam, fin = _eigenvalues(rlz._schur, rlz.E)
+    return SpectrumReport(finite=lam[fin], infinite_count=int(np.sum(~fin)))
 
 
 def _finite(beta: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -443,12 +437,12 @@ def _sylvester_residual(A11, R, L, A22, A12):
 def stable_antistable_split(rlz: DescriptorRealization) -> StableSplit:
     """Split a realization into stable and antistable additive parts.
 
-    The real Schur form of :func:`_real_schur` is reordered with LAPACK
-    ``tgsen``, as ``scipy.linalg.ordqz`` does after its own QZ, so that the
-    eigenvalues selected as stable, those that are finite (the rule of
-    :func:`poles`) with Re < 0, lead; every infinite eigenvalue therefore
-    lands in the antistable block.  The guard and the selection read the
-    form's eigenvalues once, before anything is reordered: a finite pole
+    A copy of the realization's cached real Schur form is reordered with
+    LAPACK ``tgsen``, as ``scipy.linalg.ordqz`` does after its own QZ, so
+    that the eigenvalues selected as stable, those that are finite (the
+    rule of :func:`poles`) with Re < 0, lead; every infinite eigenvalue
+    therefore lands in the antistable block.  The guard and the selection
+    read the form's eigenvalues once, before anything is reordered: a finite pole
     whose real part lies within ``SPLIT_GUARD`` of the imaginary axis
     raises :class:`BoundaryPoleError`.  A failed reordering, or one whose
     leading block is not the selected set, raises
@@ -459,7 +453,7 @@ def stable_antistable_split(rlz: DescriptorRealization) -> StableSplit:
     n = rlz.order
     if n == 0:
         return StableSplit(rlz, _empty_realization(0.0), np.array([], dtype=complex))
-    form = _real_schur(rlz)
+    form = rlz._schur
     lam, fin = _eigenvalues(form, rlz.E)
     near = fin & (np.abs(lam.real) < SPLIT_GUARD)
     if near.any():

@@ -28,8 +28,9 @@ import numpy as np
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
-    _values_and_poles,
+    eval_transfer,
     feedback_unity,
+    poles,
     series,
 )
 from .errors import (
@@ -272,8 +273,8 @@ def reduce_controller(
     floor.  The pencil is projected once, at the top size; candidate q is the leading q x q block
     of that projection (see ``reduce_to_realization``), and a candidate
     whose block is not a regular pencil is skipped without losing the
-    others.  Each candidate's grid values and its poles come
-    from one real QZ (``descriptor_ops._values_and_poles``).  Data that are
+    others.  Each candidate's grid values and its poles come from its one
+    cached real QZ (:func:`eval_transfer`, then :func:`poles`).  Data that are
     not conjugate-closed raise :func:`partition_points`'s
     :class:`PartitionSizeError`.  The candidates are real, so only the
     points with Im z >= 0 are solved; each other point takes the conjugate
@@ -321,7 +322,7 @@ def reduce_controller(
     for q in range(1, q_max + 1):
         try:
             rlz = DescriptorRealization(E[:q, :q], A[:q, :q], B[:q], C[:, :q])
-            half, finite = _values_and_poles(rlz, upper)
+            half, finite = eval_transfer(rlz, upper), poles(rlz).finite
         except LoewnerLabError:
             continue
         vals = np.where(solve, half[take], half[take].conj())

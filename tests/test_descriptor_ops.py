@@ -453,6 +453,80 @@ def test_pipelines_reach_no_other_qz(monkeypatch):
     assert [row.order for row in sweep.rows] == [1, 2, 3]
 
 
+class TestFactoredOnce:
+    """A realization is factored on first use; later queries read the form."""
+
+    @staticmethod
+    def mixed():
+        # Stable and antistable modes behind a dense transform.
+        modal = modal_realization(
+            [(-0.5 + 3.0j, 1.0j), (0.4 + 1.2j, 0.3 - 0.2j)], [(-2.0, 1.0), (0.7, -0.4)],
+            feedthrough=0.2,
+        )
+        rng = np.random.default_rng(27)
+        n = modal.order
+        Tl = rng.standard_normal((n, n)) + n * np.eye(n)
+        Tr = rng.standard_normal((n, n)) + n * np.eye(n)
+        return DescriptorRealization(
+            Tl @ modal.E @ Tr, Tl @ modal.A @ Tr, Tl @ modal.B, modal.C @ Tr, modal.D
+        )
+
+    def test_values_poles_and_split_share_one_qz(self, monkeypatch):
+        factored = []
+        real_schur = descriptor_ops._real_schur
+
+        def spy(rlz):
+            factored.append(rlz)
+            return real_schur(rlz)
+
+        monkeypatch.setattr(descriptor_ops, "_real_schur", spy)
+        rlz = self.mixed()
+        eval_transfer(rlz, GRID)
+        spec = poles(rlz)
+        split = stable_antistable_split(rlz)
+        eval_transfer(rlz, GRID[::5])
+        assert len(factored) == 1 and factored[0] is rlz
+        assert spec.finite.size == 6
+        assert split.antistable_part.order == 3
+
+    def test_cached_form_is_read_only_and_survives_a_split(self):
+        rlz = self.mixed()
+        stable_antistable_split(rlz)
+        for M in rlz._schur:
+            assert not M.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                M[0] = 0.0
+        fresh = DescriptorRealization(rlz.E, rlz.A, rlz.B, rlz.C, rlz.D)
+        assert np.array_equal(eval_transfer(rlz, GRID), eval_transfer(fresh, GRID))
+        assert np.array_equal(poles(rlz).finite, poles(fresh).finite)
+
+    @pytest.mark.parametrize("first", ["eval_transfer", "poles", "split"])
+    def test_failed_qz_warns_once_at_the_caller(self, monkeypatch, first):
+        # A gges reporting a failed QZ iteration (info = 1) on the final
+        # call; the workspace query is left alone.
+        real_gges = scipy.linalg.lapack.dgges
+
+        def failing(*args, **kwargs):
+            out = real_gges(*args, **kwargs)
+            return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgges", failing)
+        queries = {
+            "eval_transfer": lambda r: eval_transfer(r, GRID),
+            "poles": poles,
+            "split": stable_antistable_split,
+        }
+        rlz = self.mixed()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            queries[first](rlz)
+            for query in queries.values():
+                query(rlz)
+        assert [w.category for w in caught] == [scipy.linalg.LinAlgWarning]
+        assert "QZ iteration failed" in str(caught[0].message)
+        assert caught[0].filename == __file__
+
+
 class TestRealizationValidation:
     @staticmethod
     def matrices():

@@ -257,23 +257,30 @@ def swept_candidates(request, plant_dataset, m2_reference):
     """Each sweep candidate's realization, grid values and finite poles.
 
     The built-in plant's ideal-controller data for m1 and for m2, swept
-    over orders 1..20 with ``_values_and_poles`` spied on; each entry
-    holds the points the sweep solved.
+    over orders 1..20 with lddc's ``eval_transfer`` and ``poles`` spied
+    on; each entry holds the points the sweep solved, the values it read
+    and the finite poles it counted.
     """
     m_ref = second_order_reference() if request.param == "m1" else m2_reference
     kstar = ideal_controller_response(plant_dataset, m_ref)
     seen = []
-    real = lddc._values_and_poles
 
-    def spy(rlz, s):
-        vals, finite = real(rlz, s)
-        seen.append((rlz, s, vals, finite))
-        return vals, finite
+    def values_spy(rlz, s):
+        vals = eval_transfer(rlz, s)
+        seen.append([rlz, s, vals])
+        return vals
+
+    def poles_spy(rlz):
+        spec = poles(rlz)
+        assert seen[-1][0] is rlz
+        seen[-1].append(spec.finite)
+        return spec
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lddc, "_values_and_poles", spy)
+        mp.setattr(lddc, "eval_transfer", values_spy)
+        mp.setattr(lddc, "poles", poles_spy)
         reduce_controller(kstar, range(1, 21), gamma_bound=0.0)
-    return kstar, seen
+    return kstar, [tuple(entry) for entry in seen]
 
 
 class TestOneProjectionSweep:
@@ -301,15 +308,20 @@ class TestOneProjectionSweep:
             assert np.array_equal(vals, eval_transfer(rlz, s)), rlz.order
 
     def test_dynamic_pole_counts_match_poles(self, swept_candidates):
+        # The poles the sweep counts, read from the candidate's cached
+        # Schur form, against LAPACK ggev on the same pencil.
         kstar, seen = swept_candidates
         cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(kstar.points().imag)))
         for rlz, _, _, finite in seen:
-            want = poles(rlz).finite
+            alpha, beta = scipy.linalg.eigvals(rlz.A, rlz.E, homogeneous_eigvals=True)
+            fin = descriptor_ops._finite(beta, rlz.E)
+            want = alpha[fin] / beta[fin]
             assert finite.size == want.size, rlz.order
             assert np.sum(np.abs(finite) <= cut) == np.sum(np.abs(want) <= cut), rlz.order
 
     def test_one_projection_and_no_eigensolve(self, plant_dataset, monkeypatch):
-        calls = {"_project": 0, "poles": 0, "eig": 0}
+        calls = {"_project": 0, "eig": 0}
+        factored = []
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -317,13 +329,20 @@ class TestOneProjectionSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(lddc, "_project", counting("_project", lddc._project))
-        monkeypatch.setattr(descriptor_ops, "poles", counting("poles", descriptor_ops.poles))
-        monkeypatch.setattr(scipy.linalg, "eig", counting("eig", scipy.linalg.eig))
+        def schur_spy(rlz, real=descriptor_ops._real_schur):
+            factored.append(rlz)  # a reference, so no id() is reused
+            return real(rlz)
+
         kstar = ideal_controller_response(plant_dataset, second_order_reference())
+        monkeypatch.setattr(lddc, "_project", counting("_project", lddc._project))
+        monkeypatch.setattr(descriptor_ops, "_real_schur", schur_spy)
+        monkeypatch.setattr(scipy.linalg, "eig", counting("eig", scipy.linalg.eig))
         sweep = reduce_controller(kstar, range(1, 21), gamma_bound=0.0)
         assert len(sweep.rows) == 20
-        assert calls == {"_project": 1, "poles": 0, "eig": 0}
+        assert calls == {"_project": 1, "eig": 0}
+        # Sizes 1..21 are all candidates (see test_every_size_is_a_candidate).
+        assert [rlz.order for rlz in factored] == list(range(1, 22))
+        assert len({id(rlz) for rlz in factored}) == len(factored)
 
 
 def same_rows(a, b):
@@ -353,7 +372,7 @@ def full_grid_sweep(kstar_data, orders, gamma_bound):
     for q in range(1, len(E) + 1):
         try:
             rlz = DescriptorRealization(E[:q, :q], A[:q, :q], B[:q], C[:, :q])
-            vals, finite = descriptor_ops._values_and_poles(rlz, z)
+            vals, finite = eval_transfer(rlz, z), poles(rlz).finite
         except LoewnerLabError:
             continue
         diff = np.abs(vals - kstar)

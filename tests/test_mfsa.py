@@ -17,6 +17,7 @@ import pytest
 import scipy.linalg
 
 from helpers import crossing_delay, modal_realization, random_system
+from loewner_lab import descriptor_ops
 from loewner_lab.descriptor_ops import TransferMap, closed_loop_delay, densify_log_grid
 from loewner_lab.errors import SingularityError, ZeroDataError
 from loewner_lab.mfsa import (
@@ -401,6 +402,28 @@ class TestBuiltinPlantSweep:
         assert res.rows[2].stab_tag == pytest.approx(565.3306115567675, rel=1e-6)
         assert res.rows[3].stab_tag == pytest.approx(27.670407199506474, rel=1e-6)
         assert res.destabilizing_delay == 5.65
+
+    def test_no_realization_is_factored_twice(
+        self, plant_oracle_map, pi_paper, omega_grid, monkeypatch
+    ):
+        # The accepted fit's hold-out check and its split read one QZ, and
+        # the controller is factored once for both delays.  The spy keeps
+        # each realization, so no id() is reused after collection.
+        factored = []
+        real_schur = descriptor_ops._real_schur
+
+        def spy(rlz):
+            factored.append(rlz)
+            return real_schur(rlz)
+
+        monkeypatch.setattr(descriptor_ops, "_real_schur", spy)
+        k = pi_paper.transfer_map()
+        for tau in (0.0, 5.0):
+            loop = closed_loop_delay(plant_oracle_map, k, tau)
+            assert stability_tag(loop, omega_grid).verdict == "stable"
+        assert factored
+        assert len({id(rlz) for rlz in factored}) == len(factored)
+        assert sum(rlz is k.realization for rlz in factored) == 1
 
     def test_flip_at_the_analytic_margin(self, plant_oracle_map, pi_paper, omega_grid):
         # The true delay margin is 5.632 s; the verdict must flip between

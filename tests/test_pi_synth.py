@@ -17,7 +17,7 @@ import scipy.optimize
 
 from helpers import modal_realization
 from loewner_lab import descriptor_ops, pi_synth
-from loewner_lab.descriptor_ops import TransferMap, eval_transfer
+from loewner_lab.descriptor_ops import DescriptorRealization, TransferMap, eval_transfer
 from loewner_lab.errors import LoopSingularityError, OptimizationError
 from loewner_lab.freq_data import FrequencyDataset, close_conjugate, partition_points
 from loewner_lab.loewner_core import build_pencil, detect_rank, reduce_to_realization
@@ -215,9 +215,11 @@ class TestPIController:
         # Both probes share one eval_transfer call; every point is solved
         # on its own, so the gains equal those of one call per probe.
         ctrl = modal_realization([(-0.8 + 2.0j, 1.0 - 0.3j)], [(-1e-6, 0.02)], feedthrough=0.4)
+        # An equal but separate realization, so ctrl is not factored yet.
+        ref = DescriptorRealization(ctrl.E, ctrl.A, ctrl.B, ctrl.C, ctrl.D)
         s_high, s_low = 1j * pi_synth.GAIN_PROBE_HIGH, 1j * pi_synth.GAIN_PROBE_LOW
-        kp = float(np.real(eval_transfer(ctrl, s_high)))
-        ki = float(np.real(s_low * eval_transfer(ctrl, s_low)))
+        kp = float(np.real(eval_transfer(ref, s_high)))
+        ki = float(np.real(s_low * eval_transfer(ref, s_low)))
         calls = []
         real = descriptor_ops._real_schur
 

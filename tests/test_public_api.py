@@ -2,7 +2,8 @@
 
 Every name a module lists in ``__all__`` must exist in it, and every name
 the package root re-exports must be listed in its module's ``__all__``, so
-that removing a function leaves no stale export behind.
+that removing a function leaves no stale export behind.  The structure
+guards keep a realization's real Schur form behind ``descriptor_ops``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +54,40 @@ def test_root_exports_are_listed_in_their_modules():
             unlisted.append(f"{module_name}.{name}")
     assert unlisted == []
 
+
+SCHUR_INTERNALS = {"_schur", "_real_schur", "_schur_values", "_eigenvalues", "_SchurForm"}
+
+
+def _module_trees():
+    """(module name, parsed source) for every module of the package."""
+    for path in sorted(Path(loewner_lab.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
+def _names(tree):
+    """Every identifier a module reads, imports or looks up as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_the_schur_form_stays_behind_descriptor_ops():
+    # Every other module reaches a realization's real Schur form through
+    # eval_transfer, poles and stable_antistable_split only.
+    leaks = [
+        f"{module}: {name}"
+        for module, tree in _module_trees() if module != "descriptor_ops"
+        for name in sorted(SCHUR_INTERNALS & set(_names(tree)))
+    ]
+    assert leaks == []
+
+
+def test_no_module_calls_scipy_eig():
+    # Poles come from the realization's one real QZ, not a second
+    # eigensolve; no module names any ``eig`` (scipy's or numpy's).
+    users = [module for module, tree in _module_trees() if "eig" in set(_names(tree))]
+    assert users == []
