@@ -90,9 +90,8 @@ def _as_real_matrix(name: str, M, shape: tuple[int, int]) -> np.ndarray:
     M = np.atleast_2d(np.array(M, dtype=float))
     if M.shape != shape:
         raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
-    bad = M[~np.isfinite(M)]
-    if bad.size:
-        raise ValueError(f"{name} has a non-finite entry {bad[0]}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has a non-finite entry {M[~np.isfinite(M)][0]}")
     M.flags.writeable = False
     return M
 
@@ -116,8 +115,7 @@ class DescriptorRealization:
     D: float = 0.0
 
     def __post_init__(self) -> None:
-        A = np.atleast_2d(np.asarray(self.A, dtype=complex))
-        n = A.shape[0]
+        n = np.atleast_2d(np.asarray(self.A)).shape[0]
         object.__setattr__(self, "E", _as_real_matrix("E", self.E, (n, n)))
         object.__setattr__(self, "A", _as_real_matrix("A", self.A, (n, n)))
         object.__setattr__(self, "B", _as_real_matrix("B", self.B, (n, 1)))
@@ -605,36 +603,56 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
     )
 
 
-def series(g: DescriptorRealization, k: DescriptorRealization) -> DescriptorRealization:
-    """Realization of the product transfer g(s) * k(s) (k feeds g)."""
-    ng, nk = g.order, k.order
-    E = np.block([
-        [g.E, np.zeros((ng, nk))],
-        [np.zeros((nk, ng)), k.E],
-    ])
-    A = np.block([
-        [g.A, g.B @ k.C],
-        [np.zeros((nk, ng)), k.A],
-    ])
-    B = np.vstack([g.B * k.D, k.B])
-    C = np.hstack([g.C, g.D * k.C])
-    return DescriptorRealization(E, A, B, C, g.D * k.D)
+class _Arrays(NamedTuple):
+    """The five fields of a realization, not yet checked or copied."""
+
+    E: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: float
 
 
-def feedback_unity(loop: DescriptorRealization) -> DescriptorRealization:
-    """Closed loop L/(1+L) of a loop-gain realization under unity feedback."""
+def _series(g, k) -> _Arrays:
+    """The arrays of g(s) * k(s) (k feeds g); ``g`` and ``k`` are realizations
+    or ``_Arrays``."""
+    ng = g.A.shape[0]
+    n = ng + k.A.shape[0]
+    E, A = np.zeros((n, n)), np.zeros((n, n))
+    E[:ng, :ng], E[ng:, ng:] = g.E, k.E
+    A[:ng, :ng], A[ng:, ng:] = g.A, k.A
+    A[:ng, ng:] = g.B @ k.C
+    return _Arrays(E, A, np.vstack([g.B * k.D, k.B]), np.hstack([g.C, g.D * k.C]), g.D * k.D)
+
+
+def _feedback(loop) -> _Arrays:
+    """The arrays of L/(1+L) for a loop gain L given as a realization or
+    ``_Arrays``; raises :class:`LoopSingularityError` when 1 + D vanishes."""
     den = 1.0 + loop.D
     if abs(den) < 1e-12:
         raise LoopSingularityError(
             "unity feedback is singular: 1 + D vanishes"
         )
-    return DescriptorRealization(
-        E=loop.E,
-        A=loop.A - (loop.B @ loop.C) / den,
-        B=loop.B / den,
-        C=loop.C / den,
-        D=loop.D / den,
+    return _Arrays(
+        loop.E, loop.A - (loop.B @ loop.C) / den, loop.B / den, loop.C / den, loop.D / den
     )
+
+
+def series(g: DescriptorRealization, k: DescriptorRealization) -> DescriptorRealization:
+    """Realization of the product transfer g(s) * k(s) (k feeds g)."""
+    return DescriptorRealization(*_series(g, k))
+
+
+def feedback_unity(loop: DescriptorRealization) -> DescriptorRealization:
+    """Closed loop L/(1+L) of a loop-gain realization under unity feedback."""
+    return DescriptorRealization(*_feedback(loop))
+
+
+def _closed_loop(g, k) -> DescriptorRealization:
+    """``feedback_unity(series(g, k))`` with the same arrays bit for bit,
+    checked once: the series connection is never built as a realization,
+    and ``k`` may be unchecked ``_Arrays``."""
+    return DescriptorRealization(*_feedback(_series(g, k)))
 
 
 def densify_log_grid(grid, factor: int) -> np.ndarray:

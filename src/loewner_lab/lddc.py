@@ -28,10 +28,9 @@ import numpy as np
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
+    _closed_loop,
     eval_transfer,
-    feedback_unity,
     poles,
-    series,
 )
 from .errors import (
     GridMismatchError,
@@ -153,7 +152,7 @@ def closed_loop_reference(
     achieves": the ideal-controller samples then reproduce the controller's
     own response, which makes the construction a strong self-test.
     """
-    loop = feedback_unity(series(plant, controller))
+    loop = _closed_loop(plant, controller)
     return ReferenceModelSpec(
         transfer=TransferMap.from_realization(loop, label="closed-loop target"),
         unity_at=(0.0,),

@@ -101,23 +101,29 @@ def _pair_starts(points: np.ndarray) -> np.ndarray:
 
 
 def _pair_rows(M: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """T^H M for the conjugate-pair transform T, applied to row pairs."""
-    out = np.array(M, dtype=complex)
-    a = out[starts]
-    b = out[starts + 1]
-    out[starts] = (a + b) * _INV_SQRT2
-    out[starts + 1] = 1j * (b - a) * _INV_SQRT2
-    return out
+    """T^H M for the conjugate-pair transform T, applied to row pairs.
+
+    Transforms the complex array ``M`` in place and returns it; a caller
+    that does not own ``M`` passes a copy.
+    """
+    a = M[starts]
+    b = M[starts + 1]
+    M[starts] = (a + b) * _INV_SQRT2
+    M[starts + 1] = 1j * (b - a) * _INV_SQRT2
+    return M
 
 
 def _pair_cols(M: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """M T for the conjugate-pair transform T, applied to column pairs."""
-    out = np.array(M, dtype=complex)
-    a = out[..., starts]
-    b = out[..., starts + 1]
-    out[..., starts] = (a + b) * _INV_SQRT2
-    out[..., starts + 1] = 1j * (a - b) * _INV_SQRT2
-    return out
+    """M T for the conjugate-pair transform T, applied to column pairs.
+
+    Transforms the complex array ``M`` in place and returns it; a caller
+    that does not own ``M`` passes a copy.
+    """
+    a = M[..., starts]
+    b = M[..., starts + 1]
+    M[..., starts] = (a + b) * _INV_SQRT2
+    M[..., starts + 1] = 1j * (a - b) * _INV_SQRT2
+    return M
 
 
 def _drop_imag(name: str, M: np.ndarray) -> np.ndarray:
@@ -294,8 +300,9 @@ def _assemble(p: PointPartition) -> tuple[np.ndarray, ...]:
     """The unfactored pencil: (right_pairs, Lw_r, v_r, w_r, N_row, N_col).
 
     Finds each side's conjugate-pair layout, assembles Lw entrywise,
-    transforms it and the boundary vectors to real coordinates, and forms
-    the two half-size stack factors.  Ls is left to the identities.
+    transforms it in place and copies of the boundary vectors to real
+    coordinates, and forms the two half-size stack factors.  Ls is left to
+    the identities.
     Raises ``ZeroDataError`` on an empty partition, ``CoincidentPointError``
     when a left and a right point coincide, and ``LoewnerLabError`` when
     conjugate partners are not adjacent or the data is not
@@ -306,8 +313,8 @@ def _assemble(p: PointPartition) -> tuple[np.ndarray, ...]:
     left, right = _pair_starts(p.left_points), _pair_starts(p.right_points)
     Lw_r = _drop_imag("Loewner matrix",
                       _pair_cols(_pair_rows(_loewner_matrix(p), left), right))
-    v_r = _drop_imag("left responses", _pair_rows(p.left_values, left))
-    w_r = _drop_imag("right responses", _pair_cols(p.right_values, right))
+    v_r = _drop_imag("left responses", _pair_rows(p.left_values.astype(complex), left))
+    w_r = _drop_imag("right responses", _pair_cols(p.right_values.astype(complex), right))
     return (right, Lw_r, v_r, w_r, _row_factor(Lw_r, v_r, p.right_points, right),
             _col_factor(Lw_r, w_r, p.left_points, left))
 
@@ -471,7 +478,7 @@ def _project(
     LX = lam.real[:, None] * X
     LX[right] -= lam.imag[right, None] * X[right + 1]
     LX[right + 1] += lam.imag[right, None] * X[right]
-    ones_r = _pair_cols(np.ones(lam.size), right).real
+    ones_r = _pair_cols(np.ones(lam.size, dtype=complex), right).real
     YL = Y.T @ pen.Lw_r
     B = Y.T @ pen.v_r
     E = -(YL @ X)

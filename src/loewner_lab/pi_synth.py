@@ -8,18 +8,25 @@ worst-case Euclidean norm of the weighted channel pair
 over a frequency grid; the score is the grid estimate of the H-infinity
 norm of the stacked performance channel.  H, We and Wu are fixed, so the
 tuner samples them once per grid, through the package's grid sampler,
-which rejects a sample that is not finite and names its frequency; every
-score reuses those samples and only K changes from one score to the next.
+which rejects a sample that is not finite and names its frequency, and
+keeps the score's gain-independent parts as real constants per grid
+point: with s = i*omega and K = kp - i*ki/omega,
+
+    gamma^2 = max (|We|^2 + |Wu|^2 (kp^2 + ki^2/omega^2))
+                  / ((1 + Re L)^2 + (Im L)^2),    L = kp*H + ki*H/s,
+
+so each score is a few real sums of gain products times those constants.
 The tuner minimizes that score over (kp, ki) with Nelder-Mead (Nelder and
 Mead, 1965) restarted from a logarithmic grid of seeds.  The runs advance
 in lock-step: each round scores the point every live run waits on in one
-broadcast over (candidates x grid), so the cost per round is one array
-pass rather than one pass per seed.  The candidates are ranked by the
-scores Nelder-Mead returns with them, so no candidate is scored twice.  Each
+pass over the per-grid real constants, for all of them at once, rather
+than one pass per seed.  The candidates are ranked by the scores
+Nelder-Mead returns with them, so no candidate is scored twice.  Each
 candidate with a finite score is screened for closed-loop stability
-through the descriptor poles of the actual feedback realization, since a
-pure grid score cannot see an internal instability that happens to have
-small gain on the sampled frequencies.
+through the descriptor poles of the actual feedback realization, built
+and checked once per candidate, since a pure grid score cannot see an
+internal instability that happens to have small gain on the sampled
+frequencies.
 """
 
 from __future__ import annotations
@@ -32,12 +39,12 @@ import numpy as np
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
+    _Arrays,
+    _closed_loop,
     _eval_on_axis,
     _log_grid,
     eval_transfer,
-    feedback_unity,
     poles,
-    series,
 )
 from .errors import LoewnerLabError, LoopSingularityError, OptimizationError
 
@@ -65,14 +72,17 @@ class PIController:
         if not (math.isfinite(self.kp) and math.isfinite(self.ki)):
             raise ValueError(f"gains must be finite, got kp={self.kp}, ki={self.ki}")
 
-    def realization(self) -> DescriptorRealization:
-        return DescriptorRealization(
+    def _arrays(self) -> _Arrays:
+        return _Arrays(
             E=np.array([[1.0]]),
             A=np.array([[0.0]]),
             B=np.array([[1.0]]),
             C=np.array([[self.ki]]),
             D=self.kp,
         )
+
+    def realization(self) -> DescriptorRealization:
+        return DescriptorRealization(*self._arrays())
 
     def transfer_map(self) -> TransferMap:
         label = f"PI(kp={self.kp:g}, ki={self.ki:g})"
@@ -139,61 +149,92 @@ def fit_pi_gains(controller: DescriptorRealization) -> PIController:
 
 @dataclass(frozen=True)
 class _GridSamples:
-    """Plant and weights sampled once at i*omega on a validated grid."""
+    """A validated grid, the plant samples H on it, and the score's
+    gain-independent real constants.
+
+    With s = i*omega the loop is L = H*K = kp*H + ki*H/s, and
+    |K|^2 = kp^2 + ki^2/omega^2.  So each of the score's three parts,
+    1 + Re L, Im L and the numerator |We|^2 + |Wu|^2 |K|^2, is a sum over
+    the gain columns (1, kp, ki, kp^2, ki^2) of ``_gain_rows``, each times
+    a fixed real row over the grid: ``terms[k, j]`` is the row that gain
+    column k contributes to part j.
+
+        column    1 + Re L    Im L       numerator
+        1         1           0          |We|^2
+        kp        Re H        Im H       0
+        ki        Re(H/s)     Im(H/s)    0
+        kp^2      0           0          |Wu|^2
+        ki^2      0           0          |Wu|^2/omega^2
+
+    A zero entry adds an exact zero, which leaves the sum's value as it is.
+    """
 
     omega: np.ndarray
-    s: np.ndarray
     h: np.ndarray
-    we: np.ndarray
-    wu: np.ndarray
+    terms: np.ndarray
 
 
 def _sample(plant: TransferMap, w: WeightingFilters, grid) -> _GridSamples:
     """Plant and weights sampled by ``_eval_on_axis`` on a grid checked by
-    ``_log_grid``."""
+    ``_log_grid``, reduced to the score's real constants."""
     # The tracking weight has a pole at omega = 0, so the grid must be positive.
     omega = _log_grid(grid)
-    return _GridSamples(
-        omega=omega,
-        s=1j * omega,
-        h=_eval_on_axis(plant, omega),
-        we=_eval_on_axis(w.we, omega),
-        wu=_eval_on_axis(w.wu, omega),
-    )
+    h = _eval_on_axis(plant, omega)
+    we = _eval_on_axis(w.we, omega)
+    wu = _eval_on_axis(w.wu, omega)
+    wu2 = wu.real ** 2 + wu.imag ** 2
+    terms = np.zeros((5, 3, omega.size))
+    terms[0, 0] = 1.0
+    terms[0, 2] = we.real ** 2 + we.imag ** 2
+    terms[1, :2] = h.real, h.imag
+    # H/s = H/(i*omega) = (Im H - i Re H)/omega.
+    terms[2, :2] = h.imag / omega, -h.real / omega
+    terms[3, 2] = wu2
+    terms[4, 2] = wu2 / omega ** 2
+    terms.flags.writeable = False
+    return _GridSamples(omega=omega, h=h, terms=terms)
 
 
-def _score(
-    samples: _GridSamples, kp: np.ndarray, ki: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of the gain pairs (kp[i], ki[i]), one row per pair.
+def _gain_rows(pairs) -> np.ndarray:
+    """The score kernel's gain array: one row (1, kp, ki, kp^2, ki^2) per
+    gain pair (kp, ki)."""
+    return np.array([(1.0, kp, ki, kp * kp, ki * ki) for kp, ki in pairs])
 
-    Returns the scores and, per row, the index of the first grid point
-    where 1 + H*K vanishes, or -1.  A row with such a point scores inf;
-    the other rows are computed as if it were not there, so each row has
-    the bits of a one-row call.
+
+def _score(samples: _GridSamples, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the gain rows of ``_gain_rows``, one per row.
+
+    One ``einsum`` contraction of ``gains`` with the grid's ``terms`` (see
+    :class:`_GridSamples`) gives 1 + Re L, Im L and the numerator at every
+    point, and a row's score is the square root of the grid maximum of
+    numerator / ((1 + Re L)^2 + (Im L)^2): one max and one ``sqrt`` per
+    row.  ``einsum`` sums over the gain columns in a fixed order for each
+    row and point; a BLAS product may block the rows and change a value's
+    last bit with its batch, so none is used and each row has the bits
+    of a one-row call.  Returns the scores and, per row, the index of the
+    first grid point where 1 + H*K vanishes, or -1.  A row with such a
+    point scores inf; the other rows are computed as if it were not there.
     """
-    # Same bits as PIController(kp, ki).frequency_response(samples.omega).
-    kvals = kp[:, None] + ki[:, None] / samples.s
-    loop = samples.h * kvals
-    den = 1.0 + loop
-    absden = np.abs(den)
-    singular_at = np.full(kp.shape, -1)
-    # A point is singular when |1+L| < 1e-12 * max(1, |L|).  If |L| <= 1
-    # that bound is 1e-12.  If |L| > 1, then |L| - 1 <= |1+L| < 1e-12 |L|
-    # gives |L| < 1 / (1 - 1e-12), so the bound is below 2e-12.  Every
-    # singular point thus has |1+L| < 2e-12, and the full test runs only
-    # when some point comes that close.
-    if absden.min() <= 2e-12:
-        bad = absden < 1e-12 * np.maximum(1.0, np.abs(loop))
+    parts = np.einsum("rk,kjp->rjp", gains, samples.terms)
+    re, im, ratio = parts[:, 0], parts[:, 1], parts[:, 2]
+    den = re * re
+    den += im * im
+    singular_at = np.full(len(gains), -1)
+    # A point is singular when |1+L| < 1e-12 * max(1, |L|), tested squared
+    # on den = |1+L|^2.  If |L| <= 1 that bound is 1e-12.  If |L| > 1, then
+    # |L| - 1 <= |1+L| < 1e-12 |L| gives |L| < 1 / (1 - 1e-12), so the
+    # bound is below 2e-12.  Every singular point thus has den < 4e-24,
+    # and the full test runs only when some point comes that close.  A
+    # singular row's quotient is set to inf, so its score is inf.
+    if den.min() <= 4e-24:
+        re_loop = re - 1.0
+        bad = den < 1e-24 * np.maximum(1.0, re_loop * re_loop + im * im)
         rows = bad.any(axis=1)
         singular_at[rows] = np.argmax(bad[rows], axis=1)
         den[rows] = 1.0
-    sens = 1.0 / den
-    ch_e = np.abs(samples.we * sens)
-    ch_u = np.abs(samples.wu * kvals * sens)
-    gamma = np.hypot(ch_e, ch_u).max(axis=1)
-    gamma[singular_at >= 0] = math.inf
-    return gamma, singular_at
+        ratio[rows] = math.inf
+    ratio /= den
+    return np.sqrt(ratio.max(axis=1)), singular_at
 
 
 def eval_weighted_performance(
@@ -202,13 +243,15 @@ def eval_weighted_performance(
     """Worst grid value of the weighted closed-loop channel pair.
 
     Returns max over the grid of the Euclidean norm of
-    (We*S, Wu*K*S) with S = 1/(1 + H*K).  Raises
+    (We*S, Wu*K*S) with S = 1/(1 + H*K), computed by the tuner's own
+    score kernel from the grid's real constants, so it equals the score
+    the tuner gives the same gains bit for bit.  Raises
     :class:`LoopSingularityError` when 1 + H*K underflows at a grid point,
     and :class:`SingularityError` naming the frequency when a sample of
     the plant or a weight is not finite.
     """
     samples = _sample(plant, w, grid)
-    gamma, singular_at = _score(samples, np.array([k.kp]), np.array([k.ki]))
+    gamma, singular_at = _score(samples, _gain_rows([(k.kp, k.ki)]))
     if singular_at[0] >= 0:
         raise LoopSingularityError(
             f"1 + H*K vanishes at omega = {samples.omega[singular_at[0]]:g} rad/s"
@@ -236,8 +279,9 @@ def _nelder_mead(x0, lo: float, hi: float):
 
     A generator: it yields each point it needs scored, as a pair of
     floats, receives the score through ``send`` and finally returns
-    ``(x, fun, nfev)``.  Every step follows scipy's
-    ``minimize(method="Nelder-Mead", bounds=...)`` in the same float
+    ``(x, fun, nfev)``.  Before every yield it counts the evaluation and
+    stops once ``_MAXFEV`` are spent, as scipy does.  Every step follows
+    scipy's ``minimize(method="Nelder-Mead", bounds=...)`` in the same float
     operations, so it ends on the same bits: initial steps above ``hi``
     are reflected into the box and every point is clipped to ``[lo, hi]``,
     ``iterations`` starts at 1, vertices are sorted stably with NaN last,
@@ -246,12 +290,11 @@ def _nelder_mead(x0, lo: float, hi: float):
     """
     nfev = 0
 
-    def score(x):
+    def spend() -> None:
         nonlocal nfev
         if nfev >= _MAXFEV:
             raise _OutOfEvaluations
         nfev += 1
-        return (yield x)
 
     def clip(a, b):
         return min(max(a, lo), hi), min(max(b, lo), hi)
@@ -269,7 +312,8 @@ def _nelder_mead(x0, lo: float, hi: float):
     fsim = [math.inf] * 3
     try:
         for k in range(3):
-            fsim[k] = yield from score(sim[k])
+            spend()
+            fsim[k] = yield sim[k]
     except _OutOfEvaluations:
         pass
 
@@ -291,23 +335,27 @@ def _nelder_mead(x0, lo: float, hi: float):
         m0, m1 = (b0 + s0) / 2, (b1 + s1) / 2
         try:
             xr = move(1 + _RHO, _RHO)
-            fxr = yield from score(xr)
+            spend()
+            fxr = yield xr
             if fxr < fsim[0]:
                 xe = move(1 + _RHO * _CHI, _RHO * _CHI)
-                fxe = yield from score(xe)
+                spend()
+                fxe = yield xe
                 sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[1]:
                 sim[2], fsim[2] = xr, fxr
             else:
                 if fxr < fsim[2]:
                     xc = move(1 + _PSI * _RHO, _PSI * _RHO)
-                    fxc = yield from score(xc)
+                    spend()
+                    fxc = yield xc
                     shrink = not fxc <= fxr
                     if not shrink:
                         sim[2], fsim[2] = xc, fxc
                 else:
                     xcc = clip((1 - _PSI) * m0 + _PSI * w0, (1 - _PSI) * m1 + _PSI * w1)
-                    fxcc = yield from score(xcc)
+                    spend()
+                    fxcc = yield xcc
                     shrink = not fxcc < fsim[2]
                     if not shrink:
                         sim[2], fsim[2] = xcc, fxcc
@@ -315,7 +363,8 @@ def _nelder_mead(x0, lo: float, hi: float):
                     for j in (1, 2):
                         v0, v1 = sim[j]
                         sim[j] = clip(b0 + _SIGMA * (v0 - b0), b1 + _SIGMA * (v1 - b1))
-                        fsim[j] = yield from score(sim[j])
+                        spend()
+                        fsim[j] = yield sim[j]
             iterations += 1
         except _OutOfEvaluations:
             pass
@@ -371,9 +420,10 @@ class SynthesisResult:
 
 
 def _loop_is_stable(plant_rlz: DescriptorRealization, ctrl: PIController) -> bool:
+    """Whether every finite pole of the unity-feedback loop of the plant and
+    ``ctrl`` lies in Re(s) < 0; the loop is the only realization built."""
     try:
-        loop = feedback_unity(series(plant_rlz, ctrl.realization()))
-        spectrum = poles(loop)
+        spectrum = poles(_closed_loop(plant_rlz, ctrl._arrays()))
     except LoewnerLabError:
         return False
     return bool(np.all(spectrum.finite.real < 0.0))
@@ -403,7 +453,7 @@ def optimize_pi(
     iterations and 800 evaluations per seed.  Each run reproduces scipy's
     bounded ``minimize(method="Nelder-Mead")`` bit for bit; the runs go in
     lock-step, and every point they wait on in a round is scored in one
-    broadcast call.  The start itself also competes, so the returned score
+    call of the score kernel.  The start itself also competes, so the returned score
     never exceeds the start's score when the start is feasible.  Each
     polished candidate is ranked by the score Nelder-Mead returns with it
     (the objective at its end point), so no candidate is scored a second
@@ -414,7 +464,7 @@ def optimize_pi(
     """
     samples = _sample(plant, w, grid)
 
-    gamma, _ = _score(samples, np.array([start.kp]), np.array([start.ki]))
+    gamma, _ = _score(samples, _gain_rows([(start.kp, start.ki)]))
     start_gamma = float(gamma[0])
     if not math.isfinite(start_gamma):
         raise OptimizationError(
@@ -427,9 +477,7 @@ def optimize_pi(
 
     def objective(points) -> np.ndarray:
         # Scalar powers: numpy's vectorized power can differ in the last bit.
-        kp = np.array([10.0 ** x for x, _ in points])
-        ki = np.array([10.0 ** y for _, y in points])
-        return _score(samples, kp, ki)[0]
+        return _score(samples, _gain_rows([(10.0 ** x, 10.0 ** y) for x, y in points]))[0]
 
     llo, lhi = math.log10(GAIN_BOX[0]), math.log10(GAIN_BOX[1])
     seeds = [

@@ -411,8 +411,8 @@ class TestRealnessTransform:
                 # exactly real vectors, at any magnitude.
                 for scale in (1e-3, 1.0, 1e3):
                     _, c, _ = _stack_weights(scale * points)
-                    assert not _pair_cols(c, starts).imag.any(), points
-                    assert not _pair_rows(c, starts).imag.any(), points
+                    assert not _pair_cols(c.copy(), starts).imag.any(), points
+                    assert not _pair_rows(c.copy(), starts).imag.any(), points
 
 
 class TestHalfSizeStackFactors:

@@ -17,7 +17,14 @@ import scipy.optimize
 
 from helpers import modal_realization
 from loewner_lab import descriptor_ops, pi_synth
-from loewner_lab.descriptor_ops import DescriptorRealization, TransferMap, eval_transfer
+from loewner_lab.descriptor_ops import (
+    DescriptorRealization,
+    TransferMap,
+    eval_transfer,
+    feedback_unity,
+    poles,
+    series,
+)
 from loewner_lab.errors import LoopSingularityError, OptimizationError
 from loewner_lab.freq_data import FrequencyDataset, close_conjugate, partition_points
 from loewner_lab.loewner_core import build_pencil, detect_rank, reduce_to_realization
@@ -71,9 +78,9 @@ def spy_score_rows(monkeypatch):
     rows = []
     score = pi_synth._score
 
-    def spy(samples, kp, ki):
-        rows.append(kp.size)
-        return score(samples, kp, ki)
+    def spy(samples, gains):
+        rows.append(len(gains))
+        return score(samples, gains)
 
     monkeypatch.setattr(pi_synth, "_score", spy)
     return rows
@@ -171,9 +178,8 @@ def best_of_former_layout(plant, w, grid, start):
     samples = pi_synth._sample(plant, w, grid)
 
     def objective(points):
-        kp = np.array([10.0 ** x for x, _ in points])
-        ki = np.array([10.0 ** y for _, y in points])
-        return pi_synth._score(samples, kp, ki)[0]
+        gains = pi_synth._gain_rows([(10.0 ** x, 10.0 ** y) for x, y in points])
+        return pi_synth._score(samples, gains)[0]
 
     lo, hi = (math.log10(g) for g in pi_synth.GAIN_BOX)
     seeds = [(a, b) for a in np.linspace(lo, hi, 4) for b in np.linspace(lo, hi, 5)]
@@ -461,7 +467,7 @@ class TestOptimizePI:
 
         def objective(x):
             gamma, _ = pi_synth._score(
-                samples, np.array([10.0 ** x[0]]), np.array([10.0 ** x[1]])
+                samples, pi_synth._gain_rows([(10.0 ** x[0], 10.0 ** x[1])])
             )
             return float(gamma[0])
 
@@ -562,6 +568,56 @@ class TestOptimizePI:
         assert 0.0 <= res.gamma - gamma <= pi_synth._FATOL
 
 
+class TestStabilityScreen:
+    @staticmethod
+    def screen(plant_rlz, ctrl, monkeypatch):
+        """Run the screen; return its verdict, the realizations it took
+        poles of, and every realization constructed while it ran."""
+        polled, built = [], []
+        real_poles, real_init = pi_synth.poles, DescriptorRealization.__post_init__
+
+        def poles_spy(rlz):
+            polled.append(rlz)
+            return real_poles(rlz)
+
+        def init_spy(rlz):
+            built.append(rlz)
+            real_init(rlz)
+
+        monkeypatch.setattr(pi_synth, "poles", poles_spy)
+        monkeypatch.setattr(DescriptorRealization, "__post_init__", init_spy)
+        stable = pi_synth._loop_is_stable(plant_rlz, ctrl)
+        monkeypatch.undo()
+        return stable, polled, built
+
+    @staticmethod
+    def random_plant():
+        # Dense, with a feed-through, so feedback divides every array by 1 + D*kp.
+        rng = np.random.default_rng(5)
+        n = 6
+        return DescriptorRealization(
+            E=np.eye(n) + 0.1 * rng.standard_normal((n, n)),
+            A=rng.standard_normal((n, n)) - 3.0 * np.eye(n),
+            B=rng.standard_normal((n, 1)),
+            C=rng.standard_normal((1, n)),
+            D=0.7,
+        )
+
+    @pytest.mark.parametrize("which", ["order-33 fit", "random plant"])
+    def test_one_loop_realization_equal_to_the_composed_loop(self, which, rlz33, monkeypatch):
+        plant = rlz33 if which == "order-33 fit" else self.random_plant()
+        ctrl = PIController(0.191, 0.0252)
+        stable, polled, built = self.screen(plant, ctrl, monkeypatch)
+        assert len(polled) == 1
+        assert built == polled
+        want = feedback_unity(series(plant, ctrl.realization()))
+        for name in "EABC":
+            got, ref = getattr(polled[0], name), getattr(want, name)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+        assert same_bits(polled[0].D, want.D)
+        assert stable == bool(np.all(poles(want).finite.real < 0.0))
+
+
 class TestScoreKernel:
     @pytest.fixture()
     def samples(self):
@@ -572,33 +628,52 @@ class TestScoreKernel:
 
     @staticmethod
     def one_pair(samples, kp, ki):
-        # The score of one gain pair written out with scalar gains.
-        k = kp + ki / samples.s
-        sens = 1.0 / (1.0 + samples.h * k)
-        return float(np.max(np.hypot(
-            np.abs(samples.we * sens), np.abs(samples.wu * k * sens)
-        )))
+        # The score of one gain pair in the kernel's real arithmetic, written
+        # out with scalar gains and without the zero terms: each sum runs
+        # over the gain columns (1, kp, ki, kp^2, ki^2) in order.
+        t = samples.terms
+        re = t[0, 0] + kp * t[1, 0] + ki * t[2, 0]
+        im = kp * t[1, 1] + ki * t[2, 1]
+        num = t[0, 2] + kp * kp * t[3, 2] + ki * ki * t[4, 2]
+        return float(np.sqrt(np.max(num / (re * re + im * im))))
+
+    @staticmethod
+    def random_pairs():
+        # 64 pairs (kp, ki), one per row.
+        rng = np.random.default_rng(0)
+        return (10.0 ** rng.uniform(-3.0, 1.0, (2, 64))).T
 
     def test_each_row_has_the_bits_of_its_one_pair_score(self, samples):
-        rng = np.random.default_rng(0)
-        kp, ki = 10.0 ** rng.uniform(-3.0, 1.0, (2, 64))
-        gamma, singular_at = pi_synth._score(samples, kp, ki)
+        pairs = self.random_pairs()
+        gamma, singular_at = pi_synth._score(samples, pi_synth._gain_rows(pairs))
         assert np.all(singular_at == -1)
-        for row, (p, i) in enumerate(zip(kp, ki)):
-            assert gamma[row] == self.one_pair(samples, p, i)
-            alone, _ = pi_synth._score(samples, kp[row:row + 1], ki[row:row + 1])
+        for row, (kp, ki) in enumerate(pairs):
+            assert gamma[row] == self.one_pair(samples, kp, ki)
+            alone, _ = pi_synth._score(samples, pi_synth._gain_rows([(kp, ki)]))
             assert alone[0] == gamma[row]
+
+    def test_matches_the_complex_channel_formula(self, samples):
+        # Independent of the kernel's real rewriting: the max over the grid
+        # of hypot(|We*S|, |Wu*K*S|) in complex arithmetic, with S = 1/(1+HK).
+        w = default_weights()
+        we, wu = w.we(1j * GRID), w.wu(1j * GRID)
+        pairs = self.random_pairs()
+        gamma, _ = pi_synth._score(samples, pi_synth._gain_rows(pairs))
+        for row, (kp, ki) in enumerate(pairs):
+            k = PIController(kp, ki).frequency_response(GRID)
+            sens = 1.0 / (1.0 + samples.h * k)
+            want = float(np.max(np.hypot(np.abs(we * sens), np.abs(wu * k * sens))))
+            assert abs(gamma[row] - want) <= 8.0 * np.finfo(float).eps * want
 
     def test_a_singular_row_scores_inf_and_leaves_the_others_alone(self):
         # H = -1 and K = 1 make 1 + H*K vanish at every grid point.
         samples = pi_synth._sample(TransferMap.constant(-1.0), default_weights(), GRID)
-        kp = np.array([0.3, 1.0, 0.05])
-        ki = np.array([0.05, 0.0, 0.2])
-        gamma, singular_at = pi_synth._score(samples, kp, ki)
+        pairs = [(0.3, 0.05), (1.0, 0.0), (0.05, 0.2)]
+        gamma, singular_at = pi_synth._score(samples, pi_synth._gain_rows(pairs))
         assert gamma[1] == math.inf
         assert singular_at.tolist() == [-1, 0, -1]
         for row in (0, 2):
-            assert gamma[row] == self.one_pair(samples, kp[row], ki[row])
+            assert gamma[row] == self.one_pair(samples, *pairs[row])
 
     def test_evaluation_names_the_singular_frequency(self):
         plant = TransferMap.constant(-1.0 + 0.5e-12)
