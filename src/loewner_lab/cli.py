@@ -144,7 +144,13 @@ def cmd_approximate(args) -> int:
     closed = close_conjugate(load_csv(args.data))
     pencil = build_pencil(partition_points(closed))
     report = detect_rank(pencil, tol=args.svd_tol)
-    rlz = reduce_to_realization(pencil, report.rank if args.order is None else args.order)
+    if not report.ranks_agree:
+        print(
+            f"rank mismatch between row stack ({report.rank_row}) and column "
+            f"stack ({report.rank_col}); taking the larger",
+            file=sys.stderr,
+        )
+    rlz =reduce_to_realization(pencil, report.rank if args.order is None else args.order)
     residual = _relative_residual(rlz, closed)
     out = _out_dir(args)
     save_realization(rlz, out / "realization.json")

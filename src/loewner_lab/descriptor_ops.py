@@ -13,12 +13,14 @@ delayed closed loops at the evaluator level.
 A realization is factored at most once, on first use: its real
 generalized Schur form (one LAPACK ``gges`` call, see ``_real_schur``) is
 a cached, read-only property that every evaluation, pole query and split
-of that realization reads.  Evaluation back-substitutes over the form's
-1x1 and 2x2 diagonal blocks from the bottom up, vectorized over the
-points (Laub, IEEE TAC 1981).  The substitution is left-looking: each
-block reads the rows already solved through one real contraction of its
-rows of the form.  The form is real, not complex, so that
-H(conj s) = conj H(s) holds exactly; each point is solved as the
+of that realization reads.  A factorization that fails raises
+:class:`SingularPencilError` from the query that ran it and is not
+cached, so each later query retries it.  Evaluation back-substitutes
+over the form's 1x1 and 2x2 diagonal blocks from the bottom up,
+vectorized over the points (Laub, IEEE TAC 1981).  The substitution is
+left-looking: each block reads the rows already solved through one real
+contraction of its rows of the form.  The form is real, not complex, so
+that H(conj s) = conj H(s) holds exactly; each point is solved as the
 caller gave it, and no conjugate pairs are folded.  Every contraction
 runs over the realization index only, is elementwise over the points and
 uses no BLAS product across points, so that no value depends on the
@@ -36,7 +38,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -46,6 +47,7 @@ import scipy.linalg
 
 from .errors import (
     BoundaryPoleError,
+    DataFormatError,
     LoopSingularityError,
     PoleHitError,
     SingularityError,
@@ -280,10 +282,11 @@ def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
     bit; qz drops the eigenvalues that the same call returns, and this
     keeps them.  Every array is read-only: ``DescriptorRealization._schur``
     caches the form.  A realization is finite from construction on, so
-    qz's finiteness check is not repeated.  A failed QZ iteration warns
-    with qz's ``LinAlgWarning`` at the caller of the query that factored
-    the realization (stacklevel 5 skips this frame, the property, its
-    ``__get__`` and the query); any other failure raises ``LinAlgError``.
+    qz's finiteness check is not repeated.  Any nonzero ``info`` raises
+    :class:`SingularPencilError` naming it: for a failed QZ iteration
+    (1 <= info <= n) LAPACK does not return a Schur form, and any other
+    value means no form at all.  The property caches nothing then, so
+    the next query factors again.
     """
     A, E = rlz.A, rlz.E
     gges = scipy.linalg.lapack.dgges
@@ -291,17 +294,8 @@ def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
     S, T, _sdim, alphar, alphai, beta, Q, Z, _work, info = gges(
         _no_sort, A, E, lwork=lwork, sort_t=0
     )
-    n = rlz.order
-    if info < 0:
-        raise ValueError(f"Illegal value in argument {-info} of gges")
-    if 0 < info <= n:
-        warnings.warn(
-            "The QZ iteration failed. (a,b) are not in Schur form, but "
-            f"ALPHAR(j), ALPHAI(j), and BETA(j) should be correct for J={info-1},...,N",
-            scipy.linalg.LinAlgWarning, stacklevel=5,
-        )
-    elif info > n:
-        raise scipy.linalg.LinAlgError("Something other than QZ iteration failed")
+    if info != 0:
+        raise SingularPencilError(f"generalized Schur factorization failed (info={info})")
     form = _SchurForm(S, T, Q, Z, alphar, alphai, beta)
     for M in form:
         M.flags.writeable = False
@@ -676,20 +670,19 @@ def realization_to_json(rlz: DescriptorRealization) -> dict:
 
 
 def realization_from_json(obj: dict) -> DescriptorRealization:
+    """The realization that ``obj`` holds; a missing field, a bad shape or
+    entry, or a singular pencil raises :class:`DataFormatError`."""
     try:
         n = int(obj["order"])
-        rlz = DescriptorRealization(
+        return DescriptorRealization(
             E=np.array(obj["E"], dtype=float).reshape(n, n),
             A=np.array(obj["A"], dtype=float).reshape(n, n),
             B=np.array(obj["B"], dtype=float).reshape(n, 1),
             C=np.array(obj["C"], dtype=float).reshape(1, n),
             D=float(obj["D"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        from .errors import DataFormatError
-
+    except (KeyError, TypeError, ValueError, SingularPencilError) as exc:
         raise DataFormatError(f"bad realization object: {exc}") from None
-    return rlz
 
 
 def save_realization(rlz: DescriptorRealization, path) -> None:
@@ -697,10 +690,18 @@ def save_realization(rlz: DescriptorRealization, path) -> None:
 
 
 def load_realization(path) -> DescriptorRealization:
-    from .errors import DataFormatError
+    """Read a realization that :func:`save_realization` wrote.
 
+    A file that cannot be read raises ``OSError``.  Every other failure,
+    text that is not JSON or an object that is not a valid realization
+    (a singular pencil included), raises :class:`DataFormatError` whose
+    message starts with ``path``.
+    """
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
-    return realization_from_json(obj)
+    try:
+        return realization_from_json(obj)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

@@ -35,7 +35,7 @@ class ZeroDataError(LoewnerLabError):
 
 
 class SingularPencilError(LoewnerLabError):
-    """The matrix pencil (E, A) is singular at every probe point."""
+    """The matrix pencil (E, A) is singular, or a factorization of it failed."""
 
 
 class PoleHitError(LoewnerLabError):

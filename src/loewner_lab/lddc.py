@@ -19,7 +19,6 @@ The certificate is one-sided.  Orders that fail the bound are reported as
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -231,18 +230,12 @@ def small_gain_bound(
 
     Reduced controllers whose grid error against the ideal controller stays
     below 1/gamma are certified internally stabilizing.  A reference model
-    equal to one everywhere gives gamma = 0; the bound is then vacuous and
-    a warning is emitted.
+    equal to one everywhere gives gamma = 0, the package's one spelling of
+    "no certificate": :func:`reduce_controller` certifies no row under it,
+    and :func:`ideal_controller_response` raises on the same data.
     """
     _, phi, mvals = _plant_and_reference(plant_data, m_ref)
-    gamma = float(np.max(np.abs(phi * (1.0 - mvals))))
-    if gamma == 0.0:
-        warnings.warn(
-            "small-gain bound is zero (reference model equals one on the "
-            "whole grid); the certificate is vacuous",
-            stacklevel=2,
-        )
-    return gamma
+    return float(np.max(np.abs(phi * (1.0 - mvals))))
 
 
 def reduce_controller(

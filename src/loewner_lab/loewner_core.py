@@ -46,7 +46,6 @@ arrays that ``detect_rank`` and every projection read.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -380,26 +379,12 @@ def detect_rank(pen: LoewnerPencil, tol: float = RANK_TOL) -> RankReport:
     the responses scales every singular value and the cut alike, and the
     rank does not change.
 
-    The column stack must agree with the row stack; a disagreement
+    The column stack should agree with the row stack.  A disagreement
     (possible with noisy or feed-through-bearing data) takes the larger
-    count with a "rank mismatch" warning.
-    """
-    report = _rank_report(pen, tol)
-    if not report.ranks_agree:
-        warnings.warn(
-            f"rank mismatch between row stack ({report.rank_row}) and column "
-            f"stack ({report.rank_col}); taking the larger",
-            stacklevel=2,
-        )
-    return report
-
-
-def _rank_report(pen: LoewnerPencil, tol: float) -> RankReport:
-    """:func:`detect_rank` without the mismatch warning.
-
-    For callers that read ``ranks_agree`` themselves, such as the MFSA
-    point selection, where a disagreement on a subset of the data only
-    means that more points are needed.
+    count; the report carries it in ``ranks_agree``, ``rank_row`` and
+    ``rank_col``, and nothing is emitted.  A caller that fits on a subset
+    of the data, such as the MFSA point selection, reads a disagreement
+    as a need for more points; ``approximate`` prints it.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
@@ -414,7 +399,6 @@ def _rank_report(pen: LoewnerPencil, tol: float) -> RankReport:
         raise ZeroDataError("Loewner pencil is identically zero")
     rank_row = _count_above_cut(s_row, tol)
     rank_col = _count_above_cut(s_col, tol)
-    agree = rank_row == rank_col
     return RankReport(
         rank=max(rank_row, rank_col),
         tol=tol,
@@ -422,7 +406,7 @@ def _rank_report(pen: LoewnerPencil, tol: float) -> RankReport:
         singular_values_col=s_col,
         rank_row=rank_row,
         rank_col=rank_col,
-        ranks_agree=agree,
+        ranks_agree=rank_row == rank_col,
     )
 
 

@@ -44,7 +44,7 @@ from .descriptor_ops import (
 )
 from .errors import BoundaryPoleError, LoewnerLabError, ZeroDataError
 from .freq_data import FrequencyDataset, close_conjugate, partition_points
-from .loewner_core import RANK_TOL, _rank_report, build_pencil, detect_rank, reduce_to_realization
+from .loewner_core import build_pencil, detect_rank, reduce_to_realization
 
 __all__ = [
     "StabilityReport",
@@ -152,12 +152,11 @@ def _fit_on_selected_points(
     Sete & Trefethen, SISC 2018).  A fit is accepted once its largest
     held-out error is at most ``HOLDOUT_RTOL * max|h|`` and the row and
     column stacks agree on the rank; a disagreement only means that more
-    points are needed, so subset fits never warn.  Subsets stay even in
-    size, as :func:`partition_points` needs an even number of conjugate
-    units, so the last possible step is the largest even subset: the whole
-    grid when its size is even, all but one sample when it is odd.  That
-    step is accepted as it stands, with the rank mismatch warning of
-    :func:`detect_rank`.
+    points are needed.  Subsets stay even in size, as
+    :func:`partition_points` needs an even number of conjugate units, so
+    the last possible step is the largest even subset: the whole grid when
+    its size is even, all but one sample when it is odd.  That step is
+    accepted as it stands, whether or not the stacks agree.
 
     Returns the realization (None at rank 0), its order, the number of
     points used and the largest held-out error relative to max|h| (NaN
@@ -172,7 +171,7 @@ def _fit_on_selected_points(
         used = int(np.count_nonzero(chosen))
         data = FrequencyDataset.from_arrays(1j * omega[chosen], vals[chosen])
         pencil = build_pencil(partition_points(close_conjugate(data)))
-        report = detect_rank(pencil) if used == last else _rank_report(pencil, tol=RANK_TOL)
+        report = detect_rank(pencil)
         r = report.rank
         rlz = reduce_to_realization(pencil, r) if r else None
         held = np.flatnonzero(~chosen)

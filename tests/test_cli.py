@@ -123,6 +123,24 @@ class TestApproximate:
         assert rc == 0
         assert load_realization(out / "realization.json").order == 8
 
+    def test_rank_mismatch_is_printed(self, tmp_path, capsys):
+        # A design-workload plant variant whose row and column stacks
+        # disagree on the paper grid; the report carries it and the CLI
+        # prints it, while the fit takes the larger count.
+        assert main([
+            "sample", "--omega0", "3.7521354008029983", "--damping", "0.49904868219538884",
+            "--x-m", "2.1144327329554717", "--out", str(tmp_path),
+        ]) == 0
+        out = tmp_path / "fit"
+        assert main(["approximate", str(tmp_path / "plant.csv"), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == (
+            "rank mismatch between row stack (35) and column stack (36); taking the larger\n"
+        )
+        report = json.loads((out / "residual_report.json").read_text())
+        assert report["order"] == report["detected_rank"] == 36
+        assert report["max_relative_residual"] < 1e-6
+
 
 class TestLddc:
     def test_sweep_and_controller_artifacts(self, tmp_path, plant_csv, capsys):
@@ -164,23 +182,24 @@ for ref in ("m1", "m2"):
                 a, b = (tmp_path / run / ref / name for run in ("a", "b"))
                 assert a.read_bytes() == b.read_bytes(), (ref, name)
 
-    def test_reference_table_from_csv(self, tmp_path, plant_csv):
-        # Reference handed over as samples on the same grid.
+    def test_reference_table_from_csv(self, tmp_path, capsys):
+        # m1 handed over as samples on the paper grid gives the same files
+        # as --reference m1: the 17-digit CSV round trip is exact.
         from loewner_lab.freq_data import load_csv
         from loewner_lab.lddc import second_order_reference
 
+        assert main(["sample", "--out", str(tmp_path)]) == 0
+        plant_csv = tmp_path / "plant.csv"
         data = load_csv(plant_csv)
-        m = second_order_reference()
-        mvals = np.asarray(m.transfer(data.points()), dtype=complex)
+        mvals = np.asarray(second_order_reference().transfer(data.points()), dtype=complex)
         ref_csv = tmp_path / "reference.csv"
         save_csv(FrequencyDataset.from_arrays(data.points(), mvals), ref_csv)
-        out = tmp_path / "lddc_csv"
-        rc = main([
-            "lddc", str(plant_csv), "--reference", str(ref_csv),
-            "--max-order", "4", "--out", str(out),
-        ])
-        assert rc == 0
-        assert (out / "sweep.csv").exists()
+        for ref, out in ((str(ref_csv), "table"), ("m1", "m1")):
+            rc = main(["lddc", str(plant_csv), "--reference", ref, "--out", str(tmp_path / out)])
+            assert rc == 0
+        assert capsys.readouterr().out.count("certified-stable order 13 ") == 2
+        for name in ("sweep.csv", "controller.json"):
+            assert (tmp_path / "table" / name).read_bytes() == (tmp_path / "m1" / name).read_bytes()
 
     def test_missing_data_leaves_no_out_directory(self, tmp_path):
         out = tmp_path / "lddc"
@@ -446,7 +465,7 @@ class TestSharedFlags:
 
 class TestNonFiniteRealization:
     """A realization JSON holding NaN is rejected as it is loaded, naming
-    the matrix, before anything is sampled or written."""
+    the file and the matrix, before anything is sampled or written."""
 
     @pytest.mark.parametrize("command", ["synth", "mfsa", "delay-sweep"])
     def test_is_named_without_warnings(self, tmp_path, capsys, command):
@@ -465,7 +484,34 @@ class TestNonFiniteRealization:
             rc = main([*argv, "--grid-n", "20", "--out", str(out)])
         assert rc == 1
         assert caught == []
-        assert "A has a non-finite entry nan" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "A has a non-finite entry nan" in err
+        assert not out.exists()
+
+
+class TestBadRealizationFile:
+    """Every failure to load a realization names the file it came from."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("singular", "pencil (E, A) appears singular at all probe points"),
+        ("shape", "cannot reshape"),
+    ])
+    def test_the_bad_file_is_named(self, tmp_path, capsys, fault, message):
+        good = tmp_path / "plant.json"
+        save_realization(modal_realization([], [(-1.0, 2.0)]), good)
+        obj = realization_to_json(modal_realization([], [(-1.0, 2.0)]))
+        if fault == "singular":
+            obj["E"], obj["A"] = [[0.0]], [[0.0]]
+        else:
+            obj["B"] = [[1.0], [2.0]]
+        bad = tmp_path / "controller.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        rc = main(["mfsa", "--plant", str(good), "--controller", str(bad), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert str(good) not in err
         assert not out.exists()
 
 

@@ -52,6 +52,7 @@ from loewner_lab.mfsa import (
 )
 from loewner_lab.pi_synth import (
     PIController,
+    _loop_is_stable,
     default_weights,
     eval_weighted_performance,
     optimize_pi,
@@ -500,31 +501,71 @@ class TestFactoredOnce:
         assert np.array_equal(eval_transfer(rlz, GRID), eval_transfer(fresh, GRID))
         assert np.array_equal(poles(rlz).finite, poles(fresh).finite)
 
-    @pytest.mark.parametrize("first", ["eval_transfer", "poles", "split"])
-    def test_failed_qz_warns_once_at_the_caller(self, monkeypatch, first):
-        # A gges reporting a failed QZ iteration (info = 1) on the final
-        # call; the workspace query is left alone.
-        real_gges = scipy.linalg.lapack.dgges
-
-        def failing(*args, **kwargs):
-            out = real_gges(*args, **kwargs)
-            return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dgges", failing)
-        queries = {
-            "eval_transfer": lambda r: eval_transfer(r, GRID),
-            "poles": poles,
-            "split": stable_antistable_split,
-        }
+    @pytest.mark.parametrize("info", ["1", "n+1"])
+    def test_failed_qz_raises_from_every_query(self, monkeypatch, info):
+        # info = 1: the QZ iteration failed and gges's form is not a Schur
+        # form; info = n+1: something else failed.  Neither may be read.
         rlz = self.mixed()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            queries[first](rlz)
-            for query in queries.values():
+        code = 1 if info == "1" else rlz.order + 1
+        fail_gges(monkeypatch, code)
+        queries = (lambda r: eval_transfer(r, GRID), poles, stable_antistable_split)
+        for query in queries * 2:
+            with pytest.raises(SingularPencilError, match=rf"factorization failed \(info={code}\)"):
                 query(rlz)
-        assert [w.category for w in caught] == [scipy.linalg.LinAlgWarning]
-        assert "QZ iteration failed" in str(caught[0].message)
-        assert caught[0].filename == __file__
+        # Nothing is cached: once gges succeeds, the next query factors.
+        assert "_schur" not in vars(rlz)
+        monkeypatch.undo()
+        assert np.array_equal(poles(rlz).finite, poles(self.mixed()).finite)
+
+
+def fail_gges(monkeypatch, info, when=lambda A: True):
+    """Make LAPACK ``gges`` return ``info`` from each factorization of an
+    ``A`` that ``when`` accepts; workspace queries are left alone."""
+    real_gges = scipy.linalg.lapack.dgges
+
+    def failing(sort, A, E, **kwargs):
+        out = real_gges(sort, A, E, **kwargs)
+        return out if kwargs.get("lwork") == -1 or not when(A) else (*out[:-1], info)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgges", failing)
+
+
+class TestFailedFactorizationIsHandled:
+    """A failed QZ raises the package's own error, which every handler
+    that skips a candidate or records a row already catches."""
+
+    def test_lddc_skips_the_candidate(self, monkeypatch):
+        g = modal_realization([(-0.8 + 2.0j, 1.0 - 0.3j)], [(-0.4, 0.9)])
+        z = 1j * np.geomspace(1e-3, 1e2, 40)
+        data = close_conjugate(FrequencyDataset.from_arrays(z, eval_transfer(g, z)))
+        want = reduce_controller(data, (1, 2, 3), gamma_bound=0.0).rows
+        fail_gges(monkeypatch, 1, when=lambda A: A.shape[0] == 2)
+        got = reduce_controller(data, (1, 2, 3), gamma_bound=0.0).rows
+        assert [row.projection_size for row in want].count(2) > 0
+        assert [row.projection_size for row in got].count(2) == 0
+        kept = [(a, b) for a, b in zip(got, want) if b.projection_size != 2]
+        assert kept and all(a.error == b.error for a, b in kept)
+
+    def test_pi_screen_rejects_the_loop(self, monkeypatch):
+        plant = modal_realization([], [(-1.0, 2.0)])
+        ctrl = PIController(0.5, 0.1)
+        assert _loop_is_stable(plant, ctrl)
+        fail_gges(monkeypatch, 1)
+        assert not _loop_is_stable(plant, ctrl)
+
+    def test_delay_sweep_records_the_row_and_runs_the_next(self, monkeypatch):
+        plant = modal_realization([], [(-1.0, 2.0)])
+        one = TransferMap.constant(1.0)
+        want = delay_margin_sweep(plant.transfer_map(), one, [0.8, 1.3], GRID.imag)
+        # Only the first factorization fails; a failed one is not cached,
+        # so the second row factors the plant afresh.
+        first = iter([True])
+        fail_gges(monkeypatch, plant.order + 1, when=lambda A: next(first, False))
+        got = delay_margin_sweep(plant.transfer_map(), one, [0.8, 1.3], GRID.imag)
+        assert got.rows[0].verdict == "inconclusive"
+        assert "factorization failed (info=2)" in got.rows[0].detail
+        assert got.rows[1] == want.rows[1]
+        assert [row.verdict for row in want.rows] == ["stable", "unstable"]
 
 
 class TestRealizationValidation:

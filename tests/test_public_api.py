@@ -91,3 +91,12 @@ def test_no_module_calls_scipy_eig():
     # eigensolve; no module names any ``eig`` (scipy's or numpy's).
     users = [module for module, tree in _module_trees() if "eig" in set(_names(tree))]
     assert users == []
+
+
+def test_no_module_warns():
+    # The package reports through exceptions and report fields only: no
+    # module imports ``warnings`` or calls any ``warn``.
+    users = [
+        module for module, tree in _module_trees() if {"warnings", "warn"} & set(_names(tree))
+    ]
+    assert users == []
