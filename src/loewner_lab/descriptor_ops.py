@@ -11,9 +11,11 @@ them (series, unity feedback), estimates grid L-infinity norms and forms
 delayed closed loops at the evaluator level.
 
 A realization is factored at most once, on first use: its real
-generalized Schur form (one LAPACK ``gges`` call, see ``_real_schur``) is
-a cached, read-only property that every evaluation, pole query and split
-of that realization reads.  A factorization that fails raises
+generalized Schur form (one LAPACK ``gges`` call, see ``_real_schur``)
+is a cached, read-only property that every evaluation, pole query and
+split of that realization reads.  That factorization is the package's
+one regularity rule: a failed QZ, or a pencil with an exact 0/0
+eigenvalue (det(sE - A) identically zero), raises
 :class:`SingularPencilError` from the query that ran it and is not
 cached, so each later query retries it.  Evaluation back-substitutes
 over the form's 1x1 and 2x2 diagonal blocks from the bottom up,
@@ -74,13 +76,6 @@ __all__ = [
     "load_realization",
 ]
 
-# Fixed probe points for pencil-regularity checks: arbitrary irrational-ish
-# locations that no structured model places an eigenvalue on.
-_PROBE_POINTS = np.array(
-    [0.91723 + 0.70811j, -1.31847 + 2.09253j, 3.66117 - 0.58441j]
-)
-
-
 def _as_real_matrix(name: str, M, shape: tuple[int, int]) -> np.ndarray:
     """A read-only real copy of ``M``; a complex or non-finite entry or a
     wrong shape raises ``ValueError`` naming the matrix."""
@@ -105,9 +100,11 @@ class DescriptorRealization:
     Construction copies E, A, B and C into read-only real arrays and
     rejects a complex or non-finite entry, in them or in D, with a
     ``ValueError`` naming the field, so a realization is finite for as
-    long as it lives.  The pencil (E, A) must then be regular, i.e.
-    det(sE - A) must not vanish identically; this is probed at three
-    fixed complex points.  Order zero (pure feed-through D) is allowed.
+    long as it lives.  Construction checks only what the arrays show and
+    factors nothing.  Regularity of the pencil (E, A), det(sE - A) not
+    identically zero, is decided by the cached Schur form that the first
+    query computes (see ``_real_schur``).  Order zero (pure feed-through
+    D) is allowed.
     """
 
     E: np.ndarray
@@ -128,22 +125,6 @@ class DescriptorRealization:
         if not math.isfinite(d.real):
             raise ValueError(f"D must be finite, got {d.real}")
         object.__setattr__(self, "D", d.real)
-        if n > 0:
-            self._check_regular()
-
-    def _check_regular(self) -> None:
-        # Cap the probe scale so a vanishing E (pure polynomial part)
-        # cannot overflow s*E - A; beyond the cap E is negligible anyway.
-        nE = float(np.linalg.norm(self.E, "fro"))
-        nA = float(np.linalg.norm(self.A, "fro"))
-        scale = max(1.0, nA / nE) if nE > 1e-12 * nA else 1e12
-        for s in _PROBE_POINTS * scale:
-            sign, _ = np.linalg.slogdet(s * self.E - self.A)
-            if sign != 0:
-                return
-        raise SingularPencilError(
-            "pencil (E, A) appears singular at all probe points"
-        )
 
     @property
     def order(self) -> int:
@@ -285,8 +266,12 @@ def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
     qz's finiteness check is not repeated.  Any nonzero ``info`` raises
     :class:`SingularPencilError` naming it: for a failed QZ iteration
     (1 <= info <= n) LAPACK does not return a Schur form, and any other
-    value means no form at all.  The property caches nothing then, so
-    the next query factors again.
+    value means no form at all.  So does an eigenvalue with alphar =
+    alphai = beta = 0 exactly: a 0/0 diagonal pair of (S, T) makes
+    det(sT - S), and so det(sE - A), vanish for every s.  This is the
+    package's one regularity rule, and it is exact: a pencil singular
+    only to rounding passes.  The property caches nothing on a raise,
+    so the next query factors again.
     """
     A, E = rlz.A, rlz.E
     gges = scipy.linalg.lapack.dgges
@@ -296,6 +281,8 @@ def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
     )
     if info != 0:
         raise SingularPencilError(f"generalized Schur factorization failed (info={info})")
+    if np.any((alphar == 0.0) & (alphai == 0.0) & (beta == 0.0)):
+        raise SingularPencilError("pencil (E, A) is singular: a 0/0 generalized eigenvalue")
     form = _SchurForm(S, T, Q, Z, alphar, alphai, beta)
     for M in form:
         M.flags.writeable = False
@@ -597,56 +584,33 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
     )
 
 
-class _Arrays(NamedTuple):
-    """The five fields of a realization, not yet checked or copied."""
+def series(g: DescriptorRealization, k: DescriptorRealization) -> DescriptorRealization:
+    """Realization of the product transfer g(s) * k(s) (k feeds g).
 
-    E: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: float
-
-
-def _series(g, k) -> _Arrays:
-    """The arrays of g(s) * k(s) (k feeds g); ``g`` and ``k`` are realizations
-    or ``_Arrays``."""
-    ng = g.A.shape[0]
-    n = ng + k.A.shape[0]
+    Like every construction it factors nothing, so building a connection
+    only to close it costs its array copies."""
+    ng = g.order
+    n = ng + k.order
     E, A = np.zeros((n, n)), np.zeros((n, n))
     E[:ng, :ng], E[ng:, ng:] = g.E, k.E
     A[:ng, :ng], A[ng:, ng:] = g.A, k.A
     A[:ng, ng:] = g.B @ k.C
-    return _Arrays(E, A, np.vstack([g.B * k.D, k.B]), np.hstack([g.C, g.D * k.C]), g.D * k.D)
+    return DescriptorRealization(
+        E, A, np.vstack([g.B * k.D, k.B]), np.hstack([g.C, g.D * k.C]), g.D * k.D
+    )
 
 
-def _feedback(loop) -> _Arrays:
-    """The arrays of L/(1+L) for a loop gain L given as a realization or
-    ``_Arrays``; raises :class:`LoopSingularityError` when 1 + D vanishes."""
+def feedback_unity(loop: DescriptorRealization) -> DescriptorRealization:
+    """Closed loop L/(1+L) of a loop-gain realization under unity feedback;
+    raises :class:`LoopSingularityError` when 1 + D vanishes."""
     den = 1.0 + loop.D
     if abs(den) < 1e-12:
         raise LoopSingularityError(
             "unity feedback is singular: 1 + D vanishes"
         )
-    return _Arrays(
+    return DescriptorRealization(
         loop.E, loop.A - (loop.B @ loop.C) / den, loop.B / den, loop.C / den, loop.D / den
     )
-
-
-def series(g: DescriptorRealization, k: DescriptorRealization) -> DescriptorRealization:
-    """Realization of the product transfer g(s) * k(s) (k feeds g)."""
-    return DescriptorRealization(*_series(g, k))
-
-
-def feedback_unity(loop: DescriptorRealization) -> DescriptorRealization:
-    """Closed loop L/(1+L) of a loop-gain realization under unity feedback."""
-    return DescriptorRealization(*_feedback(loop))
-
-
-def _closed_loop(g, k) -> DescriptorRealization:
-    """``feedback_unity(series(g, k))`` with the same arrays bit for bit,
-    checked once: the series connection is never built as a realization,
-    and ``k`` may be unchecked ``_Arrays``."""
-    return DescriptorRealization(*_feedback(_series(g, k)))
 
 
 def densify_log_grid(grid, factor: int) -> np.ndarray:
@@ -670,17 +634,22 @@ def realization_to_json(rlz: DescriptorRealization) -> dict:
 
 
 def realization_from_json(obj: dict) -> DescriptorRealization:
-    """The realization that ``obj`` holds; a missing field, a bad shape or
-    entry, or a singular pencil raises :class:`DataFormatError`."""
+    """The realization that ``obj`` holds, already factored; a missing
+    field, a bad shape or entry, or a singular pencil raises
+    :class:`DataFormatError`.  The Schur form is computed here, so a
+    singular file fails at load, and stays cached for every later query."""
     try:
         n = int(obj["order"])
-        return DescriptorRealization(
+        rlz = DescriptorRealization(
             E=np.array(obj["E"], dtype=float).reshape(n, n),
             A=np.array(obj["A"], dtype=float).reshape(n, n),
             B=np.array(obj["B"], dtype=float).reshape(n, 1),
             C=np.array(obj["C"], dtype=float).reshape(1, n),
             D=float(obj["D"]),
         )
+        if n > 0:
+            rlz._schur
+        return rlz
     except (KeyError, TypeError, ValueError, SingularPencilError) as exc:
         raise DataFormatError(f"bad realization object: {exc}") from None
 

@@ -35,7 +35,11 @@ class ZeroDataError(LoewnerLabError):
 
 
 class SingularPencilError(LoewnerLabError):
-    """The matrix pencil (E, A) is singular, or a factorization of it failed."""
+    """The matrix pencil (E, A) is singular, or a factorization of it failed.
+
+    Raised by a realization's queries: the real QZ that the first one
+    runs is the package's one regularity rule.  Constructing a
+    realization factors nothing and never raises it."""
 
 
 class PoleHitError(LoewnerLabError):

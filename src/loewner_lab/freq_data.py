@@ -127,12 +127,12 @@ class PointPartition:
         return int(self.left_points.size)
 
 
-def _parse_float(token: str, line_no: int, col: str) -> float:
+def _parse_float(token: str, where: str, col: str) -> float:
     try:
         return float(token)
     except ValueError:
         raise DataFormatError(
-            f"line {line_no}: field '{col}' is not a number: {token!r}"
+            f"{where}: field '{col}' is not a number: {token!r}"
         ) from None
 
 
@@ -162,7 +162,8 @@ def load_csv(path) -> FrequencyDataset:
 
     Points are placed on the imaginary axis (z = i*omega), so the returned
     dataset is not conjugate-closed unless the file lists both omega and
-    -omega; run :func:`close_conjugate` before partitioning.
+    -omega; run :func:`close_conjugate` before partitioning.  Every error
+    about the file's contents starts with ``path``.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -179,17 +180,14 @@ def load_csv(path) -> FrequencyDataset:
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            where = f"{path}: line {line_no}"
             if len(row) != 3:
-                raise DataFormatError(
-                    f"line {line_no}: expected 3 fields, got {len(row)}"
-                )
-            rows.append(
-                [_parse_float(tok, line_no, col) for tok, col in zip(row, CSV_HEADER)]
-            )
+                raise DataFormatError(f"{where}: expected 3 fields, got {len(row)}")
+            rows.append([_parse_float(tok, where, col) for tok, col in zip(row, CSV_HEADER)])
     try:
         return _axis_dataset(rows)
-    except DuplicatePointError as exc:
-        raise DuplicatePointError(f"{path}: {exc}") from None
+    except (DuplicatePointError, ValueError) as exc:  # a repeated or non-finite sample
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_csv(dataset: FrequencyDataset, path) -> None:

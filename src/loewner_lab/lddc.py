@@ -27,9 +27,10 @@ import numpy as np
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
-    _closed_loop,
     eval_transfer,
+    feedback_unity,
     poles,
+    series,
 )
 from .errors import (
     GridMismatchError,
@@ -151,7 +152,7 @@ def closed_loop_reference(
     achieves": the ideal-controller samples then reproduce the controller's
     own response, which makes the construction a strong self-test.
     """
-    loop = _closed_loop(plant, controller)
+    loop = feedback_unity(series(plant, controller))
     return ReferenceModelSpec(
         transfer=TransferMap.from_realization(loop, label="closed-loop target"),
         unity_at=(0.0,),
@@ -263,10 +264,11 @@ def reduce_controller(
     flat at the rounding floor, the sketch, not the data, picks the
     directions, and those candidates differ from the exact ones at that
     floor.  The pencil is projected once, at the top size; candidate q is the leading q x q block
-    of that projection (see ``reduce_to_realization``), and a candidate
-    whose block is not a regular pencil is skipped without losing the
-    others.  Each candidate's grid values and its poles come from its one
-    cached real QZ (:func:`eval_transfer`, then :func:`poles`).  Data that are
+    of that projection (see ``reduce_to_realization``).  Each candidate's
+    grid values and its poles come from its one cached real QZ
+    (:func:`eval_transfer`, then :func:`poles`), which also decides its
+    regularity: a candidate whose block is a singular pencil, or whose QZ
+    fails, raises there and is skipped without losing the others.  Data that are
     not conjugate-closed raise :func:`partition_points`'s
     :class:`PartitionSizeError`.  The candidates are real, so only the
     points with Im z >= 0 are solved; each other point takes the conjugate

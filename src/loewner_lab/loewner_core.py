@@ -447,9 +447,10 @@ def _project(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The real (E, A, B, C) of :func:`reduce_to_realization`, unchecked.
 
-    No regularity check runs, so a caller that sweeps orders can project
-    once at the top order and build each lower order from the leading
-    blocks E[:q, :q], A[:q, :q], B[:q] and C[:, :q].  ``r`` may not
+    No regularity check runs here, as in every realization construction
+    (the first query's QZ decides it), so a caller that sweeps orders can
+    project once at the top order and build each lower order from the
+    leading blocks E[:q, :q], A[:q, :q], B[:q] and C[:, :q].  ``r`` may not
     exceed the order the pencil is factored to: its size from
     ``build_pencil``, the sweep's top order from ``_leading_pencil``.
     """

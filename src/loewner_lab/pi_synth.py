@@ -23,8 +23,8 @@ pass over the per-grid real constants, for all of them at once, rather
 than one pass per seed.  The candidates are ranked by the scores
 Nelder-Mead returns with them, so no candidate is scored twice.  Each
 candidate with a finite score is screened for closed-loop stability
-through the descriptor poles of the actual feedback realization, built
-and checked once per candidate, since a pure grid score cannot see an
+through the descriptor poles of the actual feedback realization, factored
+once per candidate, since a pure grid score cannot see an
 internal instability that happens to have small gain on the sampled
 frequencies.
 """
@@ -39,12 +39,12 @@ import numpy as np
 from .descriptor_ops import (
     DescriptorRealization,
     TransferMap,
-    _Arrays,
-    _closed_loop,
     _eval_on_axis,
     _log_grid,
     eval_transfer,
+    feedback_unity,
     poles,
+    series,
 )
 from .errors import LoewnerLabError, LoopSingularityError, OptimizationError
 
@@ -72,17 +72,14 @@ class PIController:
         if not (math.isfinite(self.kp) and math.isfinite(self.ki)):
             raise ValueError(f"gains must be finite, got kp={self.kp}, ki={self.ki}")
 
-    def _arrays(self) -> _Arrays:
-        return _Arrays(
+    def realization(self) -> DescriptorRealization:
+        return DescriptorRealization(
             E=np.array([[1.0]]),
             A=np.array([[0.0]]),
             B=np.array([[1.0]]),
             C=np.array([[self.ki]]),
             D=self.kp,
         )
-
-    def realization(self) -> DescriptorRealization:
-        return DescriptorRealization(*self._arrays())
 
     def transfer_map(self) -> TransferMap:
         label = f"PI(kp={self.kp:g}, ki={self.ki:g})"
@@ -421,9 +418,10 @@ class SynthesisResult:
 
 def _loop_is_stable(plant_rlz: DescriptorRealization, ctrl: PIController) -> bool:
     """Whether every finite pole of the unity-feedback loop of the plant and
-    ``ctrl`` lies in Re(s) < 0; the loop is the only realization built."""
+    ``ctrl`` lies in Re(s) < 0.  The loop's one QZ decides its regularity
+    too: a singular or unfactorable loop is rejected like an unstable one."""
     try:
-        spectrum = poles(_closed_loop(plant_rlz, ctrl._arrays()))
+        spectrum = poles(feedback_unity(series(plant_rlz, ctrl.realization())))
     except LoewnerLabError:
         return False
     return bool(np.all(spectrum.finite.real < 0.0))

@@ -209,6 +209,24 @@ for ref in ("m1", "m2"):
         assert rc == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,2.0", "line 3: expected 3 fields, got 2"),
+        ("1.0,oops,0", "line 3: field 're' is not a number: 'oops'"),
+        ("1.0,nan,0", "non-finite response value"),
+    ])
+    def test_a_bad_reference_row_names_the_reference_file(self, tmp_path, capsys, row, message):
+        assert main(["sample", "--out", str(tmp_path)]) == 0
+        plant_csv, bad = tmp_path / "plant.csv", tmp_path / "bad.csv"
+        bad.write_text(f"omega_rad_s,re,im\n0.5,1.0,0.0\n{row}\n")
+        capsys.readouterr()
+        out = tmp_path / "lddc"
+        rc = main(["lddc", str(plant_csv), "--reference", str(bad), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert str(plant_csv) not in err
+        assert not out.exists()
+
 
 class TestSynth:
     def test_pi_json_and_sensitivity_curves(self, tmp_path, capsys):
@@ -493,7 +511,7 @@ class TestBadRealizationFile:
     """Every failure to load a realization names the file it came from."""
 
     @pytest.mark.parametrize("fault, message", [
-        ("singular", "pencil (E, A) appears singular at all probe points"),
+        ("singular", "pencil (E, A) is singular: a 0/0 generalized eigenvalue"),
         ("shape", "cannot reshape"),
     ])
     def test_the_bad_file_is_named(self, tmp_path, capsys, fault, message):

@@ -577,8 +577,8 @@ class TestRealizationValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["E", "A", "B", "C", "D"])
     def test_non_finite_entry_is_named_without_warnings(self, field, bad):
-        # Finiteness is checked before the regularity probe, whose slogdet
-        # would warn on a non-finite pencil.
+        # Finiteness is checked at construction, before any factorization
+        # could warn on a non-finite pencil.
         kw = self.matrices()
         if field == "D":
             kw["D"] = bad
@@ -605,11 +605,39 @@ class TestRealizationValidation:
             assert not np.shares_memory(getattr(rlz, f), kw[f])
 
     def test_singular_pencil_rejected(self):
-        with pytest.raises(SingularPencilError):
-            DescriptorRealization(
-                E=np.zeros((1, 1)), A=np.zeros((1, 1)),
-                B=np.ones((1, 1)), C=np.ones((1, 1)), D=0.0,
-            )
+        # E = A = 0 constructs; the QZ of every query rejects it.
+        assert_every_query_rejects(DescriptorRealization(
+            E=np.zeros((1, 1)), A=np.zeros((1, 1)),
+            B=np.ones((1, 1)), C=np.ones((1, 1)), D=0.0,
+        ))
+
+    def test_construction_factors_nothing(self, monkeypatch):
+        # Regularity is decided by the first query's QZ: construction runs
+        # no gges and takes no determinant.
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        spy(scipy.linalg.lapack, "dgges")
+        spy(np.linalg, "slogdet")
+        spy(np.linalg, "det")
+        rng = np.random.default_rng(34)
+        rlz, _, _ = random_system(rng)
+        big = DescriptorRealization(
+            np.eye(34), rng.standard_normal((34, 34)),
+            rng.standard_normal((34, 1)), rng.standard_normal((1, 34)), 0.5,
+        )
+        closed = feedback_unity(series(rlz, big))
+        assert calls == []
+        poles(closed)
+        assert "dgges" in calls and "slogdet" not in calls and "det" not in calls
 
     def test_complex_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -631,6 +659,46 @@ class TestRealizationValidation:
                 E=np.eye(2), A=-np.eye(2),
                 B=np.ones((1, 1)), C=np.ones((1, 2)), D=0.0,
             )
+
+
+def assert_every_query_rejects(rlz):
+    """Each query of a singular ``rlz`` raises, twice over, and the rejected
+    form is not cached."""
+    queries = (lambda r: eval_transfer(r, GRID), poles, stable_antistable_split)
+    for query in queries * 2:
+        with pytest.raises(SingularPencilError, match="0/0 generalized eigenvalue"):
+            query(rlz)
+    assert "_schur" not in vars(rlz)
+
+
+def zero_line_realization(n, line):
+    """An order-n realization whose pencil has a zero ``line`` ("row" or
+    "column"), so det(sE - A) vanishes for every s."""
+    rng = np.random.default_rng(n)
+    E, A = np.eye(n) + 0.1 * rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    k = n // 2
+    if line == "row":
+        E[k], A[k] = 0.0, 0.0
+    else:
+        E[:, k], A[:, k] = 0.0, 0.0
+    return DescriptorRealization(E, A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)))
+
+
+@pytest.mark.parametrize("line", ["row", "column"])
+@pytest.mark.parametrize("n", [3, 21, 34])
+class TestSingularPencil:
+    """A structurally singular pencil constructs, and its QZ rejects it
+    wherever it is first read."""
+
+    def test_every_query_raises(self, n, line):
+        assert_every_query_rejects(zero_line_realization(n, line))
+
+    def test_load_names_the_file(self, n, line, tmp_path):
+        path = tmp_path / f"singular-{line}.json"
+        save_realization(zero_line_realization(n, line), path)
+        with pytest.raises(DataFormatError, match="0/0 generalized eigenvalue") as exc:
+            load_realization(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestPoles:
@@ -1102,6 +1170,8 @@ class TestSerialization:
         path = tmp_path / "rlz.json"
         save_realization(rlz, path)
         back = load_realization(path)
+        # The load factored the file's pencil, and the form stays cached.
+        assert "_schur" in vars(back)
         for name in ("E", "A", "B", "C"):
             assert np.array_equal(getattr(back, name), getattr(rlz, name))
         assert back.D == rlz.D

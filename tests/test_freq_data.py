@@ -1,5 +1,7 @@
 """Dataset model, CSV round trips, conjugate closure, partitioning."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,14 +71,18 @@ def test_csv_empty_data_section(tmp_path):
 
 def test_csv_parse_errors_name_the_line(tmp_path):
     path = tmp_path / "bad.csv"
+    named = re.escape(f"{path}: ")
     path.write_text("omega_rad_s,re,im\n1.0,2.0,3.0\n1.5,oops,0\n")
-    with pytest.raises(DataFormatError, match="line 3"):
+    with pytest.raises(DataFormatError, match=f"^{named}line 3"):
         load_csv(path)
     path.write_text("wrong,header,here\n1,2,3\n")
-    with pytest.raises(DataFormatError, match="header"):
+    with pytest.raises(DataFormatError, match=f"^{named}bad header"):
         load_csv(path)
     path.write_text("omega_rad_s,re,im\n1.0,2.0\n")
-    with pytest.raises(DataFormatError, match="line 2"):
+    with pytest.raises(DataFormatError, match=f"^{named}line 2"):
+        load_csv(path)
+    path.write_text("omega_rad_s,re,im\n1.0,nan,0\n")
+    with pytest.raises(ValueError, match=f"^{named}non-finite response value"):
         load_csv(path)
 
 

@@ -64,15 +64,19 @@ def _module_trees():
         yield path.stem, ast.parse(path.read_text())
 
 
-def _names(tree):
-    """Every identifier a module reads, imports or looks up as an attribute."""
+def _lookups(tree):
+    """Every identifier a module imports or looks up as an attribute."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1]
+
+
+def _names(tree):
+    """Every identifier a module reads, imports or looks up as an attribute."""
+    yield from (node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    yield from _lookups(tree)
 
 
 def test_the_schur_form_stays_behind_descriptor_ops():
@@ -90,6 +94,17 @@ def test_no_module_calls_scipy_eig():
     # Poles come from the realization's one real QZ, not a second
     # eigensolve; no module names any ``eig`` (scipy's or numpy's).
     users = [module for module, tree in _module_trees() if "eig" in set(_names(tree))]
+    assert users == []
+
+
+def test_no_module_takes_a_determinant():
+    # Regularity has one rule, the realization's cached QZ: no module
+    # imports or looks up ``det`` or ``slogdet`` (numpy's or scipy's).
+    # A local name, such as the Schur solve's block determinant, is no
+    # lookup.
+    users = [
+        module for module, tree in _module_trees() if {"det", "slogdet"} & set(_lookups(tree))
+    ]
     assert users == []
 
 
