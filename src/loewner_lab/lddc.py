@@ -8,9 +8,12 @@ the controller that would reproduce M exactly in unity feedback is
 which is known only where the plant was measured.  The workflow here
 computes those samples, interpolates and reduces them with the Loewner
 machinery across a range of orders, and converts the reduction error into
-a stability certificate through a small-gain bound: any reduced controller
-whose deviation from K* stays below 1/gamma on the grid keeps the loop
-internally stable, where gamma = max_i |Phi_i * (1 - M(i*omega_i))|.
+a stability certificate through a small-gain bound,
+gamma = max_i |Phi_i * (1 - M(i*omega_i))|: a reduced controller is
+certified when its grid deviation from K*, taken relative to |K*|, stays
+below 1/gamma.  The small-gain argument bounds the absolute deviation, not
+the relative one, so the certificate as applied is not the bound it is
+derived from (ROADMAP open item 3).
 
 The certificate is one-sided.  Orders that fail the bound are reported as
 "inconclusive", never "unstable"; the test is conservative by nature.
@@ -38,8 +41,8 @@ from .errors import (
     PartitionSizeError,
     SingularityError,
 )
-from .freq_data import FrequencyDataset, _conjugate_index, close_conjugate, partition_points
-from .loewner_core import _leading_pencil, _project
+from .freq_data import FrequencyDataset, close_conjugate, partition_points
+from .loewner_core import _sweep_candidates
 
 __all__ = [
     "ReferenceModelSpec",
@@ -229,8 +232,11 @@ def small_gain_bound(
 ) -> float:
     """gamma = max_i |Phi_i * (1 - M(z_i))| over the plant grid.
 
-    Reduced controllers whose grid error against the ideal controller stays
-    below 1/gamma are certified internally stabilizing.  A reference model
+    :func:`reduce_controller` certifies a reduced controller whose grid
+    error relative to the ideal controller's magnitude, ``error_rel``,
+    stays below 1/gamma.  The small-gain argument bounds the absolute
+    error, so that rule is not the bound it is derived from (ROADMAP open
+    item 3).  A reference model
     equal to one everywhere gives gamma = 0, the package's one spelling of
     "no certificate": :func:`reduce_controller` certifies no row under it,
     and :func:`ideal_controller_response` raises on the same data.
@@ -256,27 +262,26 @@ def reduce_controller(
     up to max(orders)+1 are considered, and since the eligible set only
     grows with r, the recorded error column is non-increasing.
 
-    The pencil is factored only as far as the sweep reads it
-    (``loewner_core._leading_pencil``): the leading directions up to the
-    top size, by seeded randomized subspace iteration, and no singular
-    value.  Where the ideal controller's spectrum keeps decaying past the
-    top size, the candidates match those of full SVDs closely; where it is
-    flat at the rounding floor, the sketch, not the data, picks the
-    directions, and those candidates differ from the exact ones at that
-    floor.  The pencil is projected once, at the top size; candidate q is the leading q x q block
-    of that projection (see ``reduce_to_realization``).  Each candidate's
+    The candidates come from ``loewner_core._sweep_candidates``: the
+    pencil is factored only as far as the sweep reads it (the leading
+    directions up to the top size, by seeded randomized subspace iteration,
+    and no singular value) and projected once, at the top size; candidate
+    q is the leading q x q block of that projection.  Where the ideal
+    controller's spectrum keeps decaying past the top size, the candidates
+    match those of full SVDs closely; where it is flat at the rounding
+    floor, the sketch, not the data, picks the directions, and those
+    candidates differ from the exact ones at that floor.  Each candidate's
     grid values and its poles come from its one cached real QZ
-    (:func:`eval_transfer`, then :func:`poles`), which also decides its
-    regularity: a candidate whose block is a singular pencil, or whose QZ
-    fails, raises there and is skipped without losing the others.  Data that are
-    not conjugate-closed raise :func:`partition_points`'s
-    :class:`PartitionSizeError`.  The candidates are real, so only the
-    points with Im z >= 0 are solved; each other point takes the conjugate
-    of its partner's value and is still compared against its own sample.
+    (:func:`eval_transfer` on the whole grid, then :func:`poles`), which
+    also decides its regularity: a candidate whose block is a singular
+    pencil, or whose QZ fails, raises there and is skipped without losing
+    the others.  Data that are not conjugate-closed raise
+    :func:`partition_points`'s :class:`PartitionSizeError`.
 
     ``gamma_bound`` is the small-gain bound, finite and >= 0, else
     ``ValueError``; 0.0 means no certificate.  Rows whose relative grid
-    error is below 1/gamma_bound are marked "stable"; everything else stays
+    error is below 1/gamma_bound are marked "stable" (see
+    :func:`small_gain_bound` on that rule); everything else stays
     "inconclusive".  Orders where no realization could be built are marked
     "failed".
     """
@@ -295,16 +300,8 @@ def reduce_controller(
 
     # The partition rejects data that are not conjugate-closed.
     partition = partition_points(kstar_data)
-    q_max = min(orders[-1] + 1, partition.size)
-    pencil = _leading_pencil(partition, q_max)
     z = kstar_data.points()
     kstar = kstar_data.values()
-    # Each point with Im z >= 0 is solved; every other point reads its
-    # partner's value, found by the partner's rank among the solved points.
-    solve = z.imag >= 0
-    upper = z[solve]
-    source = np.where(solve, np.arange(z.size), _conjugate_index(z))
-    take = (np.cumsum(solve) - 1)[source]
     mag = np.abs(kstar)
     nz = mag > 0.0
     mag = mag[nz]
@@ -312,14 +309,11 @@ def reduce_controller(
 
     # One row per projection size, its order the count of dynamic poles.
     candidates: list[SweepRow] = []
-    E, A, B, C = _project(pencil, q_max)
-    for q in range(1, q_max + 1):
+    for rlz in _sweep_candidates(partition, min(orders[-1] + 1, partition.size)):
         try:
-            rlz = DescriptorRealization(E[:q, :q], A[:q, :q], B[:q], C[:, :q])
-            half, finite = eval_transfer(rlz, upper), poles(rlz).finite
+            vals, finite = eval_transfer(rlz, z), poles(rlz).finite
         except LoewnerLabError:
             continue
-        vals = np.where(solve, half[take], half[take].conj())
         diff = np.abs(vals - kstar)
         err = float(np.max(diff))
         err_rel = float(np.max(diff[nz] / mag)) if nz.any() else err
@@ -330,7 +324,7 @@ def reduce_controller(
                 error=err,
                 error_rel=err_rel,
                 verdict="inconclusive",
-                projection_size=q,
+                projection_size=rlz.order,
             )
         )
 

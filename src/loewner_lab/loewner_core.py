@@ -32,22 +32,22 @@ factors exist, one per kind of caller:
   singular value of each stack and its singular vectors with no
   approximation; ``detect_rank`` reads the former, and ``approximate``,
   the MFSA fits and the m2 reference fit project with the latter.
-- ``_leading_pencil`` serves the LDDC order sweep, which reads no
+- ``_sweep_candidates`` serves the LDDC order sweep, which reads no
   singular value and only the leading singular vectors up to its top
   order.  It finds those by randomized subspace iteration (see
   ``_leading_left``), so they match the exact ones to within the
-  sketch's accuracy, and it carries no singular values at all.
+  sketch's accuracy, projects once at the top order and returns the
+  candidate realizations; it builds no pencil.
 
-A pencil is real and factored once.  Both builders form the complex Lw,
+A pencil is real and factored once.  Both callers form the complex Lw,
 transform it to real coordinates and drop it (``_assemble``) before they
-factor; the frozen ``LoewnerPencil`` they return holds only the real
-arrays that ``detect_rank`` and every projection read.
+factor; the frozen ``LoewnerPencil`` that ``build_pencil`` returns holds
+only the real arrays that ``detect_rank`` and every projection read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -65,7 +65,7 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # read it.
 RANK_TOL = 1e-10
 
-# The leading-subspace factorization of ``_leading_pencil``: directions
+# The leading-subspace factorization of ``_sweep_candidates``: directions
 # sketched beyond the kept order, power iterations, and the seed of its
 # own generator.  Fixed, so that a sweep repeats bit for bit.
 SKETCH_OVERSAMPLING = 10
@@ -225,8 +225,7 @@ def _leading_left(N: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray
 class LoewnerPencil:
     """A Loewner pencil in real coordinates, factored once.
 
-    ``build_pencil`` or ``_leading_pencil`` fills every field and nothing
-    is computed later:
+    ``build_pencil`` fills every field and nothing is computed later:
 
     - ``partition``: the data the pencil was built from;
     - ``right_pairs``: first indices of the conjugate pairs among the
@@ -242,12 +241,8 @@ class LoewnerPencil:
     - ``s_col``, ``Vt_col``: singular values and right singular vectors
       (transposed) of the column stack [Lw; Ls], from ``_col_factor``.
 
-    From ``build_pencil`` the factorization is exact and complete.  From
-    ``_leading_pencil`` it is the LDDC sweep's: ``U_row`` and ``Vt_col``
-    hold only the leading directions up to the sweep's top order, from
-    subspace iteration, and ``s_row`` and ``s_col`` are None, so that no
-    rank is read from a partial spectrum.  The width of ``U_row`` is the
-    highest order a projection can take.
+    The factorization is exact and complete, so a projection can take any
+    order up to the pencil's size.
 
     Every array is real and read-only.  There is no complex Lw and no
     shifted form: Ls_r = Lw_r Lam_r + v_r 1_r^T, see
@@ -260,15 +255,14 @@ class LoewnerPencil:
     v_r: np.ndarray
     w_r: np.ndarray
     U_row: np.ndarray
-    s_row: Optional[np.ndarray]
-    s_col: Optional[np.ndarray]
+    s_row: np.ndarray
+    s_col: np.ndarray
     Vt_col: np.ndarray
 
     def __post_init__(self) -> None:
         for a in (self.right_pairs, self.Lw_r, self.v_r, self.w_r, self.U_row,
                   self.s_row, self.s_col, self.Vt_col):
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -332,22 +326,25 @@ def build_pencil(p: PointPartition) -> LoewnerPencil:
     return LoewnerPencil(p, right, Lw_r, v_r, w_r, U_row, s_row, s_col, Vt_col)
 
 
-def _leading_pencil(p: PointPartition, r: int) -> LoewnerPencil:
-    """The pencil of a partition factored only as far as order ``r``.
+def _sweep_candidates(p: PointPartition, r: int) -> list[DescriptorRealization]:
+    """The LDDC sweep's candidates: the projections of orders 1..``r``.
 
-    For the LDDC sweep, which projects at orders up to ``r`` and reads no
-    singular value.  ``_assemble`` forms it, as in ``build_pencil``; then
-    ``_leading_left`` finds the leading r left directions of the row factor
-    and right directions of the column factor, from one generator seeded
-    with ``SKETCH_SEED`` (never numpy's global state).  The pencil carries
-    no singular values, so ``detect_rank`` rejects it, and ``_project``
-    rejects orders above ``r``.  Raises as ``_assemble`` does.
+    The sweep reads no singular value, so the partition is factored only
+    as far as order ``r`` (1 <= r <= its size): ``_assemble`` forms it, as
+    in ``build_pencil``, then ``_leading_left`` finds the leading r left
+    directions of the row factor and right directions of the column
+    factor, from one generator seeded with ``SKETCH_SEED`` (never numpy's
+    global state).  The pencil is projected once, at order r; candidate q
+    is the leading q x q block of that projection (see
+    ``reduce_to_realization``).  Raises as ``_assemble`` does.
     """
     right, Lw_r, v_r, w_r, N_row, N_col = _assemble(p)
     rng = np.random.default_rng(SKETCH_SEED)
-    U_row = _leading_left(N_row, r, rng)
-    Vt_col = _leading_left(N_col.T, r, rng).T
-    return LoewnerPencil(p, right, Lw_r, v_r, w_r, U_row, None, None, Vt_col)
+    Y = _leading_left(N_row, r, rng)
+    X = _leading_left(N_col.T, r, rng)
+    E, A, B, C = _project(p.right_points, right, Lw_r, v_r, w_r, Y, X)
+    return [DescriptorRealization(E[:q, :q], A[:q, :q], B[:q], C[:, :q])
+            for q in range(1, r + 1)]
 
 
 def _count_above_cut(s: np.ndarray, tol: float) -> int:
@@ -389,12 +386,6 @@ def detect_rank(pen: LoewnerPencil, tol: float = RANK_TOL) -> RankReport:
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     s_row, s_col = pen.s_row, pen.s_col
-    if s_row is None or s_col is None:
-        raise ValueError(
-            "pencil is factored only to its leading directions, for the LDDC "
-            "sweep, and carries no singular values; rank detection needs "
-            "build_pencil's exact factorization"
-        )
     if s_row[0] == 0.0:
         raise ZeroDataError("Loewner pencil is identically zero")
     rank_row = _count_above_cut(s_row, tol)
@@ -438,34 +429,31 @@ def reduce_to_realization(pen: LoewnerPencil, r: int) -> DescriptorRealization:
     a row of ones, is (sqrt2, 0) on a pair and 1 on a real point.  Applying
     both costs O(m r).
     """
-    E, A, B, C = _project(pen, r)
+    if not 1 <= r <= pen.size:
+        raise ValueError(f"target order must lie in [1, {pen.size}], got {r}")
+    E, A, B, C = _project(pen.partition.right_points, pen.right_pairs, pen.Lw_r,
+                          pen.v_r, pen.w_r, pen.U_row[:, :r], pen.Vt_col[:r, :].T)
     return DescriptorRealization(E=E, A=A, B=B, C=C, D=0.0)
 
 
 def _project(
-    pen: LoewnerPencil, r: int
+    lam: np.ndarray, right: np.ndarray, Lw_r: np.ndarray, v_r: np.ndarray,
+    w_r: np.ndarray, Y: np.ndarray, X: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The real (E, A, B, C) of :func:`reduce_to_realization`, unchecked.
+    """The real (E, A, B, C) of :func:`reduce_to_realization` on the
+    projectors Y and X, whose r columns give the order.
 
-    No regularity check runs here, as in every realization construction
-    (the first query's QZ decides it), so a caller that sweeps orders can
-    project once at the top order and build each lower order from the
-    leading blocks E[:q, :q], A[:q, :q], B[:q] and C[:, :q].  ``r`` may not
-    exceed the order the pencil is factored to: its size from
-    ``build_pencil``, the sweep's top order from ``_leading_pencil``.
+    ``lam`` and ``right`` are the right points and their pair layout, and
+    ``Lw_r``, ``v_r`` and ``w_r`` the pencil's real arrays (see
+    ``LoewnerPencil``).
     """
-    m = pen.U_row.shape[1]
-    if not 1 <= r <= m:
-        raise ValueError(f"target order must lie in [1, {m}], got {r}")
-    lam, right = pen.partition.right_points, pen.right_pairs
-    Y = pen.U_row[:, :r]
-    X = pen.Vt_col[:r, :].T
+    r = Y.shape[1]
     LX = lam.real[:, None] * X
     LX[right] -= lam.imag[right, None] * X[right + 1]
     LX[right + 1] += lam.imag[right, None] * X[right]
     ones_r = _pair_cols(np.ones(lam.size, dtype=complex), right).real
-    YL = Y.T @ pen.Lw_r
-    B = Y.T @ pen.v_r
+    YL = Y.T @ Lw_r
+    B = Y.T @ v_r
     E = -(YL @ X)
     A = -(YL @ LX) - np.outer(B, ones_r @ X)
-    return E, A, B.reshape(r, 1), (pen.w_r @ X).reshape(1, r)
+    return E, A, B.reshape(r, 1), (w_r @ X).reshape(1, r)

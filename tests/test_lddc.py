@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 
 from helpers import modal_realization
-from loewner_lab import descriptor_ops, lddc
+from loewner_lab import descriptor_ops, lddc, loewner_core
 from loewner_lab.descriptor_ops import DescriptorRealization, TransferMap, eval_transfer, poles
 from loewner_lab.errors import (
     GridMismatchError,
@@ -38,8 +38,7 @@ from loewner_lab.lddc import (
     small_gain_bound,
 )
 from loewner_lab.loewner_core import (
-    _leading_pencil,
-    _project,
+    _sweep_candidates,
     build_pencil,
     detect_rank,
     reduce_to_realization,
@@ -220,15 +219,16 @@ class TestReduceController:
         # lower order is a leading block that does not contain it.
         _, _, data, mspec = roundtrip
         kstar = ideal_controller_response(data, mspec)
-        real = lddc._project
+        real = lddc._sweep_candidates
 
-        def zero_last_row(pencil, r):
-            E, A, B, C = real(pencil, r)
+        def zero_last_row(partition, r):
+            *lower, top = real(partition, r)
+            E, A = top.E.copy(), top.A.copy()
             E[-1], A[-1] = 0.0, 0.0
-            return E, A, B, C
+            return [*lower, DescriptorRealization(E, A, top.B, top.C)]
 
         want = reduce_controller(kstar, orders=(1, 2, 3), gamma_bound=0.0)
-        monkeypatch.setattr(lddc, "_project", zero_last_row)
+        monkeypatch.setattr(lddc, "_sweep_candidates", zero_last_row)
         got = reduce_controller(kstar, orders=(1, 2, 3), gamma_bound=0.0)
         assert all(row.verdict != "failed" and row.projection_size < 4 for row in got.rows)
         kept = [(a, b) for a, b in zip(want.rows, got.rows) if a.projection_size < 4]
@@ -303,11 +303,11 @@ class TestOneProjectionSweep:
             assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-10, rlz.order
 
     def test_values_are_eval_transfer_bit_for_bit(self, swept_candidates):
-        # Only the closed upper half of the conjugate-closed grid is solved.
+        # Every candidate is solved on the whole grid, as given.
         kstar, seen = swept_candidates
         z = kstar.points()
         for rlz, s, vals, _ in seen:
-            assert np.array_equal(s, z[z.imag >= 0]), rlz.order
+            assert np.array_equal(s, z), rlz.order
             assert np.array_equal(vals, eval_transfer(rlz, s)), rlz.order
 
     def test_dynamic_pole_counts_match_poles(self, swept_candidates):
@@ -323,7 +323,7 @@ class TestOneProjectionSweep:
             assert np.sum(np.abs(finite) <= cut) == np.sum(np.abs(want) <= cut), rlz.order
 
     def test_one_projection_and_no_eigensolve(self, plant_dataset, monkeypatch):
-        calls = {"_project": 0, "eig": 0}
+        calls = {"_sweep_candidates": 0, "_project": 0, "eig": 0}
         factored = []
 
         def counting(name, fn):
@@ -337,12 +337,15 @@ class TestOneProjectionSweep:
             return real(rlz)
 
         kstar = ideal_controller_response(plant_dataset, second_order_reference())
-        monkeypatch.setattr(lddc, "_project", counting("_project", lddc._project))
+        monkeypatch.setattr(lddc, "_sweep_candidates",
+                            counting("_sweep_candidates", lddc._sweep_candidates))
+        monkeypatch.setattr(loewner_core, "_project",
+                            counting("_project", loewner_core._project))
         monkeypatch.setattr(descriptor_ops, "_real_schur", schur_spy)
         monkeypatch.setattr(scipy.linalg, "eig", counting("eig", scipy.linalg.eig))
         sweep = reduce_controller(kstar, range(1, 21), gamma_bound=0.0)
         assert len(sweep.rows) == 20
-        assert calls == {"_project": 1, "eig": 0}
+        assert calls == {"_sweep_candidates": 1, "_project": 1, "eig": 0}
         # Sizes 1..21 are all candidates (see test_every_size_is_a_candidate).
         assert [rlz.order for rlz in factored] == list(range(1, 22))
         assert len({id(rlz) for rlz in factored}) == len(factored)
@@ -359,30 +362,28 @@ def same_rows(a, b):
 
 
 def full_grid_sweep(kstar_data, orders, gamma_bound):
-    """The rows of ``reduce_controller`` with every candidate evaluated on
-    the whole grid, lower half-plane included, instead of mirrored.
+    """The rows of ``reduce_controller``, with every candidate evaluated on
+    the grid in reverse order and each value compared against its own
+    point's sample.
 
-    The pencil is the sweep's own, factored to the top size as
-    ``reduce_controller`` factors it, so only the mirroring differs."""
+    The candidates are the sweep's own, factored to the top size as
+    ``reduce_controller`` factors them, so only the grid handling differs."""
     z, kstar = kstar_data.points(), kstar_data.values()
     mag = np.abs(kstar)
     nz = mag > 0.0
     partition = partition_points(kstar_data)
-    q_max = min(orders[-1] + 1, partition.size)
     cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(z.imag)))
-    E, A, B, C = lddc._project(_leading_pencil(partition, q_max), q_max)
     candidates = []
-    for q in range(1, len(E) + 1):
+    for rlz in _sweep_candidates(partition, min(orders[-1] + 1, partition.size)):
         try:
-            rlz = DescriptorRealization(E[:q, :q], A[:q, :q], B[:q], C[:, :q])
-            vals, finite = eval_transfer(rlz, z), poles(rlz).finite
+            vals, finite = eval_transfer(rlz, z[::-1])[::-1], poles(rlz).finite
         except LoewnerLabError:
             continue
         diff = np.abs(vals - kstar)
         candidates.append(SweepRow(
             order=int(np.sum(np.abs(finite) <= cut)), realization=rlz,
             error=float(np.max(diff)), error_rel=float(np.max(diff[nz] / mag[nz])),
-            verdict="inconclusive", projection_size=q,
+            verdict="inconclusive", projection_size=rlz.order,
         ))
     rows = []
     for r in orders:
@@ -395,8 +396,9 @@ def full_grid_sweep(kstar_data, orders, gamma_bound):
     return rows
 
 
-class TestMirroredGrid:
-    """The sweep solves Im z >= 0 and mirrors the rest onto their partners."""
+class TestGridLayouts:
+    """Each point's error is taken against its own sample, whatever the
+    order of the grid, its lower partners' rounding or its real points."""
 
     @staticmethod
     def kstar_data(layout, plant_dataset, roundtrip):
@@ -436,10 +438,13 @@ DESIGN_VARIANTS = [(2.3, 0.35, 1.6), (2.9, 0.55, 2.4), (3.4, 0.7, 1.9), (3.9, 0.
 
 
 def exact_sweep(kstar_data, orders, gamma_bound):
-    """``reduce_controller`` on ``build_pencil``'s full SVDs in place of
-    the sweep's leading-subspace factors."""
+    """``reduce_controller`` on the leading vectors of full SVDs in place
+    of the sweep's leading-subspace factors."""
+    def exact_leading(N, r, rng):
+        return np.linalg.svd(N, full_matrices=False)[0][:, :r]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lddc, "_leading_pencil", lambda p, r: build_pencil(p))
+        mp.setattr(loewner_core, "_leading_left", exact_leading)
         return reduce_controller(kstar_data, orders, gamma_bound=gamma_bound).rows
 
 
@@ -486,22 +491,19 @@ class TestLeadingSubspaceSweep:
                 assert a.projection_size == b.projection_size, a.order
 
 
-class TestSweepPencilGuards:
-    @pytest.fixture(scope="class")
-    def sweep_pencil(self, plant_dataset):
+class TestSweepCandidates:
+    def test_projection_stops_at_the_factored_order(self, plant_dataset):
+        # Orders 1..21, each the leading block of the one order-21 projection.
         kstar = ideal_controller_response(plant_dataset, second_order_reference())
-        return _leading_pencil(partition_points(kstar), 21)
-
-    def test_rank_detection_refuses_it(self, sweep_pencil):
-        with pytest.raises(ValueError, match="carries no singular values"):
-            detect_rank(sweep_pencil)
-
-    def test_projection_stops_at_the_factored_order(self, sweep_pencil):
-        assert sweep_pencil.U_row.shape == (200, 21)
-        assert sweep_pencil.Vt_col.shape == (21, 200)
-        assert reduce_to_realization(sweep_pencil, 21).order == 21
-        with pytest.raises(ValueError, match=r"\[1, 21\], got 22"):
-            _project(sweep_pencil, 22)
+        *lower, top = _sweep_candidates(partition_points(kstar), 21)
+        assert [rlz.order for rlz in lower] == list(range(1, 21))
+        assert top.order == 21
+        for rlz in lower:
+            q = rlz.order
+            assert np.array_equal(rlz.E, top.E[:q, :q]), q
+            assert np.array_equal(rlz.A, top.A[:q, :q]), q
+            assert np.array_equal(rlz.B, top.B[:q]), q
+            assert np.array_equal(rlz.C, top.C[:, :q]), q
 
     def test_only_small_svds_run(self, plant_dataset, monkeypatch):
         # One SVD per factor, of its 31-row sketch, not of the 200-point factor.

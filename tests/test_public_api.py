@@ -3,7 +3,9 @@
 Every name a module lists in ``__all__`` must exist in it, and every name
 the package root re-exports must be listed in its module's ``__all__``, so
 that removing a function leaves no stale export behind.  The structure
-guards keep a realization's real Schur form behind ``descriptor_ops``.
+guards keep a realization's real Schur form behind ``descriptor_ops``, and
+the pencil's and the pairing's internals behind ``loewner_core`` and
+``freq_data``.
 """
 
 from __future__ import annotations
@@ -86,6 +88,27 @@ def test_the_schur_form_stays_behind_descriptor_ops():
         f"{module}: {name}"
         for module, tree in _module_trees() if module != "descriptor_ops"
         for name in sorted(SCHUR_INTERNALS & set(_names(tree)))
+    ]
+    assert leaks == []
+
+
+# Private names that only their own module may name: the Loewner pencil's
+# assembly, leading-subspace factorization and projection, and the
+# conjugate-partner lookup.
+OWNED_INTERNALS = {
+    "loewner_core": {"_assemble", "_leading_left", "_project"},
+    "freq_data": {"_conjugate_index"},
+}
+
+
+def test_pencil_and_pairing_internals_stay_in_their_modules():
+    # The LDDC sweep takes its candidates from loewner_core._sweep_candidates
+    # and solves the whole grid, so no other module reaches into these.
+    leaks = [
+        f"{module}: {name}"
+        for module, tree in _module_trees()
+        for owner, internals in OWNED_INTERNALS.items() if module != owner
+        for name in sorted(internals & set(_names(tree)))
     ]
     assert leaks == []
 
