@@ -79,6 +79,20 @@ def biquad(s):
     return (2.0 * s + 3.0) / (s * s + 3.0 * s + 2.0)
 
 
+def overlapping_partition():
+    mu = np.array([1j, -1j, 2j, -2j])
+    lam = np.array([3j, -3j, 2j, -2j])
+    ones = np.ones(4, dtype=complex)
+    return PointPartition(left_points=mu, left_values=ones,
+                          right_points=lam, right_values=ones)
+
+
+def empty_partition():
+    empty = np.zeros(0, dtype=complex)
+    return PointPartition(left_points=empty, left_values=empty,
+                          right_points=empty, right_values=empty)
+
+
 class TestRankDetection:
     def test_known_rational_has_rank_two(self):
         pen = pencil_from_oracle(biquad, np.geomspace(0.01, 10.0, 12))
@@ -181,14 +195,9 @@ class TestPencilAssembly:
     def test_overlapping_partition_names_both_points(self):
         # A partition built directly may share a point between its sides;
         # the Loewner build's coincidence rule rejects it.
-        mu = np.array([1j, -1j, 2j, -2j])
-        lam = np.array([3j, -3j, 2j, -2j])
-        ones = np.ones(4, dtype=complex)
-        part = PointPartition(left_points=mu, left_values=ones,
-                              right_points=lam, right_values=ones)
         want = re.escape("left point 2j coincides with right point 2j")
         with pytest.raises(CoincidentPointError, match=want):
-            build_pencil(part)
+            build_pencil(overlapping_partition())
 
 
 class TestFactoredOnce:
@@ -224,10 +233,36 @@ class TestFactoredOnce:
                 a[...] = 0
 
     def test_empty_partition_rejected(self):
-        empty = np.zeros(0, dtype=complex)
         with pytest.raises(ZeroDataError):
-            build_pencil(PointPartition(left_points=empty, left_values=empty,
-                                        right_points=empty, right_values=empty))
+            build_pencil(empty_partition())
+
+
+class TestSweepCandidates:
+    """The LDDC sweep's candidates, projected from the leading subspaces."""
+
+    @pytest.mark.parametrize("make, err", [
+        (empty_partition, ZeroDataError),
+        (overlapping_partition, CoincidentPointError),
+    ], ids=["empty", "overlapping"])
+    def test_refuses_what_build_pencil_refuses(self, make, err):
+        with pytest.raises(err) as want:
+            build_pencil(make())
+        with pytest.raises(err) as got:
+            loewner_core._sweep_candidates(make(), 1)
+        assert str(got.value) == str(want.value)
+
+    def test_order_five_interpolates_order_five_data(self):
+        # off_axis_partition holds order-5 data: the rank-order candidate
+        # interpolates every point, as the exact pencil's projection does.
+        part = off_axis_partition()
+        pen = build_pencil(part)
+        assert detect_rank(pen).rank == 5
+        cands = loewner_core._sweep_candidates(part, 5)
+        assert [rlz.order for rlz in cands] == [1, 2, 3, 4, 5]
+        for rlz in cands:
+            assert np.isrealobj(rlz.E) and np.isrealobj(rlz.A), rlz.order
+        assert max_rel_residual(cands[-1], pen) < 1e-8
+        assert max_rel_residual(reduce_to_realization(pen, 5), pen) < 1e-8
 
 
 class TestProjection:
