@@ -6,7 +6,6 @@ from . import errors
 from .descriptor_ops import (
     DescriptorRealization,
     GridNorm,
-    SpectrumReport,
     StableSplit,
     TransferMap,
     closed_loop_delay,
@@ -30,7 +29,6 @@ from .freq_data import (
 )
 from .lddc import (
     ReductionSweep,
-    ReferenceModelSpec,
     SweepRow,
     closed_loop_reference,
     ideal_controller_response,

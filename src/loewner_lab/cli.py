@@ -202,7 +202,7 @@ def cmd_lddc(args) -> int:
         [(row.order, float(row.error), float(inv), row.verdict) for row in sweep.rows],
     )
     save_realization(pick.realization, out / "controller.json")
-    print(f"{note} (grid error {pick.error:.3e}, 1/gamma = {inv:.6g})")
+    print(f"{note} (relative grid error {pick.error_rel:.3e}, 1/gamma = {inv:.6g})")
     return 0
 
 
@@ -221,8 +221,7 @@ def cmd_synth(args) -> int:
         "stable": result.stable,
         "stability_checked": result.stability_checked,
     }
-    s = 1j * grid
-    sens = 1.0 / (1.0 + np.asarray(plant(s)) * ctrl.frequency_response(grid))
+    sens = 1.0 / (1.0 + nyquist_curve(plant, ctrl.transfer_map(), grid))
     comp = 1.0 - sens
     out = _out_dir(args)
     (out / "pi.json").write_text(json.dumps(obj, indent=1) + "\n")

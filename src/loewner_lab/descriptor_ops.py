@@ -59,7 +59,6 @@ from .errors import (
 __all__ = [
     "DescriptorRealization",
     "TransferMap",
-    "SpectrumReport",
     "StableSplit",
     "GridNorm",
     "eval_transfer",
@@ -136,14 +135,6 @@ class DescriptorRealization:
     @functools.cached_property
     def _schur(self) -> "_SchurForm":
         return _real_schur(self)
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Finite generalized eigenvalues plus the count of infinite ones."""
-
-    finite: np.ndarray
-    infinite_count: int
 
 
 @dataclass(frozen=True)
@@ -368,19 +359,19 @@ def _schur_values(
     return h
 
 
-def poles(rlz: DescriptorRealization) -> SpectrumReport:
-    """Finite generalized eigenvalues of (A, E); infinite ones counted apart.
+def poles(rlz: DescriptorRealization) -> np.ndarray:
+    """The finite generalized eigenvalues of (A, E), as a complex array.
 
     Directions along which E is singular produce eigenvalues at infinity
-    (impulsive modes); they are excluded from the finite list.  An
-    eigenvalue alpha/beta counts as finite when |beta| > n*eps*||E||_F,
-    the same rule :func:`stable_antistable_split` applies to the same
-    cached Schur form that :func:`eval_transfer` reads.
+    (impulsive modes); they are left out, so the array holds ``rlz.order``
+    minus their count.  An eigenvalue alpha/beta counts as finite when
+    |beta| > n*eps*||E||_F, the same rule :func:`stable_antistable_split`
+    applies to the same cached Schur form that :func:`eval_transfer` reads.
     """
     if rlz.order == 0:
-        return SpectrumReport(finite=np.array([], dtype=complex), infinite_count=0)
+        return np.array([], dtype=complex)
     lam, fin = _eigenvalues(rlz._schur, rlz.E)
-    return SpectrumReport(finite=lam[fin], infinite_count=int(np.sum(~fin)))
+    return lam[fin]
 
 
 def _finite(beta: np.ndarray, E: np.ndarray) -> np.ndarray:

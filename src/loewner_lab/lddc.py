@@ -17,6 +17,10 @@ derived from (ROADMAP open item 3).
 
 The certificate is one-sided.  Orders that fail the bound are reported as
 "inconclusive", never "unstable"; the test is conservative by nature.
+
+The target M is a plain :class:`TransferMap`, called on the plant grid.
+The m1 and closed-loop targets carry their realization; a tabulated
+target answers only at its own sample points.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .freq_data import FrequencyDataset, close_conjugate, partition_points
 from .loewner_core import _sweep_candidates
 
 __all__ = [
-    "ReferenceModelSpec",
     "SweepRow",
     "ReductionSweep",
     "second_order_reference",
@@ -62,25 +65,6 @@ M1_OMEGA0 = 0.5
 # Poles this many times above the top data frequency are treated as
 # parasitic interpolation artifacts rather than controller dynamics.
 PARASITIC_POLE_FACTOR = 1e3
-
-
-@dataclass(frozen=True)
-class ReferenceModelSpec:
-    """A target closed-loop map M plus its declared design constraints.
-
-    ``unity_at`` lists frequencies (rad/s) where M must equal one.  The
-    constraint records what the designer demanded of M; nothing checks M
-    against it, and construction only rejects a NaN frequency.
-    """
-
-    transfer: TransferMap
-    unity_at: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unity_at", tuple(float(w) for w in self.unity_at))
-        for w in self.unity_at:
-            if math.isnan(w):
-                raise ValueError("constraint frequency is NaN")
 
 
 @dataclass(frozen=True)
@@ -123,12 +107,12 @@ class ReductionSweep:
         return None
 
 
-def second_order_reference() -> ReferenceModelSpec:
+def second_order_reference() -> TransferMap:
     """The m1 target: a unit-DC-gain, critically damped second-order map.
 
     M(s) = 1 / (s^2/omega0^2 + 2 s/omega0 + 1) with omega0 =
-    ``M1_OMEGA0``, which is one at s = 0 (declared in ``unity_at``) and
-    rolls off to zero at infinity.
+    ``M1_OMEGA0``, which is one at s = 0 and rolls off to zero at
+    infinity.  The map carries its realization.
     """
     omega0 = M1_OMEGA0
     w2 = omega0 * omega0
@@ -139,16 +123,14 @@ def second_order_reference() -> ReferenceModelSpec:
         C=np.array([[1.0, 0.0]]),
         D=0.0,
     )
-    label = f"second-order target (omega0={omega0:g})"
-    return ReferenceModelSpec(
-        transfer=TransferMap.from_realization(rlz, label=label),
-        unity_at=(0.0,),
+    return TransferMap.from_realization(
+        rlz, label=f"second-order target (omega0={omega0:g})"
     )
 
 
 def closed_loop_reference(
     plant: DescriptorRealization, controller: DescriptorRealization
-) -> ReferenceModelSpec:
+) -> TransferMap:
     """Target equal to the unity-feedback loop of a plant and controller.
 
     Useful when the desired behaviour is "whatever this known controller
@@ -156,13 +138,10 @@ def closed_loop_reference(
     own response, which makes the construction a strong self-test.
     """
     loop = feedback_unity(series(plant, controller))
-    return ReferenceModelSpec(
-        transfer=TransferMap.from_realization(loop, label="closed-loop target"),
-        unity_at=(0.0,),
-    )
+    return TransferMap.from_realization(loop, label="closed-loop target")
 
 
-def reference_from_dataset(dataset: FrequencyDataset) -> ReferenceModelSpec:
+def reference_from_dataset(dataset: FrequencyDataset) -> TransferMap:
     """Wrap measured reference-model samples as a grid-locked transfer.
 
     The returned map only answers at the dataset's own points; anything
@@ -183,23 +162,21 @@ def reference_from_dataset(dataset: FrequencyDataset) -> ReferenceModelSpec:
                 ) from None
         return out
 
-    return ReferenceModelSpec(
-        transfer=TransferMap.from_callable(lookup, label="tabulated target")
-    )
+    return TransferMap.from_callable(lookup, label="tabulated target")
 
 
 def _plant_and_reference(
-    plant_data: FrequencyDataset, m_ref: ReferenceModelSpec
+    plant_data: FrequencyDataset, m_ref: TransferMap
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The plant grid z, the plant samples Phi and M sampled on z."""
     z = plant_data.points()
     if z.size == 0:
         raise ValueError("plant dataset is empty")
-    return z, plant_data.values(), np.asarray(m_ref.transfer(z), dtype=complex)
+    return z, plant_data.values(), np.asarray(m_ref(z), dtype=complex)
 
 
 def ideal_controller_response(
-    plant_data: FrequencyDataset, m_ref: ReferenceModelSpec
+    plant_data: FrequencyDataset, m_ref: TransferMap
 ) -> FrequencyDataset:
     """Samples of the controller that would realize M exactly in feedback.
 
@@ -227,9 +204,7 @@ def ideal_controller_response(
     return close_conjugate(FrequencyDataset.from_arrays(z, kstar))
 
 
-def small_gain_bound(
-    plant_data: FrequencyDataset, m_ref: ReferenceModelSpec
-) -> float:
+def small_gain_bound(plant_data: FrequencyDataset, m_ref: TransferMap) -> float:
     """gamma = max_i |Phi_i * (1 - M(z_i))| over the plant grid.
 
     :func:`reduce_controller` certifies a reduced controller whose grid
@@ -311,7 +286,7 @@ def reduce_controller(
     candidates: list[SweepRow] = []
     for rlz in _sweep_candidates(partition, min(orders[-1] + 1, partition.size)):
         try:
-            vals, finite = eval_transfer(rlz, z), poles(rlz).finite
+            vals, finite = eval_transfer(rlz, z), poles(rlz)
         except LoewnerLabError:
             continue
         diff = np.abs(vals - kstar)

@@ -85,10 +85,6 @@ class PIController:
         label = f"PI(kp={self.kp:g}, ki={self.ki:g})"
         return TransferMap.from_realization(self.realization(), label=label)
 
-    def frequency_response(self, omega) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        return self.kp + self.ki / (1j * omega)
-
 
 @dataclass(frozen=True)
 class WeightingFilters:
@@ -307,12 +303,10 @@ def _nelder_mead(x0, lo: float, hi: float):
     a, b = clip(float(x0[0]), float(x0[1]))
     sim = [(a, b), clip(step_off(a), b), clip(a, step_off(b))]
     fsim = [math.inf] * 3
-    try:
-        for k in range(3):
-            spend()
-            fsim[k] = yield sim[k]
-    except _OutOfEvaluations:
-        pass
+    # _MAXFEV exceeds 3, so the starting simplex is always scored in full.
+    for k in range(3):
+        spend()
+        fsim[k] = yield sim[k]
 
     iterations = 1
     while True:
@@ -418,13 +412,14 @@ class SynthesisResult:
 
 def _loop_is_stable(plant_rlz: DescriptorRealization, ctrl: PIController) -> bool:
     """Whether every finite pole of the unity-feedback loop of the plant and
-    ``ctrl`` lies in Re(s) < 0.  The loop's one QZ decides its regularity
-    too: a singular or unfactorable loop is rejected like an unstable one."""
+    ``ctrl`` (the array :func:`poles` returns) lies in Re(s) < 0.  The
+    loop's one QZ decides its regularity too: a singular or unfactorable
+    loop is rejected like an unstable one."""
     try:
-        spectrum = poles(feedback_unity(series(plant_rlz, ctrl.realization())))
+        loop_poles = poles(feedback_unity(series(plant_rlz, ctrl.realization())))
     except LoewnerLabError:
         return False
-    return bool(np.all(spectrum.finite.real < 0.0))
+    return bool(np.all(loop_poles.real < 0.0))
 
 
 def optimize_pi(

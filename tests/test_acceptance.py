@@ -211,7 +211,7 @@ def test_criterion_8_random_classification_suite():
 def test_criterion_9_sensitivity_overlay(synthesis, plant_oracle_map,
                                          approximant_map, omega_grid):
     result, _ = synthesis
-    k = result.controller.frequency_response(omega_grid)
+    k = result.controller.transfer_map()(1j * omega_grid)
     s = 1j * omega_grid
     s_oracle = 1.0 / (1.0 + np.asarray(plant_oracle_map(s)) * k)
     s_approx = 1.0 / (1.0 + np.asarray(approximant_map(s)) * k)

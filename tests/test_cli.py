@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,9 +19,10 @@ import pytest
 
 import loewner_lab
 from helpers import modal_realization
-from loewner_lab import cli
+from loewner_lab import cli, lddc
 from loewner_lab.cli import main
 from loewner_lab.descriptor_ops import (
+    DescriptorRealization,
     TransferMap,
     load_realization,
     realization_to_json,
@@ -191,7 +193,7 @@ for ref in ("m1", "m2"):
         assert main(["sample", "--out", str(tmp_path)]) == 0
         plant_csv = tmp_path / "plant.csv"
         data = load_csv(plant_csv)
-        mvals = np.asarray(second_order_reference().transfer(data.points()), dtype=complex)
+        mvals = np.asarray(second_order_reference()(data.points()), dtype=complex)
         ref_csv = tmp_path / "reference.csv"
         save_csv(FrequencyDataset.from_arrays(data.points(), mvals), ref_csv)
         for ref, out in ((str(ref_csv), "table"), ("m1", "m1")):
@@ -200,6 +202,55 @@ for ref in ("m1", "m2"):
         assert capsys.readouterr().out.count("certified-stable order 13 ") == 2
         for name in ("sweep.csv", "controller.json"):
             assert (tmp_path / "table" / name).read_bytes() == (tmp_path / "m1" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "max_order, certified",
+        [(["--max-order", "5"], False), ([], True)],
+        ids=["max-order-5", "default-max-order"],
+    )
+    def test_summary_prints_the_error_the_verdict_compares(
+        self, tmp_path, capsys, max_order, certified
+    ):
+        # An order is certified when its relative grid error is below
+        # 1/gamma, so the summary prints that error next to 1/gamma.
+        assert main(["sample", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "lddc"
+        rc = main([
+            "lddc", str(tmp_path / "plant.csv"), "--reference", "m1",
+            *max_order, "--out", str(out),
+        ])
+        assert rc == 0
+        line = capsys.readouterr().out.strip().split("\n")[-1]
+        match = re.fullmatch(r"(.*) \((.*grid error) (\S+), 1/gamma = (\S+)\)", line)
+        assert match, line
+        note, label, err, inv = match[1], match[2], float(match[3]), float(match[4])
+        verdicts = [row.split(",")[3] for row in read_lines(out / "sweep.csv")[1:]]
+        assert ("stable" in verdicts) == certified
+        assert note.startswith("smallest certified-stable order") == certified
+        assert (err < inv) == certified
+        assert label == "relative grid error"
+
+    def test_no_realization_is_an_error_and_leaves_no_out_directory(
+        self, tmp_path, plant_csv, capsys, monkeypatch
+    ):
+        real = lddc._sweep_candidates
+
+        def all_singular(partition, r):
+            # Every candidate's pencil (E, A) is zero, so its QZ raises.
+            return [
+                DescriptorRealization(np.zeros_like(q.E), np.zeros_like(q.A), q.B, q.C)
+                for q in real(partition, r)
+            ]
+
+        monkeypatch.setattr(lddc, "_sweep_candidates", all_singular)
+        capsys.readouterr()
+        out = tmp_path / "lddc"
+        rc = main([
+            "lddc", str(plant_csv), "--reference", "m1", "--max-order", "4", "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no controller realization could be built\n"
+        assert not out.exists()
 
     def test_missing_data_leaves_no_out_directory(self, tmp_path):
         out = tmp_path / "lddc"

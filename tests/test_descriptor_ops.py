@@ -487,7 +487,7 @@ class TestFactoredOnce:
         split = stable_antistable_split(rlz)
         eval_transfer(rlz, GRID[::5])
         assert len(factored) == 1 and factored[0] is rlz
-        assert spec.finite.size == 6
+        assert spec.size == 6
         assert split.antistable_part.order == 3
 
     def test_cached_form_is_read_only_and_survives_a_split(self):
@@ -499,7 +499,7 @@ class TestFactoredOnce:
                 M[0] = 0.0
         fresh = DescriptorRealization(rlz.E, rlz.A, rlz.B, rlz.C, rlz.D)
         assert np.array_equal(eval_transfer(rlz, GRID), eval_transfer(fresh, GRID))
-        assert np.array_equal(poles(rlz).finite, poles(fresh).finite)
+        assert np.array_equal(poles(rlz), poles(fresh))
 
     @pytest.mark.parametrize("info", ["1", "n+1"])
     def test_failed_qz_raises_from_every_query(self, monkeypatch, info):
@@ -515,7 +515,7 @@ class TestFactoredOnce:
         # Nothing is cached: once gges succeeds, the next query factors.
         assert "_schur" not in vars(rlz)
         monkeypatch.undo()
-        assert np.array_equal(poles(rlz).finite, poles(self.mixed()).finite)
+        assert np.array_equal(poles(rlz), poles(self.mixed()))
 
 
 def fail_gges(monkeypatch, info, when=lambda A: True):
@@ -712,8 +712,8 @@ class TestPoles:
             key=lambda z: (z.real, z.imag),
         )
         spec = poles(rlz)
-        got = sorted(map(complex, spec.finite), key=lambda z: (z.real, z.imag))
-        assert spec.infinite_count == 0
+        got = sorted(map(complex, spec), key=lambda z: (z.real, z.imag))
+        assert spec.size == rlz.order
         assert np.allclose(got, want, atol=1e-10)
 
     def test_infinite_eigenvalues_counted_separately(self):
@@ -722,9 +722,8 @@ class TestPoles:
             B=np.ones((2, 1)), C=np.ones((1, 2)), D=0.0,
         )
         spec = poles(rlz)
-        assert spec.infinite_count == 1
-        assert spec.finite.size == 1
-        assert spec.finite[0] == pytest.approx(1.0)
+        assert spec.size == rlz.order - 1
+        assert spec[0] == pytest.approx(1.0)
 
     def test_order_zero_has_no_poles(self):
         rlz = DescriptorRealization(
@@ -732,8 +731,8 @@ class TestPoles:
             B=np.zeros((0, 1)), C=np.zeros((1, 0)), D=1.0,
         )
         spec = poles(rlz)
-        assert spec.finite.size == 0
-        assert spec.infinite_count == 0
+        assert isinstance(spec, np.ndarray) and spec.dtype == complex
+        assert spec.size == rlz.order == 0
 
 
 def ordqz_split(rlz):
@@ -803,7 +802,7 @@ class TestStableAntistableSplit:
             assert same_realization(sp.stable_part, parts[0])
             assert same_realization(sp.antistable_part, parts[1])
         if kind == "singular":
-            assert poles(sp.antistable_part).infinite_count >= 1
+            assert poles(sp.antistable_part).size <= sp.antistable_part.order - 1
 
     def test_failed_reordering_raises(self, monkeypatch):
         real = scipy.linalg.lapack.dtgsen
@@ -824,8 +823,8 @@ class TestStableAntistableSplit:
         a_ref = lambda s: 1.0 / (s - 2.0)
         assert rel_err(eval_transfer(sp.stable_part, GRID), s_ref(GRID)) < 1e-12
         assert rel_err(eval_transfer(sp.antistable_part, GRID), a_ref(GRID)) < 1e-12
-        assert poles(sp.stable_part).finite[0] == pytest.approx(-1.0)
-        assert poles(sp.antistable_part).finite[0] == pytest.approx(2.0)
+        assert poles(sp.stable_part)[0] == pytest.approx(-1.0)
+        assert poles(sp.antistable_part)[0] == pytest.approx(2.0)
 
     def test_pure_stable_short_circuit(self):
         rlz = modal_realization([(-1.0 + 2.0j, 1.0)], [], feedthrough=0.3)
@@ -866,8 +865,8 @@ class TestStableAntistableSplit:
                 + eval_transfer(sp.antistable_part, grid)
             )
             assert rel_err(recon, oracle(grid)) < 1e-8, f"trial {trial}"
-            fin_s = poles(sp.stable_part).finite
-            fin_a = poles(sp.antistable_part).finite
+            fin_s = poles(sp.stable_part)
+            fin_a = poles(sp.antistable_part)
             # The split reports the antistable spectrum it computed.
             assert sp.antistable_poles.size == fin_a.size
             for p in fin_a:
@@ -907,7 +906,7 @@ class TestStableAntistableSplit:
             B=np.array([[1.0], [1.0]]), C=np.array([[1.0, 1.0]]), D=0.0,
         )
         sp = stable_antistable_split(rlz)
-        assert poles(sp.stable_part).infinite_count == 0
+        assert poles(sp.stable_part).size == sp.stable_part.order
         recon = (
             eval_transfer(sp.stable_part, GRID)
             + eval_transfer(sp.antistable_part, GRID)
@@ -928,8 +927,8 @@ class TestStableAntistableSplit:
             )
             sp = stable_antistable_split(rlz)
             spec = poles(sp.stable_part)
-            assert spec.infinite_count == 0, f"trial {trial}"
-            assert np.all(spec.finite.real < 0), f"trial {trial}"
+            assert spec.size == sp.stable_part.order, f"trial {trial}"
+            assert np.all(spec.real < 0), f"trial {trial}"
             recon = (
                 eval_transfer(sp.stable_part, GRID)
                 + eval_transfer(sp.antistable_part, GRID)
@@ -1191,6 +1190,15 @@ class TestSerialization:
         obj["B"] = [[1.0], [2.0]]
         with pytest.raises(DataFormatError):
             realization_from_json(obj)
+
+    @pytest.mark.parametrize("text", ["", "{\"order\": 1,"], ids=["empty", "truncated"])
+    def test_text_that_is_not_json_names_the_file(self, tmp_path, text):
+        path = tmp_path / "rlz.json"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as exc:
+            load_realization(path)
+        assert type(exc.value) is DataFormatError
+        assert str(exc.value).startswith(f"{path}: invalid JSON: ")
 
 
 class TestDensify:

@@ -13,6 +13,7 @@ from loewner_lab.errors import (
 )
 from loewner_lab.freq_data import (
     FrequencyDataset,
+    PointPartition,
     close_conjugate,
     load_csv,
     partition_points,
@@ -67,6 +68,15 @@ def test_csv_empty_data_section(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("omega_rad_s,re,im\n")
     assert len(load_csv(path)) == 0
+
+
+def test_csv_empty_file_names_the_path(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("")
+    with pytest.raises(DataFormatError) as exc:
+        load_csv(path)
+    assert type(exc.value) is DataFormatError
+    assert str(exc.value) == f"{path}: empty file, expected header"
 
 
 def test_csv_parse_errors_name_the_line(tmp_path):
@@ -229,6 +239,31 @@ def test_partition_odd_pair_count():
     ds = _pairs_dataset(3)
     with pytest.raises(PartitionSizeError):
         partition_points(ds)
+
+
+def test_partition_rejects_an_unbalanced_split():
+    # A lone real point and one conjugate pair are two units, an even
+    # count, yet the alternating split puts one point left and two right.
+    ds = FrequencyDataset.from_arrays([0.5, 1j, -1j], [2.0, 1.0 + 1.0j, 1.0 - 1.0j])
+    with pytest.raises(PartitionSizeError) as exc:
+        partition_points(ds)
+    assert str(exc.value) == (
+        "alternating split is unbalanced: 1 left vs 2 right points "
+        "(mixed real/complex units)"
+    )
+
+
+@pytest.mark.parametrize("sizes, err, message", [
+    ((2, 2, 1, 1), PartitionSizeError, "left/right sizes differ: 2 vs 1"),
+    ((2, 1, 2, 2), ValueError, "left point/value length mismatch"),
+    ((2, 2, 2, 1), ValueError, "right point/value length mismatch"),
+], ids=["sides", "left", "right"])
+def test_point_partition_checks_its_sizes(sizes, err, message):
+    arrays = [np.array([1j, -1j][:n]) for n in sizes]
+    with pytest.raises(err) as exc:
+        PointPartition(*arrays)
+    assert type(exc.value) is err
+    assert str(exc.value) == message
 
 
 def test_partition_requires_closure():

@@ -28,7 +28,6 @@ from loewner_lab.freq_data import FrequencyDataset, close_conjugate, partition_p
 from loewner_lab.lddc import (
     PARASITIC_POLE_FACTOR,
     ReductionSweep,
-    ReferenceModelSpec,
     SweepRow,
     closed_loop_reference,
     ideal_controller_response,
@@ -57,30 +56,21 @@ def roundtrip():
     return g, k0, data, closed_loop_reference(g, k0)
 
 
-def constant_reference(value, **kw):
-    return ReferenceModelSpec(transfer=TransferMap.constant(value), **kw)
-
-
 class TestReferenceModels:
     def test_second_order_target_values(self):
         m = second_order_reference()
-        assert complex(m.transfer(0.0)) == pytest.approx(1.0)
+        assert complex(m(0.0)) == pytest.approx(1.0)
         # Critically damped: denominator (s/w0 + 1)^2, so M(i*w0) = -i/2.
-        assert complex(m.transfer(0.5j)) == pytest.approx(-0.5j)
-        assert abs(complex(m.transfer(1j * 1e6))) < 1e-9
-        assert m.unity_at == (0.0,)
-
-    def test_nan_constraint_rejected(self):
-        with pytest.raises(ValueError):
-            constant_reference(1.0, unity_at=(float("nan"),))
+        assert complex(m(0.5j)) == pytest.approx(-0.5j)
+        assert abs(complex(m(1j * 1e6))) < 1e-9
 
     def test_tabulated_reference_is_grid_locked(self):
         z = 1j * np.array([1.0, 2.0])
         ds = FrequencyDataset.from_arrays(z, np.array([0.5 + 0j, 0.25 + 0j]))
         m = reference_from_dataset(ds)
-        assert complex(m.transfer(1j)) == 0.5 + 0j
+        assert complex(m(1j)) == 0.5 + 0j
         with pytest.raises(GridMismatchError):
-            m.transfer(0.123j)
+            m(0.123j)
 
 
 class TestIdealController:
@@ -94,7 +84,7 @@ class TestIdealController:
     def test_tabulated_target_round_trip(self, roundtrip):
         # Same round trip with M handed over as bare samples on the grid.
         g, k0, data, mspec = roundtrip
-        mvals = np.asarray(mspec.transfer(data.points()), dtype=complex)
+        mvals = np.asarray(mspec(data.points()), dtype=complex)
         mdata = FrequencyDataset.from_arrays(data.points(), mvals)
         kstar = ideal_controller_response(data, reference_from_dataset(mdata))
         want = eval_transfer(k0, kstar.points())
@@ -102,7 +92,7 @@ class TestIdealController:
 
     def test_zero_target_gives_zero_controller(self, roundtrip):
         _, _, data, _ = roundtrip
-        kstar = ideal_controller_response(data, constant_reference(0.0))
+        kstar = ideal_controller_response(data, TransferMap.constant(0.0))
         assert np.all(kstar.values() == 0.0)
 
     def test_dead_plant_point_is_named(self):
@@ -115,7 +105,7 @@ class TestIdealController:
     def test_unit_target_point_is_named(self, roundtrip):
         _, _, data, _ = roundtrip
         with pytest.raises(SingularityError, match="equals one"):
-            ideal_controller_response(data, constant_reference(1.0))
+            ideal_controller_response(data, TransferMap.constant(1.0))
 
     def test_result_is_conjugate_closed(self, roundtrip):
         _, _, data, mspec = roundtrip
@@ -126,7 +116,7 @@ class TestIdealController:
 class TestSmallGainBound:
     def test_zero_target_gives_plant_peak(self, roundtrip):
         _, _, data, _ = roundtrip
-        gamma = small_gain_bound(data, constant_reference(0.0))
+        gamma = small_gain_bound(data, TransferMap.constant(0.0))
         assert gamma == pytest.approx(float(np.max(np.abs(data.values()))))
 
     def test_unit_target_is_vacuous_without_warnings(self, roundtrip):
@@ -135,7 +125,7 @@ class TestSmallGainBound:
         _, _, data, _ = roundtrip
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            gamma = small_gain_bound(data, constant_reference(1.0))
+            gamma = small_gain_bound(data, TransferMap.constant(1.0))
         assert gamma == 0.0
         assert caught == []
 
@@ -236,6 +226,33 @@ class TestReduceController:
         for a, b in kept:
             assert (b.projection_size, b.error) == (a.projection_size, a.error)
 
+    def test_singular_order_one_candidate_leaves_a_failed_row(
+        self, plant_dataset, monkeypatch
+    ):
+        # On m1 every candidate's poles are all dynamic, so only the size-1
+        # candidate can serve order 1.  A zero pencil there is skipped.
+        m_ref = second_order_reference()
+        kstar = ideal_controller_response(plant_dataset, m_ref)
+        gamma = small_gain_bound(plant_dataset, m_ref)
+        real = lddc._sweep_candidates
+
+        def singular_first(partition, r):
+            first, *rest = real(partition, r)
+            zero = np.zeros((1, 1))
+            return [DescriptorRealization(zero, zero, first.B, first.C), *rest]
+
+        orders = range(1, 14)
+        want = reduce_controller(kstar, orders, gamma_bound=gamma)
+        monkeypatch.setattr(lddc, "_sweep_candidates", singular_first)
+        got = reduce_controller(kstar, orders, gamma_bound=gamma)
+        assert want.rows[0].verdict == "inconclusive"
+        failed = got.rows[0]
+        assert (failed.order, failed.verdict, failed.realization) == (1, "failed", None)
+        assert failed.error == failed.error_rel == math.inf
+        assert failed.projection_size == 0
+        same_rows(want.rows[1:], got.rows[1:])
+        assert got.smallest_safe_order() == want.smallest_safe_order() == 13
+
     def test_sweep_requires_increasing_orders(self):
         row = SweepRow(order=2, realization=None, error=math.inf,
                        error_rel=math.inf, verdict="failed")
@@ -274,10 +291,10 @@ def swept_candidates(request, plant_dataset, m2_reference):
         return vals
 
     def poles_spy(rlz):
-        spec = poles(rlz)
+        finite = poles(rlz)
         assert seen[-1][0] is rlz
-        seen[-1].append(spec.finite)
-        return spec
+        seen[-1].append(finite)
+        return finite
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lddc, "eval_transfer", values_spy)
@@ -376,7 +393,7 @@ def full_grid_sweep(kstar_data, orders, gamma_bound):
     candidates = []
     for rlz in _sweep_candidates(partition, min(orders[-1] + 1, partition.size)):
         try:
-            vals, finite = eval_transfer(rlz, z[::-1])[::-1], poles(rlz).finite
+            vals, finite = eval_transfer(rlz, z[::-1])[::-1], poles(rlz)
         except LoewnerLabError:
             continue
         diff = np.abs(vals - kstar)

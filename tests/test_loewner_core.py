@@ -279,16 +279,16 @@ class TestProjection:
         probe = np.array([0.33j, 4.7j, 0.5 + 0.25j, 2.0 - 1.0j])
         err = np.abs(eval_transfer(rlz, probe) - biquad(probe))
         assert np.max(err / np.abs(biquad(probe))) < 1e-10
-        got = np.sort(poles(rlz).finite.real)
+        got = np.sort(poles(rlz).real)
         assert np.allclose(got, [-2.0, -1.0], atol=1e-8)
-        assert np.max(np.abs(poles(rlz).finite.imag)) < 1e-8
+        assert np.max(np.abs(poles(rlz).imag)) < 1e-8
 
     def test_single_pole_recovery(self):
         h = lambda s: 1.0 / (s + 1.0)
         pen = pencil_from_oracle(h, np.array([0.1, 0.5, 2.0, 8.0]))
         assert detect_rank(pen).rank == 1
         rlz = reduce_to_realization(pen, 1)
-        assert poles(rlz).finite[0] == pytest.approx(-1.0, abs=1e-8)
+        assert poles(rlz)[0] == pytest.approx(-1.0, abs=1e-8)
         assert abs(eval_transfer(rlz, 0.3 + 0.2j) - h(0.3 + 0.2j)) < 1e-10
 
     def test_projected_matrices_are_real(self):
@@ -322,7 +322,7 @@ class TestProjection:
             err = np.abs(eval_transfer(rlz, dense) - ref)
             scale = np.max(np.abs(ref))
             assert np.max(err) < 1e-8 * scale, f"trial {trial}"
-            got = poles(rlz).finite
+            got = poles(rlz)
             for p in true_poles:
                 assert np.min(np.abs(got - p)) < 1e-6 * max(1.0, abs(p)), (
                     f"trial {trial}: pole {p} missing"
@@ -387,6 +387,22 @@ class TestRealnessTransform:
                 PointPartition(left_points=mu, left_values=biquad(mu),
                                right_points=lam, right_values=biquad(lam))
             )
+
+    @pytest.mark.parametrize("build", [
+        build_pencil, lambda p: loewner_core._sweep_candidates(p, 1),
+    ], ids=["build_pencil", "sweep_candidates"])
+    def test_non_conjugate_values_rejected(self, build):
+        # Conjugate points on the left carry equal, not conjugate, values, so
+        # the transformed Loewner matrix keeps an imaginary part.
+        mu, lam = np.array([1j, -1j]), np.array([2j, -2j])
+        part = PointPartition(left_points=mu, left_values=np.full(2, biquad(1j)),
+                              right_points=lam, right_values=biquad(lam))
+        want = (r"realness transform of Loewner matrix left imaginary residue "
+                r"\S+; data is not conjugate-symmetric")
+        with pytest.raises(LoewnerLabError) as exc:
+            build(part)
+        assert type(exc.value) is LoewnerLabError
+        assert re.fullmatch(want, str(exc.value)), str(exc.value)
 
     @staticmethod
     def walked_pair_starts(points):

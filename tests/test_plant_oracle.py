@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from loewner_lab.errors import PoleHitError, SingularityError
-from loewner_lab.plant_oracle import PlantParameters, eval_actuator, eval_plant, sample_grid
+from loewner_lab.plant_oracle import (
+    DOMAIN_LENGTH,
+    PlantParameters,
+    eval_actuator,
+    eval_plant,
+    sample_grid,
+)
 
 P = PlantParameters()
 
@@ -102,3 +108,25 @@ def test_sample_grid_rejects_bad_arguments():
         sample_grid(10, 5.0, 2.0)
     with pytest.raises(ValueError, match="w_max < inf"):
         sample_grid(10, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("omega0", 0.0, "omega0 must be positive, got 0.0"),
+    ("omega0", math.nan, "omega0 must be positive, got nan"),
+    ("damping", -0.5, "damping must be positive, got -0.5"),
+    ("x_m", -0.1, f"x_m must lie in [0, {DOMAIN_LENGTH}], got -0.1"),
+    ("x_m", DOMAIN_LENGTH + 0.5, f"x_m must lie in [0, {DOMAIN_LENGTH}], got 3.5"),
+])
+def test_plant_parameters_are_range_checked(field, value, message):
+    with pytest.raises(ValueError) as exc:
+        PlantParameters(**{field: value})
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("x", [-0.1, DOMAIN_LENGTH + 0.5, math.nan])
+def test_plant_rejects_a_point_outside_the_domain(x):
+    with pytest.raises(ValueError) as exc:
+        eval_plant(P, x, 1j)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"x must lie in [0, {DOMAIN_LENGTH}], got {x}"

@@ -36,7 +36,6 @@ from helpers import crossing_delay
 from loewner_lab.descriptor_ops import TransferMap
 from loewner_lab.freq_data import FrequencyDataset, close_conjugate, partition_points
 from loewner_lab.lddc import (
-    ReferenceModelSpec,
     closed_loop_reference,
     ideal_controller_response,
     reduce_controller,
@@ -119,7 +118,7 @@ def test_the_published_flip_position_at_x_m_2_1(grid_points, omega_grid, pi_pape
 def ideal_controller_tag(plant_dataset, omega_grid, m_ref):
     """The stability tag of the tabulated K* samples on the plant grid."""
     kstar = ideal_controller_response(plant_dataset, m_ref)
-    return stability_tag(reference_from_dataset(kstar).transfer, omega_grid)
+    return stability_tag(reference_from_dataset(kstar), omega_grid)
 
 
 def test_the_m1_ideal_controller_is_antistable(plant_dataset, omega_grid):
@@ -133,9 +132,9 @@ def test_the_m1_target_with_the_plant_delay_gives_a_stable_ideal_controller(
     plant_params, plant_dataset, omega_grid
 ):
     m1, delay = second_order_reference(), plant_params.x_m**2
-    delayed = ReferenceModelSpec(TransferMap.from_callable(
-        lambda s: m1.transfer(s) * np.exp(-delay * np.asarray(s))
-    ))
+    delayed = TransferMap.from_callable(
+        lambda s: m1(s) * np.exp(-delay * np.asarray(s))
+    )
     report = ideal_controller_tag(plant_dataset, omega_grid, delayed)
     assert report.verdict == "stable"
     assert (report.order, report.antistable_order) == (29, 0)
