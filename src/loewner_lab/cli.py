@@ -191,7 +191,7 @@ def cmd_lddc(args) -> int:
         pick = next(row for row in sweep.rows if row.order == safe)
         note = f"smallest certified-stable order {safe}"
     else:
-        pick = min(sweep.rows, key=lambda row: row.error)
+        pick = min(sweep.rows, key=lambda row: row.error_rel)
         note = f"no order certified; lowest-error order {pick.order}"
     if pick.realization is None:
         raise LoewnerLabError("no controller realization could be built")

@@ -30,6 +30,11 @@ other points evaluated with it.  :func:`poles` reads the form's
 eigenvalues, and the stable/antistable split reorders a copy of the form
 with LAPACK ``tgsen``.
 
+``gges``, ``tgsen`` and the split's ``tgsyl`` are the only code the
+package takes from scipy.  They are bound from scipy's LAPACK extension
+file (see ``_bind_lapack``), not through ``import scipy.linalg``, whose
+package init cost more than the rest of the library's import.
+
 The :class:`TransferMap` wrapper lets rational realizations and irrational
 closed-form models (square roots, delays) flow through the same analysis
 code paths.
@@ -38,14 +43,16 @@ code paths.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BoundaryPoleError,
@@ -74,6 +81,60 @@ __all__ = [
     "save_realization",
     "load_realization",
 ]
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_path() -> str:
+    """The file of scipy's LAPACK extension, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    for root in spec.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "linalg", "_flapack" + suffix)
+            if path.is_file():
+                return str(path)
+    raise ImportError(f"no {_FLAPACK} extension under {spec.submodule_search_locations}")
+
+
+def _bind_lapack():
+    """scipy's LAPACK routines, without the ``scipy.linalg`` package init.
+
+    The module calls three LAPACK routines and nothing else of scipy:
+    ``dgges``, ``dtgsen`` and ``dtgsyl``.  ``import scipy.linalg`` runs
+    the whole package's init, whose array-API layer imports
+    ``numpy.f2py``, ``numpy.testing`` and ``numpy.random``; that was most
+    of the library's import time.  So the extension ``_flapack`` is loaded
+    from its file.  Its routines are the objects ``scipy.linalg.lapack``
+    exposes, so every value is the same bit for bit.  Loading registers
+    the extension in ``sys.modules`` while its parent package is not
+    imported; that entry is removed, so a later ``import scipy.linalg``
+    imports the whole package and finds the same routines.  If the direct
+    load fails for any reason (another scipy layout, a missing file), the
+    public ``scipy.linalg.lapack`` is imported instead: slower, never
+    different.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    try:
+        path = _flapack_path()
+        loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+        finally:
+            sys.modules.pop(_FLAPACK, None)
+        return module
+    except Exception:
+        # The layout is scipy's private one; whatever broke, the public
+        # import below gives the same routines or raises its own error.
+        import scipy.linalg.lapack
+
+        return scipy.linalg.lapack
+
+
+_lapack = _bind_lapack()
+
 
 def _as_real_matrix(name: str, M, shape: tuple[int, int]) -> np.ndarray:
     """A read-only real copy of ``M``; a complex or non-finite entry or a
@@ -250,7 +311,9 @@ def _no_sort(*_args):
 def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
     """One real QZ of (A, E): the ``gges`` call ``scipy.linalg.qz`` makes.
 
-    Same workspace query and arguments, so S, T, Q and Z are qz's bit for
+    ``dgges`` is the routine object ``scipy.linalg.lapack`` exposes, bound
+    by ``_bind_lapack`` without importing ``scipy.linalg``.  Same
+    workspace query and arguments, so S, T, Q and Z are qz's bit for
     bit; qz drops the eigenvalues that the same call returns, and this
     keeps them.  Every array is read-only: ``DescriptorRealization._schur``
     caches the form.  A realization is finite from construction on, so
@@ -265,7 +328,7 @@ def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
     so the next query factors again.
     """
     A, E = rlz.A, rlz.E
-    gges = scipy.linalg.lapack.dgges
+    gges = _lapack.dgges
     lwork = gges(_no_sort, A, E, lwork=-1)[-2][0].real.astype(int)
     S, T, _sdim, alphar, alphai, beta, Q, Z, _work, info = gges(
         _no_sort, A, E, lwork=lwork, sort_t=0
@@ -419,6 +482,8 @@ def stable_antistable_split(rlz: DescriptorRealization) -> StableSplit:
     :class:`SingularPencilError`.  The off-diagonal coupling blocks are
     then annihilated with a generalized Sylvester solve, yielding two
     decoupled descriptor systems whose transfers sum to the original.
+    ``dtgsen`` and ``dtgsyl`` are ``scipy.linalg.lapack``'s routines,
+    bound by ``_bind_lapack`` without importing ``scipy.linalg``.
     """
     n = rlz.order
     if n == 0:
@@ -433,7 +498,7 @@ def stable_antistable_split(rlz: DescriptorRealization) -> StableSplit:
     select = fin & (lam.real < 0.0)
     k = int(np.sum(select))
     # The reordering scipy.linalg.ordqz runs after its QZ, same arguments.
-    S, T, alphar, alphai, beta, Q, Z, *_, info = scipy.linalg.lapack.dtgsen(
+    S, T, alphar, alphai, beta, Q, Z, *_, info = _lapack.dtgsen(
         select, form.S, form.T, form.Q, form.Z, ijob=0, lwork=4 * n + 16, liwork=1
     )
     lam, fin = _eigenvalues(_SchurForm(S, T, Q, Z, alphar, alphai, beta), rlz.E)
@@ -453,7 +518,7 @@ def stable_antistable_split(rlz: DescriptorRealization) -> StableSplit:
     # Decouple: find R, L with S11 R + L S22 = -S12 and T11 R + L T22 = -T12,
     # solved by LAPACK's generalized Sylvester routine (which uses the
     # convention S11 R - L' S22 = scale*C, hence the sign flip on L).
-    r_, l_, scale_, _dif, info = scipy.linalg.lapack.dtgsyl(S11, S22, -S12, T11, T22, -T12)
+    r_, l_, scale_, _dif, info = _lapack.dtgsyl(S11, S22, -S12, T11, T22, -T12)
     if info < 0 or scale_ == 0.0:
         raise SingularPencilError(
             f"generalized Sylvester solve failed (info={info})"

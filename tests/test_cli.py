@@ -98,6 +98,7 @@ plant = TransferMap.from_realization(DescriptorRealization(E=one, A=-one, B=one,
 res = optimize_pi(plant, default_weights(), np.geomspace(1e-2, 1e2, 30), PIController(0.5, 0.1))
 assert res.stable and res.feasible_candidates > 0
 assert "scipy.optimize" not in sys.modules
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
         src = str(Path(loewner_lab.__file__).resolve().parent.parent)
         proc = subprocess.run(
@@ -106,6 +107,55 @@ assert "scipy.optimize" not in sys.modules
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "pi.json").exists()
+
+    @staticmethod
+    def run_fresh(code):
+        src = str(Path(loewner_lab.__file__).resolve().parent.parent)
+        return subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_import_loads_no_scipy_and_a_later_scipy_linalg_is_whole(self):
+        # The LAPACK routines are bound from scipy's extension file, so the
+        # import runs no scipy package init; a later ``import scipy.linalg``
+        # still imports the whole package and finds the same routines.
+        proc = self.run_fresh("""
+import sys
+import numpy as np
+import loewner_lab.cli
+from loewner_lab import descriptor_ops
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == [], loaded
+import scipy.linalg
+import scipy.linalg._flapack
+assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+A, E = np.random.default_rng(0).standard_normal((2, 6, 6))
+S, T, Q, Z = scipy.linalg.qz(A, E, output="real")
+assert np.allclose(Q @ S @ Z.T, A) and np.allclose(Q @ T @ Z.T, E)
+for name in ("dgges", "dtgsen", "dtgsyl"):
+    assert getattr(scipy.linalg.lapack, name) is getattr(descriptor_ops._lapack, name), name
+""")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_the_module_entry_point_loads_no_scipy(self):
+        # ``python -m loewner_lab --help``, run through runpy so that the
+        # interpreter's modules can be read once the command has exited.
+        proc = self.run_fresh("""
+import runpy
+import sys
+sys.argv = ["loewner_lab", "--help"]
+try:
+    runpy.run_module("loewner_lab", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+assert code in (0, None), code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == [], loaded
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: ")
 
 
 class TestApproximate:
@@ -229,6 +279,34 @@ for ref in ("m1", "m2"):
         assert note.startswith("smallest certified-stable order") == certified
         assert (err < inv) == certified
         assert label == "relative grid error"
+
+    def test_no_certified_order_picks_the_lowest_relative_error(self, tmp_path, capsys):
+        # The verdict and the summary read the relative error, so the row
+        # named when nothing is certified is the one with the lowest
+        # relative error, not the lowest absolute error.
+        from loewner_lab.freq_data import close_conjugate, load_csv
+
+        assert main(["sample", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "lddc"
+        rc = main([
+            "lddc", str(tmp_path / "plant.csv"), "--reference", "m1",
+            "--max-order", "5", "--out", str(out),
+        ])
+        assert rc == 0
+        line = capsys.readouterr().out.strip().split("\n")[-1]
+        data = close_conjugate(load_csv(tmp_path / "plant.csv"))
+        m_ref = lddc.second_order_reference()
+        sweep = lddc.reduce_controller(
+            lddc.ideal_controller_response(data, m_ref), range(1, 6),
+            gamma_bound=lddc.small_gain_bound(data, m_ref),
+        )
+        assert sweep.smallest_safe_order() is None
+        pick = min(sweep.rows, key=lambda row: row.error_rel)
+        # Here the two rules disagree: order 1 against order 5.
+        assert (pick.order, min(sweep.rows, key=lambda row: row.error).order) == (1, 5)
+        assert line.startswith(f"no order certified; lowest-error order {pick.order} ")
+        assert f"(relative grid error {pick.error_rel:.3e}," in line
+        assert json.loads((out / "controller.json").read_text()) == realization_to_json(pick.realization)
 
     def test_no_realization_is_an_error_and_leaves_no_out_directory(
         self, tmp_path, plant_csv, capsys, monkeypatch

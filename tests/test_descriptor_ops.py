@@ -8,6 +8,7 @@ for spectra.
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -518,16 +519,77 @@ class TestFactoredOnce:
         assert np.array_equal(poles(rlz), poles(self.mixed()))
 
 
+def lapack_outputs(lib, A, E):
+    """Every output of ``lib``'s ``dgges``, ``dtgsen`` and ``dtgsyl`` on the
+    pencil (A, E), called as ``_real_schur`` and the split call them, each
+    as (dtype, shape, bytes)."""
+    n = A.shape[0]
+    lwork = lib.dgges(descriptor_ops._no_sort, A, E, lwork=-1)[-2][0].real.astype(int)
+    qz = lib.dgges(descriptor_ops._no_sort, A, E, lwork=lwork, sort_t=0)
+    S, T, _sdim, alphar, alphai, beta, Q, Z, _work, _info = qz
+    select = alphar / beta < 0.0
+    ordered = lib.dtgsen(select, S, T, Q, Z, ijob=0, lwork=4 * n + 16, liwork=1)
+    S, T = ordered[:2]
+    k = int(np.sum(select))
+    assert 0 < k < n
+    sylvester = lib.dtgsyl(
+        S[:k, :k], S[k:, k:], -S[:k, k:], T[:k, :k], T[k:, k:], -T[:k, k:]
+    )
+    return [
+        (x.dtype, x.shape, x.tobytes())
+        for x in map(np.asarray, (*qz, *ordered, *sylvester))
+    ]
+
+
+class TestLapackBinding:
+    """``descriptor_ops`` binds scipy's LAPACK extension from its file,
+    without the ``scipy.linalg`` package init."""
+
+    rng = np.random.default_rng(34)
+    A = rng.standard_normal((34, 34))
+    E = np.eye(34) + 0.1 * rng.standard_normal((34, 34))
+
+    def test_bound_routines_match_scipy_byte_for_byte(self):
+        got = lapack_outputs(descriptor_ops._lapack, self.A, self.E)
+        assert got == lapack_outputs(scipy.linalg.lapack, self.A, self.E)
+
+    def test_the_extension_is_loaded_from_its_file_and_left_unregistered(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, descriptor_ops._FLAPACK, raising=False)
+        lib = descriptor_ops._bind_lapack()
+        assert lib.__name__ == "scipy.linalg._flapack"
+        assert lib.__file__ == descriptor_ops._flapack_path()
+        assert descriptor_ops._FLAPACK not in sys.modules
+        for name in ("dgges", "dtgsen", "dtgsyl"):
+            assert getattr(lib, name) is getattr(scipy.linalg.lapack, name)
+
+    def test_an_imported_extension_is_reused_and_left_registered(self):
+        # This module imported scipy.linalg, which registered _flapack.
+        lib = sys.modules[descriptor_ops._FLAPACK]
+        assert descriptor_ops._bind_lapack() is lib
+        assert sys.modules[descriptor_ops._FLAPACK] is lib
+
+    def test_a_failed_direct_load_falls_back_to_scipy_linalg_lapack(self, monkeypatch):
+        def missing():
+            raise ImportError("no such extension")
+
+        monkeypatch.setattr(descriptor_ops, "_flapack_path", missing)
+        monkeypatch.delitem(sys.modules, descriptor_ops._FLAPACK, raising=False)
+        lib = descriptor_ops._bind_lapack()
+        assert lib is scipy.linalg.lapack
+        got = lapack_outputs(lib, self.A, self.E)
+        assert got == lapack_outputs(descriptor_ops._lapack, self.A, self.E)
+
+
 def fail_gges(monkeypatch, info, when=lambda A: True):
     """Make LAPACK ``gges`` return ``info`` from each factorization of an
     ``A`` that ``when`` accepts; workspace queries are left alone."""
-    real_gges = scipy.linalg.lapack.dgges
+    real_gges = descriptor_ops._lapack.dgges
 
     def failing(sort, A, E, **kwargs):
         out = real_gges(sort, A, E, **kwargs)
         return out if kwargs.get("lwork") == -1 or not when(A) else (*out[:-1], info)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgges", failing)
+    monkeypatch.setattr(descriptor_ops._lapack, "dgges", failing)
 
 
 class TestFailedFactorizationIsHandled:
@@ -625,7 +687,7 @@ class TestRealizationValidation:
 
             monkeypatch.setattr(module, name, recorded)
 
-        spy(scipy.linalg.lapack, "dgges")
+        spy(descriptor_ops._lapack, "dgges")
         spy(np.linalg, "slogdet")
         spy(np.linalg, "det")
         rng = np.random.default_rng(34)
@@ -805,13 +867,13 @@ class TestStableAntistableSplit:
             assert poles(sp.antistable_part).size <= sp.antistable_part.order - 1
 
     def test_failed_reordering_raises(self, monkeypatch):
-        real = scipy.linalg.lapack.dtgsen
+        real = descriptor_ops._lapack.dtgsen
 
         def failing(*args, **kwargs):
             *out, _info = real(*args, **kwargs)
             return (*out, 1)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dtgsen", failing)
+        monkeypatch.setattr(descriptor_ops._lapack, "dtgsen", failing)
         rlz = modal_realization([], [(-1.0, 1.0), (2.0, 1.0)])
         with pytest.raises(SingularPencilError, match=r"reordering failed \(info=1\)"):
             stable_antistable_split(rlz)

@@ -46,7 +46,7 @@ class TestStabilityTag:
         # The band filter reads the split's eigenvalues: one reordering of
         # the form and no separate eigenvalue solve per tag.
         calls = {"eig": 0, "dtgsen": 0}
-        for module, name in ((scipy.linalg, "eig"), (scipy.linalg.lapack, "dtgsen")):
+        for module, name in ((scipy.linalg, "eig"), (descriptor_ops._lapack, "dtgsen")):
             real = getattr(module, name)
 
             def spy(*args, _real=real, _name=name, **kwargs):
@@ -346,13 +346,13 @@ class TestDelaySweep:
             )
 
     def test_failed_reordering_is_an_inconclusive_row(self, monkeypatch):
-        real = scipy.linalg.lapack.dtgsen
+        real = descriptor_ops._lapack.dtgsen
 
         def failing(*args, **kwargs):
             *out, _info = real(*args, **kwargs)
             return (*out, 1)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dtgsen", failing)
+        monkeypatch.setattr(descriptor_ops._lapack, "dtgsen", failing)
         res = delay_margin_sweep(self.plant, self.unity, [0.0, 0.8], self.grid)
         assert [row.verdict for row in res.rows] == ["inconclusive"] * 2
         assert all(math.isnan(row.stab_tag) for row in res.rows)

@@ -3,9 +3,9 @@
 Every name a module lists in ``__all__`` must exist in it, and every name
 the package root re-exports must be listed in its module's ``__all__``, so
 that removing a function leaves no stale export behind.  The structure
-guards keep a realization's real Schur form behind ``descriptor_ops``, and
-the pencil's and the pairing's internals behind ``loewner_core`` and
-``freq_data``.
+guards keep a realization's real Schur form and scipy behind
+``descriptor_ops``, and the pencil's and the pairing's internals behind
+``loewner_core`` and ``freq_data``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -136,5 +137,59 @@ def test_no_module_warns():
     # module imports ``warnings`` or calls any ``warn``.
     users = [
         module for module, tree in _module_trees() if {"warnings", "warn"} & set(_names(tree))
+    ]
+    assert users == []
+
+
+def _mentions_scipy(tree):
+    """Whether a module reads, imports or names (as a module-path string)
+    ``scipy`` or any of its submodules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value if re.fullmatch(r"[\w.]+", node.value) else ""
+        else:
+            continue
+        if name.split(".")[0] == "scipy":
+            return True
+    return False
+
+
+def _import_time_modules(tree):
+    """Every module a module imports when it is itself imported: its
+    import statements outside function bodies."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def test_only_descriptor_ops_names_scipy():
+    # descriptor_ops binds scipy's three LAPACK routines in one function;
+    # no other module reaches scipy.
+    users = [module for module, tree in _module_trees() if _mentions_scipy(tree)]
+    assert users == ["descriptor_ops"]
+
+
+def test_no_module_imports_scipy_linalg_at_import_time():
+    # ``import scipy.linalg`` runs the package's whole init, most of the
+    # library's import time; only the binding's fallback may import it.
+    users = [
+        f"{module}: {name}"
+        for module, tree in _module_trees()
+        for name in _import_time_modules(tree)
+        if name.split(".")[:2] == ["scipy", "linalg"]
     ]
     assert users == []
