@@ -49,6 +49,7 @@ from .mfsa import (
     DelaySweepResult,
     StabilityReport,
     delay_margin_sweep,
+    loop_tag,
     nyquist_curve,
     stability_tag,
 )

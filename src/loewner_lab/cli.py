@@ -25,7 +25,6 @@ import numpy as np
 from .descriptor_ops import (
     TransferMap,
     _check_delays,
-    closed_loop_delay,
     eval_transfer,
     load_realization,
     save_realization,
@@ -41,7 +40,7 @@ from .lddc import (
     small_gain_bound,
 )
 from .loewner_core import RANK_TOL, build_pencil, detect_rank, reduce_to_realization
-from .mfsa import STABILITY_EPSILON, _delay_grid, delay_margin_sweep, nyquist_curve, stability_tag
+from .mfsa import STABILITY_EPSILON, delay_margin_sweep, loop_tag, nyquist_curve, stability_tag
 from .pi_synth import PIController, default_weights, optimize_pi
 from .plant_oracle import PlantParameters, eval_plant, sample_grid
 
@@ -186,12 +185,10 @@ def cmd_lddc(args) -> int:
     kstar = ideal_controller_response(dataset, m_ref)
     sweep = reduce_controller(kstar, range(1, args.max_order + 1), gamma_bound=gamma)
     inv = 1.0 / gamma if gamma > 0 else math.inf
-    safe = sweep.smallest_safe_order()
-    if safe is not None:
-        pick = next(row for row in sweep.rows if row.order == safe)
-        note = f"smallest certified-stable order {safe}"
+    pick = sweep.pick()
+    if pick.verdict == "stable":
+        note = f"smallest certified-stable order {pick.order}"
     else:
-        pick = min(sweep.rows, key=lambda row: row.error_rel)
         note = f"no order certified; lowest-error order {pick.order}"
     if pick.realization is None:
         raise LoewnerLabError("no controller realization could be built")
@@ -225,16 +222,8 @@ def cmd_synth(args) -> int:
     comp = 1.0 - sens
     out = _out_dir(args)
     (out / "pi.json").write_text(json.dumps(obj, indent=1) + "\n")
-    _write_rows(
-        out / "sensitivity.csv",
-        "omega_rad_s,re,im",
-        [(float(w), float(v.real), float(v.imag)) for w, v in zip(grid, sens)],
-    )
-    _write_rows(
-        out / "complementary.csv",
-        "omega_rad_s,re,im",
-        [(float(w), float(v.real), float(v.imag)) for w, v in zip(grid, comp)],
-    )
+    save_csv(FrequencyDataset.from_arrays(1j * grid, sens), out / "sensitivity.csv")
+    save_csv(FrequencyDataset.from_arrays(1j * grid, comp), out / "complementary.csv")
     print(
         f"kp = {ctrl.kp:.6g}, ki = {ctrl.ki:.6g}, gamma = {result.gamma:.6g}, "
         f"closed loop stable: {result.stable}"
@@ -242,19 +231,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _loop_map(args) -> TransferMap:
+def cmd_mfsa(args) -> int:
     plant = _plant_map(args)
     if args.controller is None:
         if args.tau:
             raise LoewnerLabError("--tau requires --controller")
-        return plant
-    k = TransferMap.from_realization(load_realization(args.controller))
-    return closed_loop_delay(plant, k, args.tau)
-
-
-def cmd_mfsa(args) -> int:
-    h = _loop_map(args)
-    report = stability_tag(h, _delay_grid(_grid(args), args.tau), epsilon=args.epsilon)
+        report = stability_tag(plant, _grid(args), epsilon=args.epsilon)
+    else:
+        k = TransferMap.from_realization(load_realization(args.controller))
+        report = loop_tag(plant, k, args.tau, _grid(args), epsilon=args.epsilon)
     obj = {
         "stab_tag": _json_safe(report.stab_tag),
         "epsilon": report.epsilon,

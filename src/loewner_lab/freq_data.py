@@ -17,6 +17,7 @@ arrays as a whole and keep the dataset's point order.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,28 +163,32 @@ def load_csv(path) -> FrequencyDataset:
 
     Points are placed on the imaginary axis (z = i*omega), so the returned
     dataset is not conjugate-closed unless the file lists both omega and
-    -omega; run :func:`close_conjugate` before partitioning.  Every error
-    about the file's contents starts with ``path``.
+    -omega; run :func:`close_conjugate` before partitioning.  The file is
+    UTF-8 text, with or without a byte-order mark.  Every error about the
+    file's contents starts with ``path``.
     """
     path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file, expected header") from None
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise DataFormatError(
+            f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+        )
     rows: list[list[float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected header") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DataFormatError(
-                f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            where = f"{path}: line {line_no}"
-            if len(row) != 3:
-                raise DataFormatError(f"{where}: expected 3 fields, got {len(row)}")
-            rows.append([_parse_float(tok, where, col) for tok, col in zip(row, CSV_HEADER)])
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        where = f"{path}: line {line_no}"
+        if len(row) != 3:
+            raise DataFormatError(f"{where}: expected 3 fields, got {len(row)}")
+        rows.append([_parse_float(tok, where, col) for tok, col in zip(row, CSV_HEADER)])
     try:
         return _axis_dataset(rows)
     except (DuplicatePointError, ValueError) as exc:  # a repeated or non-finite sample

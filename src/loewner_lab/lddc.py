@@ -17,6 +17,8 @@ derived from (ROADMAP open item 3).
 
 The certificate is one-sided.  Orders that fail the bound are reported as
 "inconclusive", never "unstable"; the test is conservative by nature.
+:func:`reduce_controller` builds each row once, with its verdict, and
+:meth:`ReductionSweep.pick` names the row handed out as the controller.
 
 The target M is a plain :class:`TransferMap`, called on the plant grid.
 The m1 and closed-loop targets carry their realization; a tabulated
@@ -26,8 +28,8 @@ target answers only at its own sample points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -75,7 +77,8 @@ class SweepRow:
     ``error_rel`` the same maximum taken relative to |K*(z_i)|.  ``verdict``
     is "stable" when the small-gain certificate holds, "inconclusive" when
     it does not (always so under a bound of 0.0, no certificate), and
-    "failed" when no realization could be built for the order.
+    "failed" (no realization, infinite errors) when no realization could
+    be built for the order.  The projection size is ``realization.order``.
     """
 
     order: int
@@ -83,14 +86,14 @@ class SweepRow:
     error: float
     error_rel: float
     verdict: str
-    projection_size: int = 0
 
 
 @dataclass(frozen=True)
 class ReductionSweep:
     """Reduction errors and small-gain verdicts over a range of orders,
     with the bound ``gamma_bound`` they were certified against (0.0: no
-    certificate)."""
+    certificate).  :meth:`pick` is the one rule for the row a caller hands
+    out as the controller."""
 
     rows: tuple[SweepRow, ...]
     gamma_bound: float
@@ -100,11 +103,28 @@ class ReductionSweep:
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValueError(f"sweep orders must be strictly increasing: {orders}")
 
-    def smallest_safe_order(self) -> Optional[int]:
+    def pick(self) -> SweepRow:
+        """The first certified row; with none, the first row with the lowest
+        ``error_rel``, the error the verdict reads, so a failed row only
+        when every row failed."""
         for row in self.rows:
             if row.verdict == "stable":
-                return row.order
-        return None
+                return row
+        return min(self.rows, key=lambda row: row.error_rel)
+
+    def smallest_safe_order(self) -> Optional[int]:
+        row = self.pick()
+        return row.order if row.verdict == "stable" else None
+
+
+# One projection of the sweep; tuples rank by error, then by the distinct
+# projection size.  ``poles`` counts the dynamic poles.
+class _Candidate(NamedTuple):
+    error: float
+    size: int
+    poles: int
+    error_rel: float
+    realization: DescriptorRealization
 
 
 def second_order_reference() -> TransferMap:
@@ -254,11 +274,12 @@ def reduce_controller(
     :func:`partition_points`'s :class:`PartitionSizeError`.
 
     ``gamma_bound`` is the small-gain bound, finite and >= 0, else
-    ``ValueError``; 0.0 means no certificate.  Rows whose relative grid
-    error is below 1/gamma_bound are marked "stable" (see
-    :func:`small_gain_bound` on that rule); everything else stays
-    "inconclusive".  Orders where no realization could be built are marked
-    "failed".
+    ``ValueError``; 0.0 means no certificate.  Each order's row is built
+    once, from the best eligible candidate (lowest grid error, then the
+    smaller projection), with its verdict: "stable" when its relative grid
+    error is below 1/gamma_bound (see :func:`small_gain_bound` on that
+    rule), "inconclusive" otherwise, and "failed" when no candidate is
+    eligible.  :meth:`ReductionSweep.pick` chooses among the rows.
     """
     orders = tuple(sorted({int(r) for r in orders}))
     if not orders:
@@ -282,8 +303,7 @@ def reduce_controller(
     mag = mag[nz]
     parasitic_cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(z.imag)))
 
-    # One row per projection size, its order the count of dynamic poles.
-    candidates: list[SweepRow] = []
+    candidates: list[_Candidate] = []
     for rlz in _sweep_candidates(partition, min(orders[-1] + 1, partition.size)):
         try:
             vals, finite = eval_transfer(rlz, z), poles(rlz)
@@ -292,35 +312,19 @@ def reduce_controller(
         diff = np.abs(vals - kstar)
         err = float(np.max(diff))
         err_rel = float(np.max(diff[nz] / mag)) if nz.any() else err
-        candidates.append(
-            SweepRow(
-                order=int(np.sum(np.abs(finite) <= parasitic_cut)),
-                realization=rlz,
-                error=err,
-                error_rel=err_rel,
-                verdict="inconclusive",
-                projection_size=rlz.order,
-            )
-        )
+        dynamic = int(np.sum(np.abs(finite) <= parasitic_cut))
+        candidates.append(_Candidate(err, rlz.order, dynamic, err_rel, rlz))
 
     # No error lies below the safe level 0 of a zero bound.
     safe_level = 1.0 / gamma_bound if gamma_bound > 0.0 else 0.0
 
     rows: list[SweepRow] = []
     for r in orders:
-        eligible = [c for c in candidates if c.order <= r]
+        eligible = [c for c in candidates if c.poles <= r]
         if not eligible:
-            rows.append(
-                SweepRow(
-                    order=r,
-                    realization=None,
-                    error=math.inf,
-                    error_rel=math.inf,
-                    verdict="failed",
-                )
-            )
+            rows.append(SweepRow(r, None, math.inf, math.inf, "failed"))
             continue
-        best = min(eligible, key=lambda c: (c.error, c.projection_size))
+        best = min(eligible)
         verdict = "stable" if best.error_rel < safe_level else "inconclusive"
-        rows.append(replace(best, order=r, verdict=verdict))
+        rows.append(SweepRow(r, best.realization, best.error, best.error_rel, verdict))
     return ReductionSweep(rows=tuple(rows), gamma_bound=gamma_bound)

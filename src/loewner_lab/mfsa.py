@@ -17,8 +17,9 @@ can place, those with omega_min <= |p| <= omega_max, set the verdict;
 antistable content that lives outside the band is read as stable below a
 data-relative floor and as inconclusive above it.
 
-The delay sweep applies the tag to the loop H*K/(1 + H*K*e^{-tau*s}) for a
-list of frozen delays and reports the first delay that flips the verdict.
+:func:`loop_tag` is the one verdict on the loop H*K/(1 + H*K*e^{-tau*s})
+with a frozen delay tau; the delay sweep applies it to a list of delays
+and reports the first delay that flips the verdict.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "DelayRow",
     "DelaySweepResult",
     "stability_tag",
+    "loop_tag",
     "delay_margin_sweep",
     "nyquist_curve",
 ]
@@ -303,10 +305,15 @@ def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> S
     )
 
 
-def _delay_grid(omega: np.ndarray, tau: float) -> np.ndarray:
-    """The grid a loop with delay ``tau`` is sampled on: ``DELAY_DENSIFY``
-    times finer than ``omega`` when tau > 0."""
-    return densify_log_grid(omega, DELAY_DENSIFY) if tau > 0 else omega
+def loop_tag(plant: TransferMap, k: TransferMap, tau: float, grid,
+             epsilon: float = STABILITY_EPSILON) -> StabilityReport:
+    """The one verdict on the loop plant*k/(1 + plant*k*e^{-tau*s}): built
+    by :func:`closed_loop_delay`, which checks tau, and tagged on ``grid``,
+    ``DELAY_DENSIFY`` times finer when tau > 0."""
+    loop = closed_loop_delay(plant, k, tau)
+    if tau > 0:
+        grid = densify_log_grid(grid, DELAY_DENSIFY)
+    return stability_tag(loop, grid, epsilon=epsilon)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -343,12 +350,12 @@ def delay_margin_sweep(
     epsilon: float = STABILITY_EPSILON,
     refine_bisect: int = 0,
 ) -> DelaySweepResult:
-    """Run the stability tag on the delayed loop for each frozen delay.
+    """Run :func:`loop_tag` on the delayed loop for each frozen delay.
 
-    The loop transfer H*K/(1 + H*K*e^{-tau*s}) is sampled on the given
-    grid, densified ``DELAY_DENSIFY`` times for tau > 0.  ``taus`` must be
-    non-empty and is checked by ``_check_delays`` before any row runs.
-    Rows never abort the sweep; a row whose evaluation fails is recorded as
+    Each row is the loop tag of H*K/(1 + H*K*e^{-tau*s}) on the given grid
+    at its delay.  ``taus`` must be non-empty and is checked by
+    ``_check_delays`` before any row runs.  Rows never abort the sweep; a
+    row whose tag raises a :class:`LoewnerLabError` is recorded as
     "inconclusive" with the error text attached.  A bad ``epsilon`` or grid
     is not such a failure: the first row raises its ``ValueError``.
 
@@ -360,12 +367,10 @@ def delay_margin_sweep(
     taus = _check_delays(taus)
     if not taus:
         raise ValueError("no delays requested")
-    omega = np.asarray(grid, dtype=float).ravel()
 
     def run_tau(tau: float) -> DelayRow:
         try:
-            loop = closed_loop_delay(plant, k, tau)
-            report = stability_tag(loop, _delay_grid(omega, tau), epsilon=epsilon)
+            report = loop_tag(plant, k, tau, grid, epsilon=epsilon)
         except LoewnerLabError as exc:
             return DelayRow(
                 tau=tau,

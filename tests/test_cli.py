@@ -356,6 +356,19 @@ for ref in ("m1", "m2"):
         assert str(plant_csv) not in err
         assert not out.exists()
 
+    def test_a_reference_that_is_not_utf8_names_the_reference_file(self, tmp_path, capsys):
+        assert main(["sample", "--out", str(tmp_path)]) == 0
+        plant_csv, bad = tmp_path / "plant.csv", tmp_path / "bad.csv"
+        bad.write_bytes(b"omega_rad_s,re,im\n1,2,\xff\n")
+        capsys.readouterr()
+        out = tmp_path / "lddc"
+        rc = main(["lddc", str(plant_csv), "--reference", str(bad), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+        assert str(plant_csv) not in err
+        assert not out.exists()
+
 
 class TestSynth:
     def test_pi_json_and_sensitivity_curves(self, tmp_path, capsys):

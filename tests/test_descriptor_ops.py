@@ -603,9 +603,9 @@ class TestFailedFactorizationIsHandled:
         want = reduce_controller(data, (1, 2, 3), gamma_bound=0.0).rows
         fail_gges(monkeypatch, 1, when=lambda A: A.shape[0] == 2)
         got = reduce_controller(data, (1, 2, 3), gamma_bound=0.0).rows
-        assert [row.projection_size for row in want].count(2) > 0
-        assert [row.projection_size for row in got].count(2) == 0
-        kept = [(a, b) for a, b in zip(got, want) if b.projection_size != 2]
+        assert [row.realization.order for row in want].count(2) > 0
+        assert [row.realization.order for row in got].count(2) == 0
+        kept = [(a, b) for a, b in zip(got, want) if b.realization.order != 2]
         assert kept and all(a.error == b.error for a, b in kept)
 
     def test_pi_screen_rejects_the_loop(self, monkeypatch):
@@ -996,6 +996,54 @@ class TestStableAntistableSplit:
                 + eval_transfer(sp.antistable_part, GRID)
             )
             assert rel_err(recon, eval_transfer(rlz, GRID)) < 1e-10, f"trial {trial}"
+
+
+class TestSylvesterBranches:
+    """The decoupling solve's outcomes, each forced by editing what LAPACK
+    ``tgsyl`` returns for a split of a coupled stable/antistable pair."""
+
+    # Poles -1 and 2 with a coupling the solve has to remove (R != 0).
+    rlz = DescriptorRealization(
+        E=np.eye(2), A=np.array([[-1.0, 3.0], [0.0, 2.0]]),
+        B=np.array([[1.0], [1.0]]), C=np.array([[1.0, 0.5]]), D=0.25,
+    )
+
+    @staticmethod
+    def edit_tgsyl(monkeypatch, edit):
+        """Pass each ``(R, L, scale, dif, info)`` of ``tgsyl`` through ``edit``."""
+        real = descriptor_ops._lapack.dtgsyl
+        monkeypatch.setattr(
+            descriptor_ops._lapack, "dtgsyl", lambda *a, **kw: edit(*real(*a, **kw))
+        )
+
+    @pytest.mark.parametrize("edit, info", [
+        (lambda r, l, scale, dif, info: (r, l, scale, dif, -1), -1),
+        (lambda r, l, scale, dif, info: (r, l, 0.0, dif, info), 0),
+    ])
+    def test_a_failed_solve_raises(self, monkeypatch, edit, info):
+        self.edit_tgsyl(monkeypatch, edit)
+        with pytest.raises(SingularPencilError) as exc:
+            stable_antistable_split(self.rlz)
+        assert str(exc.value) == f"generalized Sylvester solve failed (info={info})"
+
+    def test_a_perturbed_flag_with_the_true_solution_keeps_the_split(self, monkeypatch):
+        want = stable_antistable_split(self.rlz)
+        self.edit_tgsyl(monkeypatch, lambda r, l, scale, dif, info: (r, l, scale, dif, 1))
+        got = stable_antistable_split(self.rlz)
+        for part in ("stable_part", "antistable_part"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert all(np.array_equal(getattr(a, m), getattr(b, m)) for m in "EABCD"), part
+        assert np.array_equal(got.antistable_poles, want.antistable_poles)
+
+    def test_a_perturbed_flag_with_a_wrong_solution_raises(self, monkeypatch):
+        self.edit_tgsyl(
+            monkeypatch, lambda r, l, scale, dif, info: (r + 1e-3, l, scale, dif, 1)
+        )
+        with pytest.raises(
+            SingularPencilError,
+            match=r"^generalized Sylvester solve ill conditioned \(info=1, residual=\d",
+        ):
+            stable_antistable_split(self.rlz)
 
 
 class TestCompositionAlgebra:

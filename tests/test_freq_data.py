@@ -96,6 +96,26 @@ def test_csv_parse_errors_name_the_line(tmp_path):
         load_csv(path)
 
 
+def test_csv_that_is_not_utf8_names_the_path(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"omega_rad_s,re,im\n1,2,\xff\n")
+    with pytest.raises(DataFormatError) as exc:
+        load_csv(path)
+    assert type(exc.value) is DataFormatError
+    assert str(exc.value).startswith(f"{path}: not UTF-8 text: ")
+
+
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    text = "omega_rad_s,re,im\r\n0.5,1.25,-2.0\r\n2.0,0.5,0.75\r\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(text.encode("utf-8-sig"))
+    want, got = load_csv(plain), load_csv(marked)
+    assert np.array_equal(got.points(), want.points())
+    assert np.array_equal(got.values(), want.values())
+    assert np.array_equal(want.values(), [1.25 - 2.0j, 0.5 + 0.75j])
+
+
 def test_csv_duplicate_frequency(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("omega_rad_s,re,im\n1.0,2.0,3.0\n1.0,2.0,3.0\n")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,11 +219,11 @@ class TestReduceController:
         want = reduce_controller(kstar, orders=(1, 2, 3), gamma_bound=0.0)
         monkeypatch.setattr(lddc, "_sweep_candidates", zero_last_row)
         got = reduce_controller(kstar, orders=(1, 2, 3), gamma_bound=0.0)
-        assert all(row.verdict != "failed" and row.projection_size < 4 for row in got.rows)
-        kept = [(a, b) for a, b in zip(want.rows, got.rows) if a.projection_size < 4]
+        assert all(row.verdict != "failed" and row.realization.order < 4 for row in got.rows)
+        kept = [(a, b) for a, b in zip(want.rows, got.rows) if a.realization.order < 4]
         assert kept
         for a, b in kept:
-            assert (b.projection_size, b.error) == (a.projection_size, a.error)
+            assert (b.realization.order, b.error) == (a.realization.order, a.error)
 
     def test_singular_order_one_candidate_leaves_a_failed_row(
         self, plant_dataset, monkeypatch
@@ -249,7 +248,6 @@ class TestReduceController:
         failed = got.rows[0]
         assert (failed.order, failed.verdict, failed.realization) == (1, "failed", None)
         assert failed.error == failed.error_rel == math.inf
-        assert failed.projection_size == 0
         same_rows(want.rows[1:], got.rows[1:])
         assert got.smallest_safe_order() == want.smallest_safe_order() == 13
 
@@ -258,6 +256,53 @@ class TestReduceController:
                        error_rel=math.inf, verdict="failed")
         with pytest.raises(ValueError):
             ReductionSweep(rows=(row, row), gamma_bound=0.0)
+
+
+def hand_sweep(*rows):
+    """A sweep of orders 1, 2, ... from (verdict, error_rel) pairs; a failed
+    row gets no realization and infinite errors, as reduce_controller's."""
+    rlz = modal_realization([], [(-1.0, 1.0)])
+    return ReductionSweep(
+        rows=tuple(
+            SweepRow(order=r, realization=None if verdict == "failed" else rlz,
+                     error=err, error_rel=err, verdict=verdict)
+            for r, (verdict, err) in enumerate(rows, start=1)
+        ),
+        gamma_bound=1.0,
+    )
+
+
+class TestPick:
+    def test_first_certified_row(self):
+        sweep = hand_sweep(
+            ("inconclusive", 0.1), ("failed", math.inf), ("stable", 0.5), ("stable", 0.2),
+        )
+        assert sweep.pick() is sweep.rows[2]
+
+    def test_lowest_relative_error_without_a_certified_row(self):
+        sweep = hand_sweep(
+            ("inconclusive", 0.3), ("failed", math.inf), ("inconclusive", 0.1),
+            ("inconclusive", 0.1), ("inconclusive", 0.2),
+        )
+        assert sweep.pick() is sweep.rows[2]
+
+    def test_a_failed_row_only_when_every_row_failed(self):
+        sweep = hand_sweep(("failed", math.inf), ("inconclusive", 9.0), ("failed", math.inf))
+        assert sweep.pick() is sweep.rows[1]
+        sweep = hand_sweep(("failed", math.inf), ("failed", math.inf))
+        assert sweep.pick() is sweep.rows[0]
+        assert sweep.pick().realization is None
+
+    @pytest.mark.parametrize("rows, safe", [
+        ((("inconclusive", 0.1), ("stable", 0.5), ("stable", 0.2)), 2),
+        ((("inconclusive", 0.3), ("inconclusive", 0.1)), None),
+        ((("failed", math.inf),), None),
+    ])
+    def test_smallest_safe_order_is_the_certified_pick(self, rows, safe):
+        sweep = hand_sweep(*rows)
+        assert sweep.smallest_safe_order() == safe
+        pick = sweep.pick()
+        assert (pick.order if pick.verdict == "stable" else None) == safe
 
 
 class TestDrivingExampleSweep:
@@ -397,19 +442,21 @@ def full_grid_sweep(kstar_data, orders, gamma_bound):
         except LoewnerLabError:
             continue
         diff = np.abs(vals - kstar)
-        candidates.append(SweepRow(
-            order=int(np.sum(np.abs(finite) <= cut)), realization=rlz,
-            error=float(np.max(diff)), error_rel=float(np.max(diff[nz] / mag[nz])),
-            verdict="inconclusive", projection_size=rlz.order,
+        # (dynamic poles, realization, error, relative error)
+        candidates.append((
+            int(np.sum(np.abs(finite) <= cut)), rlz,
+            float(np.max(diff)), float(np.max(diff[nz] / mag[nz])),
         ))
     rows = []
     for r in orders:
-        best = min(
-            (c for c in candidates if c.order <= r),
-            key=lambda c: (c.error, c.projection_size),
+        _, rlz, err, err_rel = min(
+            (c for c in candidates if c[0] <= r),
+            key=lambda c: (c[2], c[1].order),
         )
-        verdict = "stable" if best.error_rel < 1.0 / gamma_bound else "inconclusive"
-        rows.append(replace(best, order=r, verdict=verdict))
+        verdict = "stable" if err_rel < 1.0 / gamma_bound else "inconclusive"
+        rows.append(SweepRow(
+            order=r, realization=rlz, error=err, error_rel=err_rel, verdict=verdict,
+        ))
     return rows
 
 
@@ -505,7 +552,7 @@ class TestLeadingSubspaceSweep:
             if target == "m1":
                 # A spectral gap past the top size pins every m1 candidate;
                 # m2's tail is flat at the noise floor, so its sizes may move.
-                assert a.projection_size == b.projection_size, a.order
+                assert a.realization.order == b.realization.order, a.order
 
 
 class TestSweepCandidates:

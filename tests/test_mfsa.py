@@ -27,6 +27,7 @@ from loewner_lab.mfsa import (
     DelaySweepResult,
     StabilityReport,
     delay_margin_sweep,
+    loop_tag,
     nyquist_curve,
     stability_tag,
 )
@@ -358,6 +359,29 @@ class TestDelaySweep:
         assert all(math.isnan(row.stab_tag) for row in res.rows)
         assert all("reordering failed (info=1)" in row.detail for row in res.rows)
 
+    def test_failed_sylvester_solve_is_an_inconclusive_row(self, monkeypatch):
+        # Only the first split's solve fails: its row is inconclusive and
+        # the next row is the one an unpatched sweep gives.
+        want = delay_margin_sweep(self.plant, self.unity, [1.3, 1.5], self.grid)
+        real = descriptor_ops._lapack.dtgsyl
+        calls = []
+
+        def fails_first(*args, **kwargs):
+            *out, info = real(*args, **kwargs)
+            calls.append(info)
+            return (*out, -1 if len(calls) == 1 else info)
+
+        monkeypatch.setattr(descriptor_ops._lapack, "dtgsyl", fails_first)
+        got = delay_margin_sweep(self.plant, self.unity, [1.3, 1.5], self.grid)
+        assert len(calls) == 2
+        first = got.rows[0]
+        assert (first.verdict, first.order) == ("inconclusive", 0)
+        assert math.isnan(first.stab_tag)
+        assert first.detail == "generalized Sylvester solve failed (info=-1)"
+        assert want.rows[1].verdict == "unstable"
+        assert repr(got.rows[1]) == repr(want.rows[1])
+        assert got.destabilizing_delay == 1.5
+
     @pytest.mark.parametrize("tau", [0.0, 0.8, 1.3])
     def test_row_is_the_stability_report_of_its_delay(self, tau):
         res = delay_margin_sweep(self.plant, self.unity, [tau], self.grid)
@@ -381,6 +405,34 @@ class TestDelaySweep:
             rows = tuple(replace(row, tau=t) for t in taus)
             with pytest.raises(ValueError, match="delays must be finite, >= 0 and strictly ascending"):
                 DelaySweepResult(rows=rows, destabilizing_delay=None)
+
+
+class TestLoopTag:
+    plant = TransferMap.from_realization(modal_realization([], [(-1.0, 2.0)]))
+    grid = np.geomspace(0.05, 20.0, 60)
+
+    @pytest.mark.parametrize("tau, factor", [(0.0, 1), (0.8, DELAY_DENSIFY)])
+    def test_samples_the_grid_of_its_delay(self, tau, factor):
+        seen = []
+
+        def spy(s):
+            seen.append(s.copy())
+            return self.plant(s)
+
+        unity = TransferMap.constant(1.0)
+        report = loop_tag(TransferMap.from_callable(spy), unity, tau, self.grid)
+        want = np.geomspace(0.05, 20.0, factor * self.grid.size)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], 1j * want)
+        expected = stability_tag(closed_loop_delay(self.plant, unity, tau), want)
+        assert repr(report) == repr(expected)
+
+    def test_a_bad_delay_is_rejected_before_sampling(self):
+        def never(s):
+            raise AssertionError("sampled")
+
+        with pytest.raises(ValueError, match="bad delay -0.5"):
+            loop_tag(TransferMap.from_callable(never), TransferMap.constant(1.0), -0.5, self.grid)
 
 
 class TestBuiltinPlantSweep:

@@ -4,8 +4,9 @@ Every name a module lists in ``__all__`` must exist in it, and every name
 the package root re-exports must be listed in its module's ``__all__``, so
 that removing a function leaves no stale export behind.  The structure
 guards keep a realization's real Schur form and scipy behind
-``descriptor_ops``, and the pencil's and the pairing's internals behind
-``loewner_core`` and ``freq_data``.
+``descriptor_ops``, the pencil's and the pairing's internals behind
+``loewner_core`` and ``freq_data``, and every other module's private
+names out of ``cli``.
 """
 
 from __future__ import annotations
@@ -112,6 +113,26 @@ def test_pencil_and_pairing_internals_stay_in_their_modules():
         for name in sorted(internals & set(_names(tree)))
     ]
     assert leaks == []
+
+
+def test_cli_imports_only_the_one_delay_rule_privately():
+    # The CLI decides no verdict, pick or file format itself: it calls the
+    # public names of the modules that own them.  Its one private import
+    # is descriptor_ops._check_delays, the package's one delay rule, which
+    # it applies to the delay-sweep bounds before building the delays.
+    tree = dict(_module_trees())["cli"]
+    private = sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name.startswith("_")
+    )
+    lookups = sorted(
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in MODULES and node.attr.startswith("_")
+    )
+    assert (private, lookups) == (["descriptor_ops._check_delays"], [])
 
 
 def test_no_module_calls_scipy_eig():
