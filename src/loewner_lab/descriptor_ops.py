@@ -37,7 +37,9 @@ package init cost more than the rest of the library's import.
 
 The :class:`TransferMap` wrapper lets rational realizations and irrational
 closed-form models (square roots, delays) flow through the same analysis
-code paths.
+code paths.  A map built on a realization remembers the values of the
+last grid it was called on (see :meth:`TransferMap.from_realization`), so
+each transfer is solved once per grid however many consumers sample it.
 """
 
 from __future__ import annotations
@@ -244,9 +246,36 @@ class TransferMap:
 
     @staticmethod
     def from_realization(rlz: DescriptorRealization, label: str = "") -> "TransferMap":
-        return TransferMap(
-            fn=lambda s: eval_transfer(rlz, s), label=label, realization=rlz
-        )
+        """The map s -> :func:`eval_transfer` (rlz, s), solved once per grid.
+
+        The map remembers the values of the last array of points it was
+        called on.  A call on an array of the same shape and the same bytes
+        returns a fresh copy of those values without solving again, so a
+        plant, weight, target or controller that several consumers sample
+        on one grid is solved once.  The values are the ones a new solve
+        would give, since :func:`eval_transfer` depends on nothing but the
+        realization and the points.  Any other array is solved and replaces
+        the memory; a call that raises leaves it as it was, so it raises
+        again on the same points.  A scalar point is solved every time and
+        leaves the memory alone.  ``from_callable`` and ``constant`` maps
+        remember nothing.
+        """
+        last = None  # ((shape, bytes) of the points, a private copy of the values)
+
+        def fn(s):
+            nonlocal last
+            s = np.asarray(s, dtype=complex)
+            if s.ndim == 0:
+                return eval_transfer(rlz, s)
+            key = (s.shape, s.tobytes())
+            seen = last
+            if seen is not None and seen[0] == key:
+                return seen[1].copy()
+            vals = eval_transfer(rlz, s)
+            last = key, vals.copy()
+            return vals
+
+        return TransferMap(fn=fn, label=label, realization=rlz)
 
     @staticmethod
     def from_callable(fn: Callable, label: str = "") -> "TransferMap":

@@ -21,8 +21,10 @@ The certificate is one-sided.  Orders that fail the bound are reported as
 :meth:`ReductionSweep.pick` names the row handed out as the controller.
 
 The target M is a plain :class:`TransferMap`, called on the plant grid.
-The m1 and closed-loop targets carry their realization; a tabulated
-target answers only at its own sample points.
+The m1 and closed-loop targets carry their realization, and their maps
+remember their last grid's values, so :func:`small_gain_bound` and
+:func:`ideal_controller_response` solve such a target once between them; a
+tabulated target answers only at its own sample points.
 """
 
 from __future__ import annotations
@@ -266,11 +268,13 @@ def reduce_controller(
     match those of full SVDs closely; where it is flat at the rounding
     floor, the sketch, not the data, picks the directions, and those
     candidates differ from the exact ones at that floor.  Each candidate's
-    grid values and its poles come from its one cached real QZ
-    (:func:`eval_transfer` on the whole grid, then :func:`poles`), which
-    also decides its regularity: a candidate whose block is a singular
-    pencil, or whose QZ fails, raises there and is skipped without losing
-    the others.  Data that are not conjugate-closed raise
+    poles and grid values come from its one cached real QZ (:func:`poles`,
+    then :func:`eval_transfer` on the whole grid), which also decides its
+    regularity: a candidate whose block is a singular pencil, or whose QZ
+    fails, raises there and is skipped without losing the others.  A
+    candidate with more dynamic poles than max(orders) is eligible for no
+    row, so it is skipped before its grid values are solved.  Data that
+    are not conjugate-closed raise
     :func:`partition_points`'s :class:`PartitionSizeError`.
 
     ``gamma_bound`` is the small-gain bound, finite and >= 0, else
@@ -306,13 +310,17 @@ def reduce_controller(
     candidates: list[_Candidate] = []
     for rlz in _sweep_candidates(partition, min(orders[-1] + 1, partition.size)):
         try:
-            vals, finite = eval_transfer(rlz, z), poles(rlz)
+            dynamic = int(np.sum(np.abs(poles(rlz)) <= parasitic_cut))
+            # No row can pick a candidate with more dynamic poles than the
+            # top order, so its grid values are never read.
+            if dynamic > orders[-1]:
+                continue
+            vals = eval_transfer(rlz, z)
         except LoewnerLabError:
             continue
         diff = np.abs(vals - kstar)
         err = float(np.max(diff))
         err_rel = float(np.max(diff[nz] / mag)) if nz.any() else err
-        dynamic = int(np.sum(np.abs(finite) <= parasitic_cut))
         candidates.append(_Candidate(err, rlz.order, dynamic, err_rel, rlz))
 
     # No error lies below the safe level 0 of a zero bound.

@@ -16,17 +16,21 @@ point: with s = i*omega and K = kp - i*ki/omega,
                   / ((1 + Re L)^2 + (Im L)^2),    L = kp*H + ki*H/s,
 
 so each score is a few real sums of gain products times those constants.
+A plant or weight map built on a realization remembers its last grid's
+values (:meth:`TransferMap.from_realization`), so tuning the same fit
+again on the same grid, or scoring gains on it with
+:func:`eval_weighted_performance`, solves none of them again.
 The tuner minimizes that score over (kp, ki) with Nelder-Mead (Nelder and
 Mead, 1965) restarted from a logarithmic grid of seeds.  The runs advance
 in lock-step: each round scores the point every live run waits on in one
 pass over the per-grid real constants, for all of them at once, rather
-than one pass per seed.  The candidates are ranked by the scores
+than one pass per seed, and the Nelder-Mead steps between two scores
+call no helper function.  The candidates are ranked by the scores
 Nelder-Mead returns with them, so no candidate is scored twice.  Each
 candidate with a finite score is screened for closed-loop stability
 through the descriptor poles of the actual feedback realization, factored
-once per candidate, since a pure grid score cannot see an
-internal instability that happens to have small gain on the sampled
-frequencies.
+once per candidate, since a pure grid score cannot see an internal
+instability that happens to have small gain on the sampled frequencies.
 """
 
 from __future__ import annotations
@@ -276,43 +280,44 @@ def _nelder_mead(x0, lo: float, hi: float):
     stops once ``_MAXFEV`` are spent, as scipy does.  Every step follows
     scipy's ``minimize(method="Nelder-Mead", bounds=...)`` in the same float
     operations, so it ends on the same bits: initial steps above ``hi``
-    are reflected into the box and every point is clipped to ``[lo, hi]``,
-    ``iterations`` starts at 1, vertices are sorted stably with NaN last,
-    a NaN score anywhere in the final simplex makes ``fun`` NaN, and a
-    shrink that runs out of evaluations leaves a vertex moved but unscored.
+    are reflected into the box and every point is clipped to ``[lo, hi]``
+    (``min(max(v, lo), hi)``), ``iterations`` starts at 1, vertices are
+    sorted stably with NaN last, a NaN score anywhere in the final simplex
+    makes ``fun`` NaN, and a shrink that runs out of evaluations leaves a
+    vertex moved but unscored.
+
+    A tuner op asks for about 1,600 to 1,900 points, so the loop calls no
+    helper per point: the evaluation count and its check, the clipping and
+    the three-vertex sort are written out in line.
     """
     nfev = 0
-
-    def spend() -> None:
-        nonlocal nfev
-        if nfev >= _MAXFEV:
-            raise _OutOfEvaluations
-        nfev += 1
-
-    def clip(a, b):
-        return min(max(a, lo), hi), min(max(b, lo), hi)
 
     def step_off(v):
         v = (1 + _NONZDELT) * v if v != 0 else _ZDELT
         return 2 * hi - v if v > hi else v
 
-    def move(c, d):
-        # c * xbar - d * worst: reflection, expansion, outside contraction.
-        return clip(c * m0 - d * w0, c * m1 - d * w1)
-
-    a, b = clip(float(x0[0]), float(x0[1]))
-    sim = [(a, b), clip(step_off(a), b), clip(a, step_off(b))]
+    a, b = min(max(float(x0[0]), lo), hi), min(max(float(x0[1]), lo), hi)
+    sim = [(a, b), (min(max(step_off(a), lo), hi), b), (a, min(max(step_off(b), lo), hi))]
     fsim = [math.inf] * 3
     # _MAXFEV exceeds 3, so the starting simplex is always scored in full.
     for k in range(3):
-        spend()
+        nfev += 1
         fsim[k] = yield sim[k]
 
     iterations = 1
     while True:
-        if not fsim[0] <= fsim[1] <= fsim[2]:
-            idx = sorted(range(3), key=lambda j: (fsim[j] != fsim[j], fsim[j]))
-            sim, fsim = [sim[j] for j in idx], [fsim[j] for j in idx]
+        f0, f1, f2 = fsim
+        if not f0 <= f1 <= f2:
+            # Insertion sort of the three vertices, stable, NaN last: vertex
+            # j goes before k when fsim[j] < fsim[k], or fsim[k] is NaN and
+            # fsim[j] is not.
+            if f1 < f0 or (f0 != f0 and f1 == f1):
+                sim[0], sim[1], f0, f1 = sim[1], sim[0], f1, f0
+            if f2 < f1 or (f1 != f1 and f2 == f2):
+                sim[1], sim[2], f1, f2 = sim[2], sim[1], f2, f1
+                if f1 < f0 or (f0 != f0 and f1 == f1):
+                    sim[0], sim[1], f0, f1 = sim[1], sim[0], f1, f0
+            fsim = [f0, f1, f2]
         if not (nfev < _MAXFEV and iterations < _MAXITER):
             break
         (b0, b1), (s0, s1), (w0, w1) = sim
@@ -320,41 +325,68 @@ def _nelder_mead(x0, lo: float, hi: float):
         if (
             abs(s0 - b0) <= _XATOL and abs(s1 - b1) <= _XATOL
             and abs(w0 - b0) <= _XATOL and abs(w1 - b1) <= _XATOL
-            and abs(fsim[0] - fsim[1]) <= _FATOL and abs(fsim[0] - fsim[2]) <= _FATOL
+            and abs(f0 - f1) <= _FATOL and abs(f0 - f2) <= _FATOL
         ):
             break
         m0, m1 = (b0 + s0) / 2, (b1 + s1) / 2
         try:
-            xr = move(1 + _RHO, _RHO)
-            spend()
+            # Reflection, expansion and outside contraction are each
+            # c * xbar - d * worst, clipped to the box; with lo <= hi,
+            # lo if lo > v else hi if hi < v else v is min(max(v, lo), hi).
+            c, d = 1 + _RHO, _RHO
+            v0, v1 = c * m0 - d * w0, c * m1 - d * w1
+            xr = (lo if lo > v0 else hi if hi < v0 else v0,
+                  lo if lo > v1 else hi if hi < v1 else v1)
+            if nfev >= _MAXFEV:
+                raise _OutOfEvaluations
+            nfev += 1
             fxr = yield xr
-            if fxr < fsim[0]:
-                xe = move(1 + _RHO * _CHI, _RHO * _CHI)
-                spend()
+            if fxr < f0:
+                c, d = 1 + _RHO * _CHI, _RHO * _CHI
+                v0, v1 = c * m0 - d * w0, c * m1 - d * w1
+                xe = (lo if lo > v0 else hi if hi < v0 else v0,
+                      lo if lo > v1 else hi if hi < v1 else v1)
+                if nfev >= _MAXFEV:
+                    raise _OutOfEvaluations
+                nfev += 1
                 fxe = yield xe
                 sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[1]:
+            elif fxr < f1:
                 sim[2], fsim[2] = xr, fxr
             else:
-                if fxr < fsim[2]:
-                    xc = move(1 + _PSI * _RHO, _PSI * _RHO)
-                    spend()
+                if fxr < f2:
+                    c, d = 1 + _PSI * _RHO, _PSI * _RHO
+                    v0, v1 = c * m0 - d * w0, c * m1 - d * w1
+                    xc = (lo if lo > v0 else hi if hi < v0 else v0,
+                          lo if lo > v1 else hi if hi < v1 else v1)
+                    if nfev >= _MAXFEV:
+                        raise _OutOfEvaluations
+                    nfev += 1
                     fxc = yield xc
                     shrink = not fxc <= fxr
                     if not shrink:
                         sim[2], fsim[2] = xc, fxc
                 else:
-                    xcc = clip((1 - _PSI) * m0 + _PSI * w0, (1 - _PSI) * m1 + _PSI * w1)
-                    spend()
+                    c, d = 1 - _PSI, _PSI
+                    v0, v1 = c * m0 + d * w0, c * m1 + d * w1
+                    xcc = (lo if lo > v0 else hi if hi < v0 else v0,
+                           lo if lo > v1 else hi if hi < v1 else v1)
+                    if nfev >= _MAXFEV:
+                        raise _OutOfEvaluations
+                    nfev += 1
                     fxcc = yield xcc
-                    shrink = not fxcc < fsim[2]
+                    shrink = not fxcc < f2
                     if not shrink:
                         sim[2], fsim[2] = xcc, fxcc
                 if shrink:
                     for j in (1, 2):
                         v0, v1 = sim[j]
-                        sim[j] = clip(b0 + _SIGMA * (v0 - b0), b1 + _SIGMA * (v1 - b1))
-                        spend()
+                        v0, v1 = b0 + _SIGMA * (v0 - b0), b1 + _SIGMA * (v1 - b1)
+                        sim[j] = (lo if lo > v0 else hi if hi < v0 else v0,
+                                  lo if lo > v1 else hi if hi < v1 else v1)
+                        if nfev >= _MAXFEV:
+                            raise _OutOfEvaluations
+                        nfev += 1
                         fsim[j] = yield sim[j]
             iterations += 1
         except _OutOfEvaluations:
@@ -367,27 +399,28 @@ def _nelder_mead(x0, lo: float, hi: float):
 def _minimize_all(objective, seeds, lo: float, hi: float) -> list[tuple]:
     """Run :func:`_nelder_mead` from every seed in lock-step.
 
-    Each round collects the point every live run waits on and scores them
-    all with one ``objective`` call, which maps a list of points to their
-    scores.  Returns each run's ``(x, fun, nfev)`` in seed order.
+    Each round sends every live run its last score, collects the point it
+    waits on next, and scores all of them with one ``objective`` call,
+    which maps a list of points to an array of their scores.  Per point,
+    the round loop calls only the generator's ``send`` and two list
+    appends; the scores come back as Python floats through one ``tolist``.
+    Returns each run's ``(x, fun, nfev)`` in seed order.
     """
     runs = [_nelder_mead(seed, lo, hi) for seed in seeds]
     ends: list[tuple] = [()] * len(runs)
-    pending: dict[int, tuple] = {}
-
-    def step(i: int, value) -> None:
-        try:
-            pending[i] = runs[i].send(value)
-        except StopIteration as stop:
-            ends[i] = stop.value
-            pending.pop(i, None)
-
-    for i in range(len(runs)):
-        step(i, None)
-    while pending:
-        live = list(pending)
-        for i, f in zip(live, objective([pending[i] for i in live])):
-            step(i, float(f))
+    live, scores = list(range(len(runs))), [None] * len(runs)
+    while live:
+        waiting, points = [], []
+        for i, f in zip(live, scores):
+            try:
+                points.append(runs[i].send(f))
+            except StopIteration as stop:
+                ends[i] = stop.value
+            else:
+                waiting.append(i)
+        live = waiting
+        if live:
+            scores = objective(points).tolist()
     return ends
 
 

@@ -1086,6 +1086,87 @@ class TestTransferMap:
         assert m(4.0) == pytest.approx(2.0)
 
 
+def count_solves(monkeypatch) -> list:
+    """The point count of every ``_schur_values`` solve, in call order."""
+    solves = []
+    schur_values = descriptor_ops._schur_values
+
+    def spy(rlz, form, s):
+        solves.append(s.size)
+        return schur_values(rlz, form, s)
+
+    monkeypatch.setattr(descriptor_ops, "_schur_values", spy)
+    return solves
+
+
+class TestRealizationMapMemory:
+    """A realization-backed map solves each grid once; other maps are
+    called every time."""
+
+    rlz = modal_realization([(-0.5 + 3.0j, 1.0 - 0.25j)], [(-2.0, 1.5)], feedthrough=0.7)
+
+    def test_the_same_grid_is_solved_once_and_copied(self, monkeypatch):
+        solves = count_solves(monkeypatch)
+        h = TransferMap.from_realization(self.rlz)
+        first = h(GRID)
+        second = h(GRID.copy())
+        assert solves == [GRID.size]
+        assert np.array_equal(first, eval_transfer(self.rlz, GRID))
+        assert np.array_equal(second, first) and second is not first
+        first[:] = 0.0
+        second[:] = 0.0
+        assert np.array_equal(h(GRID), eval_transfer(self.rlz, GRID))
+        assert solves == [GRID.size] * 3
+
+    def test_a_grid_differing_in_bits_or_shape_is_solved_again(self, monkeypatch):
+        nudged = GRID.copy()
+        nudged[7] = complex(nudged[7].real, np.nextafter(nudged[7].imag, np.inf))
+        as_column = GRID.reshape(-1, 1)
+        grids = (GRID, GRID, nudged, nudged, as_column, as_column, GRID)
+        want = [eval_transfer(self.rlz, s) for s in grids]
+        solves = count_solves(monkeypatch)
+        h = TransferMap.from_realization(self.rlz)
+        for s, vals in zip(grids, want):
+            assert np.array_equal(h(s), vals)
+        assert solves == [GRID.size] * 4
+
+    def test_a_call_that_hits_a_pole_raises_again(self):
+        rlz = modal_realization([], [(-1.0, 1.0)])
+        h = TransferMap.from_realization(rlz)
+        on_pole = np.array([1j, -1.0 + 0j, 2j])
+        h(GRID)
+        for _ in range(2):
+            with pytest.raises(PoleHitError, match=r"\(-1\+0j\)"):
+                h(on_pole)
+        assert np.array_equal(h(GRID), eval_transfer(rlz, GRID))
+
+    def test_callable_and_constant_maps_are_called_every_time(self):
+        calls = []
+
+        def fn(s):
+            calls.append(s.size)
+            return 1.0 / (s + 1.0)
+
+        h = TransferMap.from_callable(fn)
+        h(GRID)
+        h(GRID)
+        assert calls == [GRID.size] * 2
+        two = TransferMap.constant(2.0)
+        first = two(GRID)
+        first[:] = 0.0
+        assert np.all(two(GRID) == 2.0)
+
+    def test_scalar_points_are_solved_and_leave_the_memory(self, monkeypatch):
+        solves = count_solves(monkeypatch)
+        h = TransferMap.from_realization(self.rlz)
+        vals = h(GRID)
+        point = h(GRID[3])
+        assert isinstance(point, complex) and point == vals[3]
+        assert h(np.asarray(GRID[3])) == point
+        assert np.array_equal(h(GRID), vals)
+        assert solves == [GRID.size, 1, 1]
+
+
 class TestClosedLoopDelay:
     def test_zero_delay_equals_state_space_loop(self):
         rng = np.random.default_rng(3)

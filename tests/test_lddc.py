@@ -136,6 +136,33 @@ class TestSmallGainBound:
         assert g3 == pytest.approx(3.0 * g1, rel=1e-12)
         assert g1 > 0.0
 
+    @pytest.mark.parametrize("target", ["m1", "closed loop"])
+    def test_bound_and_ideal_controller_solve_the_target_once(
+        self, target, plant_dataset, rlz33, pi_paper, monkeypatch
+    ):
+        # Both read M on the plant grid; a realization-backed target is
+        # solved on the first and remembered for the second.
+        solved = []
+        schur_values = descriptor_ops._schur_values
+
+        def spy(rlz, form, s):
+            solved.append((rlz, s.size))
+            return schur_values(rlz, form, s)
+
+        m_ref = (second_order_reference() if target == "m1"
+                 else closed_loop_reference(rlz33, pi_paper.realization()))
+        # The same target solved on every call, as a reference.
+        plain = TransferMap.from_callable(lambda s: eval_transfer(m_ref.realization, s))
+        want = (small_gain_bound(plant_dataset, plain),
+                ideal_controller_response(plant_dataset, plain).values())
+        monkeypatch.setattr(descriptor_ops, "_schur_values", spy)
+        gamma = small_gain_bound(plant_dataset, m_ref)
+        kstar = ideal_controller_response(plant_dataset, m_ref)
+        assert len(solved) == 1
+        assert solved[0][0] is m_ref.realization and solved[0][1] == len(plant_dataset)
+        assert gamma == want[0]
+        assert np.array_equal(kstar.values(), want[1])
+
 
 class TestReduceController:
     def test_round_trip_recovered_at_order_one(self, roundtrip):
@@ -319,31 +346,43 @@ class TestDrivingExampleSweep:
 
 @pytest.fixture(scope="module", params=["m1", "m2"])
 def swept_candidates(request, plant_dataset, m2_reference):
-    """Each sweep candidate's realization, grid values and finite poles.
+    """Each sweep candidate's realization, finite poles and grid values.
 
     The built-in plant's ideal-controller data for m1 and for m2, swept
-    over orders 1..20 with lddc's ``eval_transfer`` and ``poles`` spied
-    on; each entry holds the points the sweep solved, the values it read
-    and the finite poles it counted.
+    over orders 1..20 with lddc's ``poles`` and ``eval_transfer`` spied
+    on.  Each record is kept by realization, in the order the sweep first
+    read each candidate, and holds the finite poles it counted and, if the
+    sweep solved the candidate on the grid, the points it solved and the
+    values it read (else None).
     """
     m_ref = second_order_reference() if request.param == "m1" else m2_reference
     kstar = ideal_controller_response(plant_dataset, m_ref)
     seen = []
 
-    def values_spy(rlz, s):
-        vals = eval_transfer(rlz, s)
-        seen.append([rlz, s, vals])
-        return vals
+    def record(rlz):
+        for entry in seen:
+            if entry[0] is rlz:
+                return entry
+        seen.append([rlz, None, None, None])
+        return seen[-1]
 
     def poles_spy(rlz):
         finite = poles(rlz)
-        assert seen[-1][0] is rlz
-        seen[-1].append(finite)
+        entry = record(rlz)
+        assert entry[1] is None
+        entry[1] = finite
         return finite
 
+    def values_spy(rlz, s):
+        vals = eval_transfer(rlz, s)
+        entry = record(rlz)
+        assert entry[2] is None
+        entry[2:] = [s, vals]
+        return vals
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lddc, "eval_transfer", values_spy)
         mp.setattr(lddc, "poles", poles_spy)
+        mp.setattr(lddc, "eval_transfer", values_spy)
         reduce_controller(kstar, range(1, 21), gamma_bound=0.0)
     return kstar, [tuple(entry) for entry in seen]
 
@@ -355,20 +394,32 @@ class TestOneProjectionSweep:
         _, seen = swept_candidates
         assert [rlz.order for rlz, *_ in seen] == list(range(1, 22))
 
+    def test_values_are_read_for_every_candidate_a_row_can_pick(self, swept_candidates):
+        # Top order 20: a candidate with more dynamic poles is eligible for
+        # no row, and only that one is skipped before it is solved.
+        kstar, seen = swept_candidates
+        cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(kstar.points().imag)))
+        for rlz, finite, s, _ in seen:
+            assert (s is not None) == (np.sum(np.abs(finite) <= cut) <= 20), rlz.order
+
     def test_values_match_own_projection(self, swept_candidates):
         # Measured at most 3.9e-13 (m1) and 3.1e-14 (m2): the blocks equal
         # the separate projections up to the products' summation order.
         kstar, seen = swept_candidates
         pencil = build_pencil(partition_points(kstar))
-        for rlz, s, vals, _ in seen:
+        for rlz, _, s, vals in seen:
+            if s is None:
+                continue
             want = eval_transfer(reduce_to_realization(pencil, rlz.order), s)
             assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-10, rlz.order
 
     def test_values_are_eval_transfer_bit_for_bit(self, swept_candidates):
-        # Every candidate is solved on the whole grid, as given.
+        # Every candidate the sweep solves is solved on the whole grid, as given.
         kstar, seen = swept_candidates
         z = kstar.points()
-        for rlz, s, vals, _ in seen:
+        for rlz, _, s, vals in seen:
+            if s is None:
+                continue
             assert np.array_equal(s, z), rlz.order
             assert np.array_equal(vals, eval_transfer(rlz, s)), rlz.order
 
@@ -377,7 +428,7 @@ class TestOneProjectionSweep:
         # Schur form, against LAPACK ggev on the same pencil.
         kstar, seen = swept_candidates
         cut = PARASITIC_POLE_FACTOR * float(np.max(np.abs(kstar.points().imag)))
-        for rlz, _, _, finite in seen:
+        for rlz, finite, _, _ in seen:
             alpha, beta = scipy.linalg.eigvals(rlz.A, rlz.E, homogeneous_eigvals=True)
             fin = descriptor_ops._finite(beta, rlz.E)
             want = alpha[fin] / beta[fin]
