@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import loewner_core
 from .descriptor_ops import (
     TransferMap,
     _check_delays,
@@ -39,8 +40,8 @@ from .lddc import (
     second_order_reference,
     small_gain_bound,
 )
-from .loewner_core import RANK_TOL, build_pencil, detect_rank, reduce_to_realization
-from .mfsa import STABILITY_EPSILON, delay_margin_sweep, loop_tag, nyquist_curve, stability_tag
+from .loewner_core import build_pencil, detect_rank, reduce_to_realization
+from .mfsa import delay_margin_sweep, loop_tag, nyquist_curve, stability_tag
 from .pi_synth import PIController, default_weights, optimize_pi
 from .plant_oracle import PlantParameters, eval_plant, sample_grid
 
@@ -94,7 +95,7 @@ def _plant_map(args) -> TransferMap:
 
 
 def _add_grid_flags(sp) -> None:
-    sp.add_argument("--grid-n", "--n", dest="grid_n", type=int, default=DEFAULT_GRID_N,
+    sp.add_argument("--grid-n", dest="grid_n", type=int, default=DEFAULT_GRID_N,
                     help="number of log-spaced grid points (default %(default)s)")
     sp.add_argument("--wmin", type=float, default=DEFAULT_WMIN,
                     help="lowest grid frequency, rad/s (default 2*pi/100)")
@@ -103,17 +104,18 @@ def _add_grid_flags(sp) -> None:
 
 
 def _add_plant_flags(sp) -> None:
-    sp.add_argument("--omega0", type=float, default=3.0, help="actuator natural frequency")
-    sp.add_argument("--damping", type=float, default=0.5, help="actuator damping coefficient")
-    sp.add_argument("--x-m", dest="x_m", type=float, default=1.9592,
-                    help="measurement position along the domain")
+    default = PlantParameters()
+    sp.add_argument("--omega0", type=float, default=default.omega0,
+                    help="actuator natural frequency (default %(default)s)")
+    sp.add_argument("--damping", type=float, default=default.damping,
+                    help="actuator damping coefficient (default %(default)s)")
+    sp.add_argument("--x-m", dest="x_m", type=float, default=default.x_m,
+                    help="measurement position along the domain (default %(default)s)")
 
 
 def _add_verdict_flags(sp) -> None:
     sp.add_argument("--plant", default="builtin",
                     help="'builtin' or a realization JSON path")
-    sp.add_argument("--epsilon", type=float, default=STABILITY_EPSILON,
-                    help="stability-tag threshold")
 
 
 def _add_out_flag(sp) -> None:
@@ -142,21 +144,21 @@ def _relative_residual(rlz, closed) -> float:
 def cmd_approximate(args) -> int:
     closed = close_conjugate(load_csv(args.data))
     pencil = build_pencil(partition_points(closed))
-    report = detect_rank(pencil, tol=args.svd_tol)
+    report = detect_rank(pencil)
     if not report.ranks_agree:
         print(
             f"rank mismatch between row stack ({report.rank_row}) and column "
             f"stack ({report.rank_col}); taking the larger",
             file=sys.stderr,
         )
-    rlz =reduce_to_realization(pencil, report.rank if args.order is None else args.order)
+    rlz = reduce_to_realization(pencil, report.rank if args.order is None else args.order)
     residual = _relative_residual(rlz, closed)
     out = _out_dir(args)
     save_realization(rlz, out / "realization.json")
     report_obj = {
         "order": rlz.order,
         "detected_rank": report.rank,
-        "svd_tol": args.svd_tol,
+        "svd_tol": loewner_core.RANK_TOL,
         "max_relative_residual": residual,
     }
     (out / "residual_report.json").write_text(json.dumps(report_obj, indent=1) + "\n")
@@ -236,10 +238,10 @@ def cmd_mfsa(args) -> int:
     if args.controller is None:
         if args.tau:
             raise LoewnerLabError("--tau requires --controller")
-        report = stability_tag(plant, _grid(args), epsilon=args.epsilon)
+        report = stability_tag(plant, _grid(args))
     else:
         k = TransferMap.from_realization(load_realization(args.controller))
-        report = loop_tag(plant, k, args.tau, _grid(args), epsilon=args.epsilon)
+        report = loop_tag(plant, k, args.tau, _grid(args))
     obj = {
         "stab_tag": _json_safe(report.stab_tag),
         "epsilon": report.epsilon,
@@ -264,7 +266,7 @@ def cmd_delay_sweep(args) -> int:
     _check_delays([args.tau_max])
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_n)
     grid = _grid(args)
-    result = delay_margin_sweep(plant, k, taus, grid, epsilon=args.epsilon)
+    result = delay_margin_sweep(plant, k, taus, grid)
     loop = nyquist_curve(plant, k, grid)
     ny_rows = [
         (float(w), float(v.real), float(v.imag), float(row.tau))
@@ -302,9 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("approximate", help="fit a rational realization to CSV data")
     sp.add_argument("data", help="input CSV (omega_rad_s,re,im)")
-    sp.add_argument("--svd-tol", type=float, default=RANK_TOL,
-                    help="absolute singular-value cutoff for rank detection; "
-                    "a relative floor of 100*eps*sigma_1 also applies")
     sp.add_argument("--order", type=int, default=None,
                     help="force the realization order (default: detected rank)")
     _add_out_flag(sp)

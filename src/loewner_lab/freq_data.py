@@ -98,7 +98,9 @@ class PointPartition:
 
     Each side is itself conjugate-closed, with conjugate partners stored
     adjacently; the realness transform of the Loewner build relies on that
-    layout.  Construction checks only the sizes; the Loewner build owns
+    layout.  The four arrays are complex copies of the inputs and
+    read-only, so a pencil built from the partition cannot change under
+    its caller.  Construction checks only the sizes; the Loewner build owns
     the other two rules.  A left point that coincides with a right one
     raises its :class:`CoincidentPointError`, and a side whose conjugates
     are not adjacent pairs its ``LoewnerLabError``.  Partitions from
@@ -112,7 +114,9 @@ class PointPartition:
 
     def __post_init__(self) -> None:
         for name in ("left_points", "left_values", "right_points", "right_values"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
+            a = np.array(getattr(self, name), dtype=complex)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if self.left_points.shape != self.right_points.shape:
             raise PartitionSizeError(
                 f"left/right sizes differ: {self.left_points.size} vs "

@@ -13,7 +13,11 @@ gamma = max_i |Phi_i * (1 - M(i*omega_i))|: a reduced controller is
 certified when its grid deviation from K*, taken relative to |K*|, stays
 below 1/gamma.  The small-gain argument bounds the absolute deviation, not
 the relative one, so the certificate as applied is not the bound it is
-derived from (ROADMAP open item 3).
+derived from.  Nor is it unit-free: the relative error has no units while
+1/gamma is in the plant's, so the same data in other units certifies
+other orders (the m1 sweep of the built-in plant on the paper grid
+certifies from order 13 as given, from order 1 with the plant scaled by
+2^-10 and from order 19 with it scaled by 2^10).
 
 The certificate is one-sided.  Orders that fail the bound are reported as
 "inconclusive", never "unstable"; the test is conservative by nature.
@@ -232,11 +236,12 @@ def small_gain_bound(plant_data: FrequencyDataset, m_ref: TransferMap) -> float:
     :func:`reduce_controller` certifies a reduced controller whose grid
     error relative to the ideal controller's magnitude, ``error_rel``,
     stays below 1/gamma.  The small-gain argument bounds the absolute
-    error, so that rule is not the bound it is derived from (ROADMAP open
-    item 3).  A reference model
-    equal to one everywhere gives gamma = 0, the package's one spelling of
-    "no certificate": :func:`reduce_controller` certifies no row under it,
-    and :func:`ideal_controller_response` raises on the same data.
+    error, so that rule is not the bound it is derived from, and it
+    depends on the plant's units (see the module docstring).  A reference
+    model equal to one everywhere gives gamma = 0, the package's one
+    spelling of "no certificate": :func:`reduce_controller` certifies no
+    row under it, and :func:`ideal_controller_response` raises on the same
+    data.
     """
     _, phi, mvals = _plant_and_reference(plant_data, m_ref)
     return float(np.max(np.abs(phi * (1.0 - mvals))))

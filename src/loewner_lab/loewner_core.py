@@ -60,9 +60,9 @@ __all__ = ["LoewnerPencil", "RankReport", "build_pencil", "detect_rank",
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Default absolute singular-value cutoff of the rank rule (see
-# ``detect_rank``); ``approximate``'s --svd-tol and the MFSA subset fits
-# read it.
+# The absolute singular-value cutoff of the rank rule, read by
+# ``detect_rank`` at each call; ``approximate`` writes it to its report as
+# "svd_tol".
 RANK_TOL = 1e-10
 
 # The leading-subspace factorization of ``_sweep_candidates``: directions
@@ -275,13 +275,12 @@ class RankReport:
 
     Holds the singular values of the row stack [Lw Ls] and the column
     stack [Lw; Ls] (taken exactly from their half-size factors, see
-    ``_row_factor``), the absolute floor ``tol`` of the cut, the count
-    of each stack above its cut max(tol, 100*eps*sigma_1), and the
-    detected rank, the larger of the two counts.
+    ``_row_factor``), the count of each stack above its cut
+    max(``RANK_TOL``, 100*eps*sigma_1), and the detected rank, the larger
+    of the two counts.
     """
 
     rank: int
-    tol: float
     singular_values_row: np.ndarray
     singular_values_col: np.ndarray
     rank_row: int
@@ -347,22 +346,25 @@ def _sweep_candidates(p: PointPartition, r: int) -> list[DescriptorRealization]:
             for q in range(1, r + 1)]
 
 
-def _count_above_cut(s: np.ndarray, tol: float) -> int:
-    """Singular values above max(tol, 100*eps*s[0]); s is sorted descending."""
-    return int(np.sum(s > max(tol, 100.0 * np.finfo(float).eps * s[0])))
+def _count_above_cut(s: np.ndarray) -> int:
+    """Singular values above max(RANK_TOL, 100*eps*s[0]); s is sorted
+    descending."""
+    return int(np.sum(s > max(RANK_TOL, 100.0 * np.finfo(float).eps * s[0])))
 
 
-def detect_rank(pen: LoewnerPencil, tol: float = RANK_TOL) -> RankReport:
+def detect_rank(pen: LoewnerPencil) -> RankReport:
     """Numerical rank of the pencil family under an SVD cutoff.
 
     This is the one rank rule of the package: ``approximate``, the LDDC
     workflow and the MFSA stability tag all read their orders from it.
     Each stack's rank is the count of its singular values above
-    max(tol, 100*eps*sigma_1), with sigma_1 that stack's largest.  The
-    singular values are the pencil's own fields, computed once by
-    ``build_pencil``; no factorization runs here.
+    max(``RANK_TOL``, 100*eps*sigma_1), with sigma_1 that stack's largest.
+    The singular values are the pencil's own fields, computed once by
+    ``build_pencil``; no factorization runs here.  ``RANK_TOL`` is a
+    module constant, read at each call; it is not a parameter, since every
+    caller uses the one value.
 
-    The absolute part ``tol``, as in MATLAB's ``rank(A, tol)``, governs
+    The absolute part ``RANK_TOL``, as in MATLAB's ``rank(A, tol)``, governs
     response data of order-one magnitude: its Loewner matrices have
     noise-floor singular values at machine scale, so a small absolute
     threshold separates signal from rounding noise regardless of how
@@ -372,9 +374,10 @@ def detect_rank(pen: LoewnerPencil, tol: float = RANK_TOL) -> RankReport:
     governs large data: divided differences carry rounding noise near
     eps*sigma_1, so an absolute cut alone would count noise as order once
     the responses are measured in large units.  With the floor in charge
-    (sigma_1 above tol/(100*eps), about 4.5e3 for the default), scaling
-    the responses scales every singular value and the cut alike, and the
-    rank does not change.
+    (sigma_1 above RANK_TOL/(100*eps), about 4.5e3), scaling the
+    responses scales every singular value and the cut alike, and the rank
+    does not change.  Below that, the absolute part makes the rank depend
+    on the units the responses are measured in.
 
     The column stack should agree with the row stack.  A disagreement
     (possible with noisy or feed-through-bearing data) takes the larger
@@ -383,16 +386,13 @@ def detect_rank(pen: LoewnerPencil, tol: float = RANK_TOL) -> RankReport:
     of the data, such as the MFSA point selection, reads a disagreement
     as a need for more points; ``approximate`` prints it.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     s_row, s_col = pen.s_row, pen.s_col
     if s_row[0] == 0.0:
         raise ZeroDataError("Loewner pencil is identically zero")
-    rank_row = _count_above_cut(s_row, tol)
-    rank_col = _count_above_cut(s_col, tol)
+    rank_row = _count_above_cut(s_row)
+    rank_col = _count_above_cut(s_col)
     return RankReport(
         rank=max(rank_row, rank_col),
-        tol=tol,
         singular_values_row=s_row,
         singular_values_col=s_col,
         rank_row=rank_row,

@@ -57,7 +57,9 @@ __all__ = [
     "nyquist_curve",
 ]
 
-# Default threshold of the stability tag: a tag below it reads "stable".
+# The threshold of the stability tag, read by ``stability_tag`` at each
+# call: a tag below it reads "stable".  Each report carries it as
+# ``epsilon``.
 STABILITY_EPSILON = 1e-10
 
 # The band is [omega_min / INBAND_SLACK, omega_max * INBAND_SLACK]: the
@@ -107,7 +109,8 @@ class StabilityReport:
     """Outcome of one stability-tag evaluation.
 
     ``stab_tag`` is the grid L-infinity norm of the antistable part of the
-    interpolant (NaN when the verdict is "inconclusive"), ``order`` the
+    interpolant (NaN when the verdict is "inconclusive"), ``epsilon`` the
+    threshold it was read against (``STABILITY_EPSILON``), ``order`` the
     detected interpolant order, ``peak_omega`` the frequency achieving the
     tag (None when the antistable part is empty), and ``detail`` a short
     diagnostic for inconclusive outcomes and ignored poles.
@@ -198,7 +201,7 @@ def _band_reason(p: complex, omega_min: float, omega_max: float) -> Optional[str
     return None
 
 
-def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> StabilityReport:
+def stability_tag(h: TransferMap, grid) -> StabilityReport:
     """Measure the antistable content of a transfer from samples alone.
 
     Samples h at i*grid and fits a Loewner interpolant to the samples at
@@ -210,6 +213,8 @@ def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> S
     ``TAG_DENSIFY``-times finer grid augmented with the in-band frequency
     of each antistable conjugate pair, once (the peak of a lightly damped
     mode slips between plain grid points), via :func:`linf_norm_grid`.
+    A tag below ``STABILITY_EPSILON``, a module constant read at each call,
+    reads "stable"; the report carries the threshold as ``epsilon``.
 
     Two guards keep noise from flipping verdicts.  The rank is the shared
     rule of :func:`detect_rank`, whose cut never digs below 100*eps
@@ -233,8 +238,7 @@ def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> S
     appended to its message.  A one-frequency grid raises
     :class:`ZeroDataError`.
     """
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = STABILITY_EPSILON
     omega = _log_grid(grid)
     vals = _eval_on_axis(h, omega)
     if omega.size < 2:
@@ -305,15 +309,15 @@ def stability_tag(h: TransferMap, grid, epsilon: float = STABILITY_EPSILON) -> S
     )
 
 
-def loop_tag(plant: TransferMap, k: TransferMap, tau: float, grid,
-             epsilon: float = STABILITY_EPSILON) -> StabilityReport:
+def loop_tag(plant: TransferMap, k: TransferMap, tau: float, grid) -> StabilityReport:
     """The one verdict on the loop plant*k/(1 + plant*k*e^{-tau*s}): built
-    by :func:`closed_loop_delay`, which checks tau, and tagged on ``grid``,
+    by :func:`closed_loop_delay`, which checks tau, and tagged by
+    :func:`stability_tag` against ``STABILITY_EPSILON`` on ``grid``,
     ``DELAY_DENSIFY`` times finer when tau > 0."""
     loop = closed_loop_delay(plant, k, tau)
     if tau > 0:
         grid = densify_log_grid(grid, DELAY_DENSIFY)
-    return stability_tag(loop, grid, epsilon=epsilon)
+    return stability_tag(loop, grid)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -332,7 +336,7 @@ class DelaySweepResult:
     "unstable", or None when every row stayed stable (the margin then lies
     beyond the swept range, or below it if nothing was stable at all).
     The rows' delays are checked by ``_check_delays``; each row carries
-    the threshold it was tagged with.
+    the threshold it was tagged against.
     """
 
     rows: tuple[DelayRow, ...]
@@ -347,7 +351,6 @@ def delay_margin_sweep(
     k: TransferMap,
     taus: Sequence[float],
     grid,
-    epsilon: float = STABILITY_EPSILON,
     refine_bisect: int = 0,
 ) -> DelaySweepResult:
     """Run :func:`loop_tag` on the delayed loop for each frozen delay.
@@ -356,8 +359,9 @@ def delay_margin_sweep(
     at its delay.  ``taus`` must be non-empty and is checked by
     ``_check_delays`` before any row runs.  Rows never abort the sweep; a
     row whose tag raises a :class:`LoewnerLabError` is recorded as
-    "inconclusive" with the error text attached.  A bad ``epsilon`` or grid
-    is not such a failure: the first row raises its ``ValueError``.
+    "inconclusive" with the error text attached, and with
+    ``STABILITY_EPSILON`` as its threshold.  A bad grid is not such a
+    failure: the first row raises its ``ValueError``.
 
     With ``refine_bisect`` > 0 and a stable row directly preceding the
     first unstable one, that bracket is bisected the requested number of
@@ -370,12 +374,12 @@ def delay_margin_sweep(
 
     def run_tau(tau: float) -> DelayRow:
         try:
-            report = loop_tag(plant, k, tau, grid, epsilon=epsilon)
+            report = loop_tag(plant, k, tau, grid)
         except LoewnerLabError as exc:
             return DelayRow(
                 tau=tau,
                 stab_tag=math.nan,
-                epsilon=epsilon,
+                epsilon=STABILITY_EPSILON,
                 verdict="inconclusive",
                 order=0,
                 detail=str(exc),

@@ -26,11 +26,12 @@ in lock-step: each round scores the point every live run waits on in one
 pass over the per-grid real constants, for all of them at once, rather
 than one pass per seed, and the Nelder-Mead steps between two scores
 call no helper function.  The candidates are ranked by the scores
-Nelder-Mead returns with them, so no candidate is scored twice.  Each
-candidate with a finite score is screened for closed-loop stability
-through the descriptor poles of the actual feedback realization, factored
-once per candidate, since a pure grid score cannot see an internal
-instability that happens to have small gain on the sampled frequencies.
+Nelder-Mead returns with them, so no candidate is scored twice.  When the
+plant carries a realization, each candidate with a finite score is
+screened for closed-loop stability through the descriptor poles of the
+actual feedback realization, factored once per candidate, since a pure
+grid score cannot see an internal instability that happens to have small
+gain on the sampled frequencies.
 """
 
 from __future__ import annotations
@@ -146,8 +147,7 @@ def fit_pi_gains(controller: DescriptorRealization) -> PIController:
 
 @dataclass(frozen=True)
 class _GridSamples:
-    """A validated grid, the plant samples H on it, and the score's
-    gain-independent real constants.
+    """A validated grid and the score's gain-independent real constants.
 
     With s = i*omega the loop is L = H*K = kp*H + ki*H/s, and
     |K|^2 = kp^2 + ki^2/omega^2.  So each of the score's three parts,
@@ -167,7 +167,6 @@ class _GridSamples:
     """
 
     omega: np.ndarray
-    h: np.ndarray
     terms: np.ndarray
 
 
@@ -189,7 +188,7 @@ def _sample(plant: TransferMap, w: WeightingFilters, grid) -> _GridSamples:
     terms[3, 2] = wu2
     terms[4, 2] = wu2 / omega ** 2
     terms.flags.writeable = False
-    return _GridSamples(omega=omega, h=h, terms=terms)
+    return _GridSamples(omega=omega, terms=terms)
 
 
 def _gain_rows(pairs) -> np.ndarray:
@@ -429,9 +428,9 @@ class SynthesisResult:
     """Best controller found, its score, and the stability screen outcome.
 
     ``stable`` is always True: a candidate that fails the screen is never
-    returned.  ``stability_checked`` is False when the plant carried no
-    realization (or has an identically zero response), in which case
-    descriptor poles could not be formed and nothing was screened.
+    returned.  ``stability_checked`` is False exactly when the plant
+    carried no realization, in which case descriptor poles could not be
+    formed and nothing was screened.
     ``feasible_candidates`` counts the candidates, of the polished seeds
     and the start, that have a finite score and passed the screen.
     """
@@ -484,9 +483,11 @@ def optimize_pi(
     polished candidate is ranked by the score Nelder-Mead returns with it
     (the objective at its end point), so no candidate is scored a second
     time; of equal scores the first candidate wins.  Every candidate must
-    have a finite score and, when the plant carries a realization with a
-    nonzero response, a strictly stable closed loop.  If nothing qualifies an
-    :class:`OptimizationError` is raised.
+    have a finite score and, when the plant carries a realization, a
+    strictly stable closed loop.  If nothing qualifies an
+    :class:`OptimizationError` is raised.  So a plant whose realization is
+    zero, such as ``TransferMap.constant(0.0)``, is refused: its loop keeps
+    the PI integrator's pole at s = 0.
     """
     samples = _sample(plant, w, grid)
 
@@ -498,8 +499,7 @@ def optimize_pi(
         )
 
     plant_rlz = plant.realization
-    zero_response = bool(np.all(samples.h == 0.0))
-    check_stability = plant_rlz is not None and not zero_response
+    check_stability = plant_rlz is not None
 
     def objective(points) -> np.ndarray:
         # Scalar powers: numpy's vectorized power can differ in the last bit.

@@ -46,7 +46,7 @@ def plant_pencil(plant_dataset):
 
 @pytest.fixture(scope="session")
 def plant_rank(plant_pencil):
-    return detect_rank(plant_pencil, tol=1e-10)
+    return detect_rank(plant_pencil)
 
 
 @pytest.fixture(scope="session")

@@ -76,7 +76,7 @@ def test_criterion_1_order_detection():
     vals = eval_plant(p, p.x_m, pts)
     data = close_conjugate(FrequencyDataset.from_arrays(pts, vals))
     pencil = build_pencil(partition_points(data))
-    rank = detect_rank(pencil, tol=1e-10).rank
+    rank = detect_rank(pencil).rank
     elapsed = time.perf_counter() - t0
     ok = 31 <= rank <= 35 and elapsed < 10.0
     report(1, ok, f"detected rank {rank} in {elapsed:.2f}s (want 31..35 in <10s)")
@@ -112,8 +112,8 @@ def test_criterion_3_controller_recovery(k2_sweep):
 
 def test_criterion_4_ideal_controller_orders(m1_design, m2_kstar):
     _, _, kstar1 = m1_design
-    r1 = detect_rank(build_pencil(partition_points(kstar1)), tol=1e-10).rank
-    r2 = detect_rank(build_pencil(partition_points(m2_kstar)), tol=1e-10).rank
+    r1 = detect_rank(build_pencil(partition_points(kstar1))).rank
+    r2 = detect_rank(build_pencil(partition_points(m2_kstar))).rank
     ok = 31 <= r1 <= 37 and 37 <= r2 <= 43
     report(4, ok, f"ideal-controller orders: first target {r1} (want 34+-3), "
                   f"loop target {r2} (want 40+-3)")

@@ -166,6 +166,7 @@ class TestApproximate:
         rlz = load_realization(out / "realization.json")
         report = json.loads((out / "residual_report.json").read_text())
         assert report["order"] == rlz.order == report["detected_rank"]
+        assert report["svd_tol"] == RANK_TOL
         assert report["max_relative_residual"] < 1e-6
         assert "max relative residual" in capsys.readouterr().out
 
@@ -425,6 +426,7 @@ class TestMfsa:
         obj = json.loads((out / "stability_report.json").read_text())
         assert obj["verdict"] == "stable"
         assert obj["stab_tag"] == 0.0
+        assert obj["epsilon"] == STABILITY_EPSILON
 
     def test_unstable_realization_verdict(self, tmp_path):
         rlz_path = tmp_path / "unstable.json"
@@ -467,19 +469,6 @@ class TestMfsa:
     def test_tau_without_controller_is_a_domain_error(self, tmp_path):
         rc = main(["mfsa", "--tau", "1.0", "--out", str(tmp_path)])
         assert rc == 1
-
-    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
-    def test_non_finite_epsilon_is_rejected(self, tmp_path, capsys, epsilon):
-        rlz_path = tmp_path / "stable.json"
-        save_realization(modal_realization([], [(-1.0, 1.0)]), rlz_path)
-        out = tmp_path / "mfsa"
-        rc = main([
-            "mfsa", "--plant", str(rlz_path), "--grid-n", "40",
-            "--epsilon", epsilon, "--out", str(out),
-        ])
-        assert rc == 1
-        assert "epsilon must be positive and finite" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_nan_delay_is_named(self, tmp_path, capsys):
         plant_path = tmp_path / "plant.json"
@@ -611,10 +600,28 @@ class TestSharedFlags:
             parser.parse_args(["mfsa"]),
             parser.parse_args(["delay-sweep", "--controller", "k.json"]),
         ]
-        assert parser.parse_args(["approximate", "plant.csv"]).svd_tol == RANK_TOL
-        assert [(a.plant, a.epsilon) for a in verdicts] == [
-            ("builtin", STABILITY_EPSILON), ("builtin", STABILITY_EPSILON)
-        ]
+        assert [a.plant for a in verdicts] == ["builtin", "builtin"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sample"], ["mfsa"], ["delay-sweep", "--controller", "k.json"],
+    ], ids=["sample", "mfsa", "delay-sweep"])
+    def test_plant_defaults_are_the_plant_parameters_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._plant_params(args) == PlantParameters()
+
+    @pytest.mark.parametrize("argv", [
+        ["approximate", "plant.csv", "--svd-tol", "1e-8"],
+        ["mfsa", "--epsilon", "1e-8"],
+        ["delay-sweep", "--controller", "k.json", "--epsilon", "1e-8"],
+        ["sample", "--n", "50"],
+    ], ids=["approximate-svd-tol", "mfsa-epsilon", "delay-sweep-epsilon", "sample-n"])
+    def test_thresholds_and_the_grid_alias_are_not_flags(self, argv):
+        # The rank cut and the stability threshold are module constants
+        # (loewner_core.RANK_TOL, mfsa.STABILITY_EPSILON); --grid-n has one
+        # spelling.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_lddc_takes_no_svd_tol(self):
         # lddc reads no rank: its m2 fit is projected at --order.

@@ -96,7 +96,7 @@ def empty_partition():
 class TestRankDetection:
     def test_known_rational_has_rank_two(self):
         pen = pencil_from_oracle(biquad, np.geomspace(0.01, 10.0, 12))
-        rep = detect_rank(pen, tol=1e-10)
+        rep = detect_rank(pen)
         assert rep.rank == 2
         assert rep.rank_row == rep.rank_col == 2
         assert rep.ranks_agree
@@ -123,7 +123,7 @@ class TestRankDetection:
         # stacked pencils see a second (impulsive) direction.
         k = lambda s: 0.2 + 0.05 / s
         pen = pencil_from_oracle(k, np.geomspace(0.02, 50.0, 10))
-        rep = detect_rank(pen, tol=1e-10)
+        rep = detect_rank(pen)
         assert rep.rank == 2
         rlz = reduce_to_realization(pen, 2)
         probe = np.array([0.17j + 0.0, 2.3j, 1.0 + 0.5j])
@@ -133,7 +133,7 @@ class TestRankDetection:
         c = 2.5
         pen = pencil_from_oracle(lambda s: np.full(np.shape(s), c, complex),
                                  np.geomspace(0.1, 10.0, 6))
-        rep = detect_rank(pen, tol=1e-10)
+        rep = detect_rank(pen)
         assert rep.rank == 1
         rlz = reduce_to_realization(pen, 1)
         # The Loewner matrix of constant data vanishes, so E must too.
@@ -144,12 +144,14 @@ class TestRankDetection:
         assert plant_rank.ranks_agree
         assert plant_rank.rank == plant_rank.rank_row == plant_rank.rank_col
 
-    def test_tolerance_must_be_a_fraction(self):
-        pen = pencil_from_oracle(biquad, np.geomspace(0.01, 10.0, 4))
-        with pytest.raises(ValueError):
-            detect_rank(pen, tol=0.0)
-        with pytest.raises(ValueError):
-            detect_rank(pen, tol=1.0)
+    def test_cut_reads_the_module_constant_at_each_call(self, monkeypatch):
+        # Both stacks' singular values are about 15.7 and 0.25, then 1e-14:
+        # a cut of 0.5 keeps only the first.
+        pen = pencil_from_oracle(biquad, np.geomspace(0.01, 10.0, 12))
+        assert detect_rank(pen).rank == 2
+        monkeypatch.setattr(loewner_core, "RANK_TOL", 0.5)
+        rep = detect_rank(pen)
+        assert rep.rank == rep.rank_row == rep.rank_col == 1
 
     def test_zero_data_rejected(self):
         pen = pencil_from_oracle(lambda s: np.zeros(np.shape(s), complex),
@@ -232,6 +234,24 @@ class TestFactoredOnce:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
+    def test_partition_is_a_read_only_copy(self):
+        # The pencil keeps its partition, so neither the partition's arrays
+        # nor the caller's arrays it was built from may change it later.
+        h = lambda s: 1 / (s + 1) + 2 / (s * s + 0.4 * s + 1)
+        pts = 1j * np.geomspace(0.1, 10.0, 20)
+        p = partition_points(close_conjugate(FrequencyDataset.from_arrays(pts, h(pts))))
+        arrays = [getattr(p, f.name).copy() for f in dataclasses.fields(p)]
+        own = PointPartition(*arrays)
+        pen = build_pencil(own)
+        before = reduce_to_realization(pen, 3).A.copy()
+        for f in dataclasses.fields(own):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(own, f.name)[:] *= 2
+        for a in arrays:
+            assert a.flags.writeable
+            a *= 2
+        assert np.array_equal(reduce_to_realization(pen, 3).A, before)
+
     def test_empty_partition_rejected(self):
         with pytest.raises(ZeroDataError):
             build_pencil(empty_partition())
@@ -301,10 +321,11 @@ class TestProjection:
             np.conj(eval_transfer(rlz, s))
         )
 
-    def test_random_modal_systems_recovered(self):
+    def test_random_modal_systems_recovered(self, monkeypatch):
         # Independent oracle round trip: modal systems of order <= 10 are
         # identified from samples alone and must match the partial-fraction
         # evaluator on a dense off-grid sweep.
+        monkeypatch.setattr(loewner_core, "RANK_TOL", 1e-8)
         rng = np.random.default_rng(20260814)
         for trial in range(8):
             rlz_true, oracle, true_poles = random_system(
@@ -314,7 +335,7 @@ class TestProjection:
             m = n + 4 + (n % 2)
             omegas = np.geomspace(1e-2, 2e2, m)
             pen = pencil_from_oracle(oracle, omegas)
-            rep = detect_rank(pen, tol=1e-8)
+            rep = detect_rank(pen)
             assert rep.rank == n, f"trial {trial}: rank {rep.rank} != {n}"
             rlz = reduce_to_realization(pen, n)
             dense = 1j * np.geomspace(1e-2, 2e2, 200)
@@ -464,7 +485,7 @@ class TestHalfSizeStackFactors:
     @staticmethod
     def check_spectra_and_rank(pen):
         (_, s_row), (s_col, _) = explicit_stack_svds(pen)
-        rep = detect_rank(pen, tol=1e-10)
+        rep = detect_rank(pen)
         assert np.max(np.abs(rep.singular_values_row - s_row)) <= 1e-12 * s_row[0]
         assert np.max(np.abs(rep.singular_values_col - s_col)) <= 1e-12 * s_col[0]
         assert rep.rank_row == int(np.sum(s_row > 1e-10))

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 
 from helpers import crossing_delay, modal_realization, random_system
-from loewner_lab import descriptor_ops
+from loewner_lab import descriptor_ops, mfsa
 from loewner_lab.descriptor_ops import TransferMap, closed_loop_delay, densify_log_grid
 from loewner_lab.errors import SingularityError, ZeroDataError
 from loewner_lab.mfsa import (
@@ -69,6 +69,16 @@ class TestStabilityTag:
         assert rep.stab_tag == pytest.approx(want, rel=1e-9)
         assert rep.peak_omega == pytest.approx(GRID[0])
         assert rep.antistable_order == 1
+
+    def test_threshold_is_the_module_constant_read_at_each_call(self, monkeypatch):
+        # 1/(s - 1) tags about 1.0: unstable against 1e-10, stable below 2.
+        h = TransferMap.from_callable(lambda s: 1.0 / (s - 1.0))
+        before = stability_tag(h, GRID)
+        assert (before.verdict, before.epsilon) == ("unstable", 1e-10)
+        monkeypatch.setattr(mfsa, "STABILITY_EPSILON", 2.0)
+        after = stability_tag(h, GRID)
+        assert (after.verdict, after.epsilon) == ("stable", 2.0)
+        assert after.stab_tag == before.stab_tag
 
     def test_mixed_transfer_measures_antistable_part_only(self):
         h = lambda s: 1.0 / (s + 1.0) + 0.5 / (s - 2.0)
@@ -185,9 +195,6 @@ class TestStabilityTag:
 
     def test_validation(self):
         h = TransferMap.constant(1.0)
-        for epsilon in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-                stability_tag(h, GRID, epsilon=epsilon)
         with pytest.raises(ValueError):
             stability_tag(h, [])
         with pytest.raises(ValueError):
@@ -341,10 +348,6 @@ class TestDelaySweep:
             for tau in (0.0, 0.8):
                 with pytest.raises(ValueError, match=f"must be positive and finite, got {bad}"):
                     delay_margin_sweep(self.plant, self.unity, [tau], grid)
-        with pytest.raises(ValueError):
-            delay_margin_sweep(
-                self.plant, self.unity, [0.5], self.grid, epsilon=0.0
-            )
 
     def test_failed_reordering_is_an_inconclusive_row(self, monkeypatch):
         real = descriptor_ops._lapack.dtgsen

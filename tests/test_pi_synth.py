@@ -341,8 +341,9 @@ class TestPerformanceScore:
 class TestOptimizePI:
     def test_zero_plant_drives_gains_to_the_floor(self):
         # With H = 0 the tracking channel is fixed at |We| and the effort
-        # channel only grows with the gains, so the box corner wins.
-        plant = TransferMap.constant(0.0)
+        # channel only grows with the gains, so the box corner wins.  Given
+        # as samples alone, the plant is not screened.
+        plant = TransferMap.from_callable(lambda s: np.zeros(np.shape(s), complex))
         res = optimize_pi(
             plant, default_weights(), GRID, start=PIController(1.0, 1.0)
         )
@@ -353,6 +354,15 @@ class TestOptimizePI:
         )
         assert not res.stability_checked
         assert res.stable
+
+    def test_zero_realization_is_screened_and_refused(self):
+        # A zero plant with a realization is screened like any other: every
+        # loop keeps the PI integrator's pole at s = 0, so nothing passes.
+        with pytest.raises(OptimizationError, match="stable closed loop"):
+            optimize_pi(
+                TransferMap.constant(0.0), default_weights(), GRID,
+                start=PIController(1.0, 1.0),
+            )
 
     def test_never_worse_than_the_start(self):
         plant = TransferMap.from_realization(
@@ -613,12 +623,13 @@ class TestStabilityScreen:
 
 
 class TestScoreKernel:
+    PLANT = modal_realization([(-1.0 + 3.0j, 0.8)], [(-0.5, 1.0)])
+
     @pytest.fixture()
     def samples(self):
-        plant = TransferMap.from_realization(
-            modal_realization([(-1.0 + 3.0j, 0.8)], [(-0.5, 1.0)])
+        return pi_synth._sample(
+            TransferMap.from_realization(self.PLANT), default_weights(), GRID
         )
-        return pi_synth._sample(plant, default_weights(), GRID)
 
     @staticmethod
     def one_pair(samples, kp, ki):
@@ -650,12 +661,13 @@ class TestScoreKernel:
         # Independent of the kernel's real rewriting: the max over the grid
         # of hypot(|We*S|, |Wu*K*S|) in complex arithmetic, with S = 1/(1+HK).
         w = default_weights()
+        h = TransferMap.from_realization(self.PLANT)(1j * GRID)
         we, wu = w.we(1j * GRID), w.wu(1j * GRID)
         pairs = self.random_pairs()
         gamma, _ = pi_synth._score(samples, pi_synth._gain_rows(pairs))
         for row, (kp, ki) in enumerate(pairs):
             k = kp + ki / (1j * GRID)
-            sens = 1.0 / (1.0 + samples.h * k)
+            sens = 1.0 / (1.0 + h * k)
             want = float(np.max(np.hypot(np.abs(we * sens), np.abs(wu * k * sens))))
             assert abs(gamma[row] - want) <= 8.0 * np.finfo(float).eps * want
 
@@ -766,7 +778,7 @@ class TestRoundingRobustness:
         data = close_conjugate(FrequencyDataset.from_arrays(z, phi * (1.0 + 1e-15 * noise)))
         pencil = build_pencil(partition_points(data))
         rank, res = clean
-        assert detect_rank(pencil, tol=1e-10).rank == rank == 34
+        assert detect_rank(pencil).rank == rank == 34
         plant = TransferMap.from_realization(reduce_to_realization(pencil, 33))
         got = optimize_pi(plant, default_weights(), omega_grid, start=PIController(0.191, 0.0252))
         assert got.controller.kp == pytest.approx(res.controller.kp, rel=1e-9)

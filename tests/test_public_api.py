@@ -59,6 +59,21 @@ def test_root_exports_are_listed_in_their_modules():
     assert unlisted == []
 
 
+def test_no_public_function_takes_a_threshold():
+    # The rank cut and the stability threshold are module constants
+    # (loewner_core.RANK_TOL, mfsa.STABILITY_EPSILON), set in one place; a
+    # test that needs another value patches the constant.
+    takes = []
+    for name in MODULES:
+        module = importlib.import_module(f"loewner_lab.{name}")
+        for export in module.__all__:
+            fn = getattr(module, export)
+            if inspect.isfunction(fn):
+                params = inspect.signature(fn).parameters
+                takes += [f"{name}.{export}({p})" for p in ("tol", "epsilon") if p in params]
+    assert takes == []
+
+
 SCHUR_INTERNALS = {"_schur", "_real_schur", "_schur_values", "_eigenvalues", "_SchurForm"}
 
 

@@ -86,7 +86,7 @@ def test_ideal_controller_rank_follows_the_fit_order(
         reduce_to_realization(plant_pencil, q), pi_paper.realization()
     )
     kstar = ideal_controller_response(plant_dataset, m2)
-    report = detect_rank(build_pencil(partition_points(kstar)), tol=1e-10)
+    report = detect_rank(build_pencil(partition_points(kstar)))
     assert report.ranks_agree
     assert report.rank == rank
 
@@ -98,7 +98,7 @@ def test_the_published_flip_position_at_x_m_2_1(grid_points, omega_grid, pi_pape
         FrequencyDataset.from_arrays(grid_points, eval_plant(p, p.x_m, grid_points))
     )
     pencil = build_pencil(partition_points(data))
-    assert detect_rank(pencil, tol=1e-10).rank == 35
+    assert detect_rank(pencil).rank == 35
     m2 = closed_loop_reference(reduce_to_realization(pencil, 33), pi_paper.realization())
     sweep = reduce_controller(
         ideal_controller_response(data, m2), range(1, 21),
