@@ -11,24 +11,30 @@ them (series, unity feedback), estimates grid L-infinity norms and forms
 delayed closed loops at the evaluator level.
 
 A realization is factored at most once, on first use: its real
-generalized Schur form (one LAPACK ``gges`` call, see ``_real_schur``)
-is a cached, read-only property that every evaluation, pole query and
-split of that realization reads.  That factorization is the package's
-one regularity rule: a failed QZ, or a pencil with an exact 0/0
-eigenvalue (det(sE - A) identically zero), raises
-:class:`SingularPencilError` from the query that ran it and is not
-cached, so each later query retries it.  Evaluation back-substitutes
-over the form's 1x1 and 2x2 diagonal blocks from the bottom up,
-vectorized over the points (Laub, IEEE TAC 1981).  The substitution is
-left-looking: each block reads the rows already solved through one real
-contraction of its rows of the form.  The form is real, not complex, so
-that H(conj s) = conj H(s) holds exactly; each point is solved as the
-caller gave it, and no conjugate pairs are folded.  Every contraction
-runs over the realization index only, is elementwise over the points and
-uses no BLAS product across points, so that no value depends on the
-other points evaluated with it.  :func:`poles` reads the form's
-eigenvalues, and the stable/antistable split reorders a copy of the form
-with LAPACK ``tgsen``.
+generalized Schur form (see ``_real_schur``) is a cached, read-only
+property that every evaluation, pole query and split of that realization
+reads.  Every QZ of the package is the one LAPACK ``gges`` call in
+``_gges``, which has two modes: with Schur vectors for a realization
+that is evaluated or split, and eigenvalues only for a unity-feedback
+loop whose poles are all that is read before it is discarded
+(``_unity_loop_poles``, the PI tuner's stability screen, which forms the
+loop's arrays with the arithmetic of :func:`series` and
+:func:`feedback_unity` and builds no realization).  ``_gges`` is the
+package's one regularity rule: a failed QZ, or a pencil with an exact
+0/0 eigenvalue (det(sE - A) identically zero), raises
+:class:`SingularPencilError` from the query that ran it; a realization
+then caches nothing, so each later query retries it.  Evaluation
+back-substitutes over the form's 1x1 and 2x2 diagonal blocks from the
+bottom up, vectorized over the points (Laub, IEEE TAC 1981).  The
+substitution is left-looking: each block reads the rows already solved
+through one real contraction of its rows of the form.  The form is real,
+not complex, so that H(conj s) = conj H(s) holds exactly; each point is
+solved as the caller gave it, and no conjugate pairs are folded.  Every
+contraction runs over the realization index only, is elementwise over
+the points and uses no BLAS product across points, so that no value
+depends on the other points evaluated with it.  :func:`poles` reads the
+form's eigenvalues, and the stable/antistable split reorders a copy of
+the form with LAPACK ``tgsen``.
 
 ``gges``, ``tgsen`` and the split's ``tgsyl`` are the only code the
 package takes from scipy.  They are bound from scipy's LAPACK extension
@@ -337,47 +343,72 @@ def _no_sort(*_args):
     return None
 
 
-def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
-    """One real QZ of (A, E): the ``gges`` call ``scipy.linalg.qz`` makes.
+def _gges(A: np.ndarray, E: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:
+    """One real QZ of (A, E), the ``gges`` call ``scipy.linalg.qz`` makes,
+    and the package's one regularity rule.
 
     ``dgges`` is the routine object ``scipy.linalg.lapack`` exposes, bound
-    by ``_bind_lapack`` without importing ``scipy.linalg``.  Same
-    workspace query and arguments, so S, T, Q and Z are qz's bit for
-    bit; qz drops the eigenvalues that the same call returns, and this
-    keeps them.  Every array is read-only: ``DescriptorRealization._schur``
-    caches the form.  A realization is finite from construction on, so
-    qz's finiteness check is not repeated.  Any nonzero ``info`` raises
-    :class:`SingularPencilError` naming it: for a failed QZ iteration
-    (1 <= info <= n) LAPACK does not return a Schur form, and any other
-    value means no form at all.  So does an eigenvalue with alphar =
-    alphai = beta = 0 exactly: a 0/0 diagonal pair of (S, T) makes
-    det(sT - S), and so det(sE - A), vanish for every s.  This is the
-    package's one regularity rule, and it is exact: a pencil singular
-    only to rounding passes.  The property caches nothing on a raise,
-    so the next query factors again.
+    by ``_bind_lapack`` without importing ``scipy.linalg``.  The call has
+    two modes.  With ``vectors`` it computes the Schur vectors Q and Z, as
+    qz does (same workspace query and arguments, so S, T, Q and Z are qz's
+    bit for bit), for a realization that is evaluated or split.  Without,
+    it passes ``jobvsl = jobvsr = 0`` and LAPACK forms no Schur vectors,
+    for a pencil whose eigenvalues are all that is read.  ``alphar``,
+    ``alphai`` and ``beta`` are the same bits in both modes.  Returns S,
+    T, alphar, alphai, beta, Q and Z in LAPACK's order; without vectors,
+    Q and Z are LAPACK's placeholders and must not be read.
+
+    The arrays must be finite; qz's finiteness check is not repeated.  Any
+    nonzero ``info`` raises :class:`SingularPencilError` naming it: for a
+    failed QZ iteration (1 <= info <= n) LAPACK does not return a Schur
+    form, and any other value means no form at all.  So does an
+    eigenvalue with alphar = alphai = beta = 0 exactly: a 0/0 diagonal
+    pair of (S, T) makes det(sT - S), and so det(sE - A), vanish for
+    every s.  The rule is exact: a pencil singular only to rounding
+    passes.
     """
-    A, E = rlz.A, rlz.E
-    gges = _lapack.dgges
-    lwork = gges(_no_sort, A, E, lwork=-1)[-2][0].real.astype(int)
+    gges, jobv = _lapack.dgges, int(vectors)
+    lwork = gges(_no_sort, A, E, jobvsl=jobv, jobvsr=jobv, lwork=-1)[-2][0].real.astype(int)
     S, T, _sdim, alphar, alphai, beta, Q, Z, _work, info = gges(
-        _no_sort, A, E, lwork=lwork, sort_t=0
+        _no_sort, A, E, jobvsl=jobv, jobvsr=jobv, lwork=lwork, sort_t=0
     )
     if info != 0:
         raise SingularPencilError(f"generalized Schur factorization failed (info={info})")
     if np.any((alphar == 0.0) & (alphai == 0.0) & (beta == 0.0)):
         raise SingularPencilError("pencil (E, A) is singular: a 0/0 generalized eigenvalue")
+    return S, T, alphar, alphai, beta, Q, Z
+
+
+def _real_schur(rlz: DescriptorRealization) -> _SchurForm:
+    """The realization's real Schur form, which every evaluation, pole
+    query and split reads.
+
+    It is the one ``gges`` call of :func:`_gges` in its vectors mode, so S,
+    T, Q and Z are ``scipy.linalg.qz``'s bit for bit; qz drops the
+    eigenvalues that the same call returns, and this keeps them.  The
+    call's other mode, eigenvalues only, serves a loop that is discarded
+    once its poles are read (:func:`_unity_loop_poles`).  Every array is
+    read-only: ``DescriptorRealization._schur`` caches the form.  A
+    realization is finite from construction on.  A singular or
+    unfactorable pencil raises :class:`SingularPencilError` from
+    :func:`_gges`; the property caches nothing on a raise, so the next
+    query factors again.
+    """
+    S, T, alphar, alphai, beta, Q, Z = _gges(rlz.A, rlz.E, vectors=True)
     form = _SchurForm(S, T, Q, Z, alphar, alphai, beta)
     for M in form:
         M.flags.writeable = False
     return form
 
 
-def _eigenvalues(form: _SchurForm, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A form's eigenvalues (alphar + i alphai) / beta and the mask of the
-    finite ones under the rule of :func:`poles`."""
+def _eigenvalues(
+    alphar: np.ndarray, alphai: np.ndarray, beta: np.ndarray, E: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues (alphar + i alphai) / beta of a pencil (A, E) and the
+    mask of the finite ones under the rule of :func:`poles`."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (form.alphar + 1j * form.alphai) / form.beta
-    return lam, _finite(form.beta, E)
+        lam = (alphar + 1j * alphai) / beta
+    return lam, _finite(beta, E)
 
 
 def _schur_values(
@@ -462,7 +493,8 @@ def poles(rlz: DescriptorRealization) -> np.ndarray:
     """
     if rlz.order == 0:
         return np.array([], dtype=complex)
-    lam, fin = _eigenvalues(rlz._schur, rlz.E)
+    form = rlz._schur
+    lam, fin = _eigenvalues(form.alphar, form.alphai, form.beta, rlz.E)
     return lam[fin]
 
 
@@ -518,7 +550,7 @@ def stable_antistable_split(rlz: DescriptorRealization) -> StableSplit:
     if n == 0:
         return StableSplit(rlz, _empty_realization(0.0), np.array([], dtype=complex))
     form = rlz._schur
-    lam, fin = _eigenvalues(form, rlz.E)
+    lam, fin = _eigenvalues(form.alphar, form.alphai, form.beta, rlz.E)
     near = fin & (np.abs(lam.real) < SPLIT_GUARD)
     if near.any():
         raise BoundaryPoleError(
@@ -530,7 +562,7 @@ def stable_antistable_split(rlz: DescriptorRealization) -> StableSplit:
     S, T, alphar, alphai, beta, Q, Z, *_, info = _lapack.dtgsen(
         select, form.S, form.T, form.Q, form.Z, ijob=0, lwork=4 * n + 16, liwork=1
     )
-    lam, fin = _eigenvalues(_SchurForm(S, T, Q, Z, alphar, alphai, beta), rlz.E)
+    lam, fin = _eigenvalues(alphar, alphai, beta, rlz.E)
     if info != 0 or not np.array_equal(fin & (lam.real < 0.0), np.arange(n) < k):
         raise SingularPencilError(f"generalized Schur reordering failed (info={info})")
     anti_poles = lam[k:][fin[k:]]
@@ -669,33 +701,74 @@ def closed_loop_delay(h: TransferMap, k: TransferMap, tau: float) -> TransferMap
     )
 
 
-def series(g: DescriptorRealization, k: DescriptorRealization) -> DescriptorRealization:
-    """Realization of the product transfer g(s) * k(s) (k feeds g).
-
-    Like every construction it factors nothing, so building a connection
-    only to close it costs its array copies."""
+def _series_arrays(g: DescriptorRealization, k: DescriptorRealization) -> tuple:
+    """E, A, B, C and D of the product g(s) * k(s) (k feeds g), as arrays."""
     ng = g.order
     n = ng + k.order
     E, A = np.zeros((n, n)), np.zeros((n, n))
     E[:ng, :ng], E[ng:, ng:] = g.E, k.E
     A[:ng, :ng], A[ng:, ng:] = g.A, k.A
     A[:ng, ng:] = g.B @ k.C
-    return DescriptorRealization(
-        E, A, np.vstack([g.B * k.D, k.B]), np.hstack([g.C, g.D * k.C]), g.D * k.D
-    )
+    return E, A, np.vstack([g.B * k.D, k.B]), np.hstack([g.C, g.D * k.C]), g.D * k.D
 
 
-def feedback_unity(loop: DescriptorRealization) -> DescriptorRealization:
-    """Closed loop L/(1+L) of a loop-gain realization under unity feedback;
-    raises :class:`LoopSingularityError` when 1 + D vanishes."""
-    den = 1.0 + loop.D
+def _feedback_arrays(E, A, B, C, D: float) -> tuple:
+    """E, A, B, C and D of the closed loop L/(1+L) of the loop gain L
+    given by (E, A, B, C, D), as arrays; raises
+    :class:`LoopSingularityError` when 1 + D vanishes."""
+    den = 1.0 + D
     if abs(den) < 1e-12:
         raise LoopSingularityError(
             "unity feedback is singular: 1 + D vanishes"
         )
-    return DescriptorRealization(
-        loop.E, loop.A - (loop.B @ loop.C) / den, loop.B / den, loop.C / den, loop.D / den
-    )
+    return E, A - (B @ C) / den, B / den, C / den, D / den
+
+
+def series(g: DescriptorRealization, k: DescriptorRealization) -> DescriptorRealization:
+    """Realization of the product transfer g(s) * k(s) (k feeds g).
+
+    Its arrays are ``_series_arrays``', the one home of the series
+    arithmetic, which :func:`_unity_loop_poles` shares.  Like every
+    construction it factors nothing: its first query runs the one ``gges``
+    call with Schur vectors, for a realization that is evaluated.  A
+    connection built only to be closed and have its poles read goes
+    through :func:`_unity_loop_poles`, which runs that call for
+    eigenvalues only and builds no realization."""
+    return DescriptorRealization(*_series_arrays(g, k))
+
+
+def feedback_unity(loop: DescriptorRealization) -> DescriptorRealization:
+    """Closed loop L/(1+L) of a loop-gain realization under unity feedback;
+    raises :class:`LoopSingularityError` when 1 + D vanishes.
+
+    Its arrays are ``_feedback_arrays``', the one home of the feedback
+    arithmetic, which :func:`_unity_loop_poles` shares.  The closed loop
+    is factored on its first query by the one ``gges`` call with Schur
+    vectors, for a realization that is evaluated; a loop whose poles are
+    read and which is then discarded goes through
+    :func:`_unity_loop_poles`, which runs that call for eigenvalues only."""
+    return DescriptorRealization(*_feedback_arrays(loop.E, loop.A, loop.B, loop.C, loop.D))
+
+
+def _unity_loop_poles(g: DescriptorRealization, k: DescriptorRealization) -> np.ndarray:
+    """``poles(feedback_unity(series(g, k)))``, bit for bit, without the
+    loop's realizations or Schur vectors.
+
+    The loop's E and A are formed by ``_series_arrays`` and
+    ``_feedback_arrays``, the float operations of :func:`series` and
+    :func:`feedback_unity`, and factored by one :func:`_gges` without
+    Schur vectors, whose eigenvalues are those of the vectors mode bit for
+    bit.  The finite ones are kept under the rule of :func:`poles`, in
+    LAPACK's order.  As in the composed call, 1 + D = 0 raises
+    :class:`LoopSingularityError` and a failed or singular QZ
+    :class:`SingularPencilError`; a non-finite entry of the loop's A (an
+    overflow) raises the construction's ``ValueError``, since ``gges``
+    takes finite arrays only.  The loop must have order at least one.
+    """
+    E, A, *_ = _feedback_arrays(*_series_arrays(g, k))
+    alphar, alphai, beta = _gges(_as_real_matrix("A", A, A.shape), E, vectors=False)[2:5]
+    lam, fin = _eigenvalues(alphar, alphai, beta, E)
+    return lam[fin]
 
 
 def densify_log_grid(grid, factor: int) -> np.ndarray:

@@ -29,9 +29,13 @@ call no helper function.  The candidates are ranked by the scores
 Nelder-Mead returns with them, so no candidate is scored twice.  When the
 plant carries a realization, each candidate with a finite score is
 screened for closed-loop stability through the descriptor poles of the
-actual feedback realization, factored once per candidate, since a pure
-grid score cannot see an internal instability that happens to have small
-gain on the sampled frequencies.
+unity-feedback loop, since a pure grid score cannot see an internal
+instability that happens to have small gain on the sampled frequencies.
+A screen is one QZ of the loop's pencil that computes eigenvalues only,
+no Schur vectors, on arrays formed by the arithmetic of
+``descriptor_ops.series`` and ``feedback_unity``; it builds no loop
+realization and keeps nothing, and its poles are those of the composed
+loop bit for bit.
 """
 
 from __future__ import annotations
@@ -46,10 +50,8 @@ from .descriptor_ops import (
     TransferMap,
     _eval_on_axis,
     _log_grid,
+    _unity_loop_poles,
     eval_transfer,
-    feedback_unity,
-    poles,
-    series,
 )
 from .errors import LoewnerLabError, LoopSingularityError, OptimizationError
 
@@ -444,11 +446,16 @@ class SynthesisResult:
 
 def _loop_is_stable(plant_rlz: DescriptorRealization, ctrl: PIController) -> bool:
     """Whether every finite pole of the unity-feedback loop of the plant and
-    ``ctrl`` (the array :func:`poles` returns) lies in Re(s) < 0.  The
-    loop's one QZ decides its regularity too: a singular or unfactorable
-    loop is rejected like an unstable one."""
+    ``ctrl`` lies in Re(s) < 0.
+
+    The poles come from :func:`descriptor_ops._unity_loop_poles`: the
+    array that ``poles(feedback_unity(series(...)))`` gives, bit for bit,
+    from one QZ without Schur vectors and with no loop realization built.
+    That QZ decides the loop's regularity too: a singular or unfactorable
+    loop, like one whose return difference 1 + D vanishes, is rejected
+    like an unstable one."""
     try:
-        loop_poles = poles(feedback_unity(series(plant_rlz, ctrl.realization())))
+        loop_poles = _unity_loop_poles(plant_rlz, ctrl.realization())
     except LoewnerLabError:
         return False
     return bool(np.all(loop_poles.real < 0.0))
@@ -484,7 +491,10 @@ def optimize_pi(
     (the objective at its end point), so no candidate is scored a second
     time; of equal scores the first candidate wins.  Every candidate must
     have a finite score and, when the plant carries a realization, a
-    strictly stable closed loop.  If nothing qualifies an
+    strictly stable closed loop.  All eight candidates with a finite score
+    are screened, each by one eigenvalue-only QZ of its loop
+    (:func:`_loop_is_stable`), so ``feasible_candidates`` counts every
+    candidate that passes.  If nothing qualifies an
     :class:`OptimizationError` is raised.  So a plant whose realization is
     zero, such as ``TransferMap.constant(0.0)``, is refused: its loop keeps
     the PI integrator's pole at s = 0.

@@ -581,19 +581,24 @@ class TestOptimizePI:
 class TestStabilityScreen:
     @staticmethod
     def screen(plant_rlz, ctrl, monkeypatch):
-        """Run the screen; return its verdict and the realizations it took
-        poles of."""
-        polled = []
-        real_poles = pi_synth.poles
+        """Run the screen; return its verdict, the (plant, controller) pairs
+        it took loop poles of, and the (A, E, vectors) of every QZ it ran."""
+        looped, factored = [], []
+        real_loop_poles, real_gges = pi_synth._unity_loop_poles, descriptor_ops._gges
 
-        def poles_spy(rlz):
-            polled.append(rlz)
-            return real_poles(rlz)
+        def loop_spy(g, k):
+            looped.append((g, k))
+            return real_loop_poles(g, k)
 
-        monkeypatch.setattr(pi_synth, "poles", poles_spy)
+        def gges_spy(A, E, vectors):
+            factored.append((A, E, vectors))
+            return real_gges(A, E, vectors)
+
+        monkeypatch.setattr(pi_synth, "_unity_loop_poles", loop_spy)
+        monkeypatch.setattr(descriptor_ops, "_gges", gges_spy)
         stable = pi_synth._loop_is_stable(plant_rlz, ctrl)
         monkeypatch.undo()
-        return stable, polled
+        return stable, looped, factored
 
     @staticmethod
     def random_plant():
@@ -608,18 +613,86 @@ class TestStabilityScreen:
             D=0.7,
         )
 
+    @staticmethod
+    def singular_e_plant():
+        # A stable pair and one algebraic state (a zero row of E) behind a
+        # dense transform: the loop's pencil keeps one infinite eigenvalue.
+        rng = np.random.default_rng(37)
+        Tl = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+        Tr = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+        E = np.diag([1.0, 1.0, 0.0])
+        A = np.array([[-0.5, 2.0, 0.0], [-2.0, -0.5, 0.0], [0.0, 0.0, 1.0]])
+        return DescriptorRealization(
+            Tl @ E @ Tr, Tl @ A @ Tr, Tl @ np.ones((3, 1)), np.ones((1, 3)) @ Tr, 0.0
+        )
+
+    def plant(self, which, rlz33):
+        return {
+            "order-33 fit": lambda: rlz33,
+            "random plant": self.random_plant,
+            "singular E": self.singular_e_plant,
+        }[which]()
+
     @pytest.mark.parametrize("which", ["order-33 fit", "random plant"])
-    def test_one_loop_realization_equal_to_the_composed_loop(self, which, rlz33, monkeypatch):
-        plant = rlz33 if which == "order-33 fit" else self.random_plant()
+    def test_one_qz_without_vectors_on_the_composed_loops_pencil(self, which, rlz33, monkeypatch):
+        plant = self.plant(which, rlz33)
         ctrl = PIController(0.191, 0.0252)
-        stable, polled = self.screen(plant, ctrl, monkeypatch)
-        assert len(polled) == 1
+        stable, looped, factored = self.screen(plant, ctrl, monkeypatch)
+        assert len(looped) == 1 and looped[0][0] is plant
+        assert [vectors for *_, vectors in factored] == [False]
         want = feedback_unity(series(plant, ctrl.realization()))
-        for name in "EABC":
-            got, ref = getattr(polled[0], name), getattr(want, name)
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
-        assert same_bits(polled[0].D, want.D)
+        for got, ref in zip(factored[0][:2], (want.A, want.E)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         assert stable == bool(np.all(poles(want).real < 0.0))
+
+    @pytest.mark.parametrize("which", ["order-33 fit", "random plant", "singular E"])
+    def test_loop_poles_are_the_composed_loops_bytes(self, which, rlz33):
+        plant = self.plant(which, rlz33)
+        k = PIController(0.191, 0.0252).realization()
+        got = descriptor_ops._unity_loop_poles(plant, k)
+        want = poles(feedback_unity(series(plant, k)))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # The singular E's algebraic state leaves an infinite eigenvalue,
+        # dropped by poles' rule; every other loop keeps all its poles.
+        assert got.size == plant.order + 1 - (which == "singular E")
+
+    def test_a_vanishing_return_difference_raises_and_is_rejected(self):
+        # 1 + D of the loop is 1 + (-2.0)(0.5) = 0 exactly.
+        plant = modal_realization([], [(-1.0, 2.0)], feedthrough=-2.0)
+        ctrl = PIController(0.5, 0.1)
+        with pytest.raises(LoopSingularityError, match="1 \\+ D vanishes"):
+            descriptor_ops._unity_loop_poles(plant, ctrl.realization())
+        assert not pi_synth._loop_is_stable(plant, ctrl)
+
+    def test_the_tuner_runs_one_qz_without_vectors_per_finite_candidate(self, rlz33, monkeypatch):
+        qz, built = [], []
+        real_gges = descriptor_ops._lapack.dgges
+        real_post_init = DescriptorRealization.__post_init__
+
+        def gges_spy(sort, A, E, **kwargs):
+            if kwargs.get("lwork") != -1:
+                qz.append((A.shape[0], kwargs.get("jobvsl", 1), kwargs.get("jobvsr", 1)))
+            return real_gges(sort, A, E, **kwargs)
+
+        def post_init_spy(rlz):
+            real_post_init(rlz)
+            built.append(rlz.order)
+
+        monkeypatch.setattr(descriptor_ops._lapack, "dgges", gges_spy)
+        monkeypatch.setattr(DescriptorRealization, "__post_init__", post_init_spy)
+        # A fresh plant, so the tuner's own sampling factors it.
+        plant = DescriptorRealization(rlz33.E, rlz33.A, rlz33.B, rlz33.C, rlz33.D)
+        built.clear()
+        res, _, verdicts = run_spied(
+            plant.transfer_map(), default_weights(), GRID, PIController(0.191, 0.0252), monkeypatch
+        )
+        loop_order = plant.order + 1
+        assert res.feasible_candidates > 0
+        assert qz.count((loop_order, 0, 0)) == len(verdicts) == 8
+        # The rest are the plant's and the two weights', with vectors.
+        assert sorted(q for q in qz if q[0] != loop_order) == [(1, 1, 1)] * 2 + [(33, 1, 1)]
+        assert loop_order not in built
 
 
 class TestScoreKernel:

@@ -74,7 +74,9 @@ def test_no_public_function_takes_a_threshold():
     assert takes == []
 
 
-SCHUR_INTERNALS = {"_schur", "_real_schur", "_schur_values", "_eigenvalues", "_SchurForm"}
+SCHUR_INTERNALS = {
+    "_schur", "_real_schur", "_gges", "_schur_values", "_eigenvalues", "_SchurForm",
+}
 
 
 def _module_trees():
@@ -100,7 +102,8 @@ def _names(tree):
 
 def test_the_schur_form_stays_behind_descriptor_ops():
     # Every other module reaches a realization's real Schur form through
-    # eval_transfer, poles and stable_antistable_split only.
+    # eval_transfer, poles and stable_antistable_split only, and the PI
+    # screen's eigenvalue-only QZ through _unity_loop_poles.
     leaks = [
         f"{module}: {name}"
         for module, tree in _module_trees() if module != "descriptor_ops"
@@ -110,17 +113,20 @@ def test_the_schur_form_stays_behind_descriptor_ops():
 
 
 # Private names that only their own module may name: the Loewner pencil's
-# assembly, leading-subspace factorization and projection, and the
-# conjugate-partner lookup.
+# assembly, leading-subspace factorization and projection, the
+# conjugate-partner lookup, and the bound LAPACK routines.
 OWNED_INTERNALS = {
     "loewner_core": {"_assemble", "_leading_left", "_project"},
     "freq_data": {"_conjugate_index"},
+    "descriptor_ops": {"_lapack"},
 }
 
 
 def test_pencil_and_pairing_internals_stay_in_their_modules():
     # The LDDC sweep takes its candidates from loewner_core._sweep_candidates
-    # and solves the whole grid, so no other module reaches into these.
+    # and solves the whole grid, so no other module reaches into these; and
+    # every LAPACK call, the PI screen's QZ included, is made in
+    # descriptor_ops.
     leaks = [
         f"{module}: {name}"
         for module, tree in _module_trees()

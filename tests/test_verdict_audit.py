@@ -1,7 +1,12 @@
-"""MFSA verdicts on delayed PI loops of random rational plants, against
-ground truth that uses no interpolant.
+"""Verdicts on PI loops of random rational plants, against ground truth
+that uses no interpolant: the PI tuner's stability screen, and MFSA on
+delayed loops.
 
-This is the paper's third use of interpolation: a loop of a plant and a
+The screen (``pi_synth._loop_is_stable``) judges the undelayed loop of a
+plant realization and a PI controller; the truth is the sign of the
+rightmost eigenvalue of the closed loop's state matrix.
+
+MFSA is the paper's third use of interpolation: a loop of a plant and a
 controller, delayed by tau, is judged from its frequency samples alone.
 For a rational plant the truth is known independently:
 
@@ -38,11 +43,12 @@ import numpy as np
 from helpers import crossing_delay, random_system
 from loewner_lab.descriptor_ops import TransferMap
 from loewner_lab.mfsa import DELAY_DENSIFY, loop_tag
-from loewner_lab.pi_synth import PIController
+from loewner_lab.pi_synth import GAIN_BOX, PIController, _loop_is_stable
 
 N, W_MIN, W_MAX = 200, 0.01, 100.0
 PHASE_STEP = 0.3
 PLANTS = 60
+SCREEN_PLANTS, SCREEN_PAIRS = 120, 4
 
 
 def closed_loop_eigenvalues(rlz, kp: float, ki: float) -> np.ndarray:
@@ -50,6 +56,34 @@ def closed_loop_eigenvalues(rlz, kp: float, ki: float) -> np.ndarray:
     A, B, C = rlz.A, rlz.B, rlz.C
     return np.linalg.eigvals(np.block([[A - kp * B @ C, ki * B],
                                        [-C, np.zeros((1, 1))]]))
+
+
+def test_pi_screen_verdicts_match_the_closed_loop_eigenvalues():
+    """The tuner's screen on ``SCREEN_PLANTS`` plants of ``random_system``,
+    stable and unstable in turn, each under ``SCREEN_PAIRS`` PI gain pairs
+    log-uniform in ``GAIN_BOX``: stable exactly when every eigenvalue of the
+    closed loop's state matrix has Re < 0.
+
+    A draw whose rightmost eigenvalue has |Re| < 1e-8 is skipped: there the
+    QZ's rounding, not the loop, decides the side.  So the audit is blind to
+    loops with a pole within 1e-8 of the imaginary axis.
+    """
+    rng = np.random.default_rng(12345)
+    lo, hi = np.log10(GAIN_BOX)
+    checked, wrong = 0, []
+    for i in range(SCREEN_PLANTS):
+        rlz, _, _ = random_system(rng, stable=i % 2 == 0)
+        assert np.array_equal(rlz.E, np.eye(rlz.order)) and rlz.D == 0.0
+        for kp, ki in 10.0 ** rng.uniform(lo, hi, (SCREEN_PAIRS, 2)):
+            rightmost = closed_loop_eigenvalues(rlz, kp, ki).real.max()
+            if abs(rightmost) < 1e-8:
+                continue
+            checked += 1
+            if _loop_is_stable(rlz, PIController(kp, ki)) != (rightmost < 0.0):
+                wrong.append((i, kp, ki, rightmost))
+    assert wrong == []
+    # Skips are allowed but must stay few, or the audit would decide nothing.
+    assert checked >= 0.9 * SCREEN_PLANTS * SCREEN_PAIRS
 
 
 def audited_loops(rng):
